@@ -37,32 +37,60 @@ class ConfigError(ExunitsError):
     pass
 
 
+# --- type checks on JSON input: every config and literal value passes here ---
+
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def _checked(value, kind, what):
+    """value, if it has the JSON type kind; a bool is not an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{what} must be {_KIND_NAMES[kind]}, not {value!r}")
+    return value
+
+
+def _list_of(value, kind, what):
+    for item in _checked(value, list, what):
+        _checked(item, kind, f"each entry of {what}")
+    return value
+
+
+def _field(obj, key, kind, default=_REQUIRED):
+    """obj[key] checked to have the JSON type kind, or default if absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key: {key!r}")
+        return default
+    return _checked(obj[key], kind, repr(key))
+
+
 def _parse_element(ring, literal):
-    if isinstance(literal, int):
-        return ring.from_int(literal)
-    if isinstance(literal, list) and all(isinstance(x, int) for x in literal):
-        if len(literal) != ring.deg:
+    if isinstance(literal, list):
+        if len(_list_of(literal, int, "an element literal")) != ring.deg:
             raise ConfigError(
                 f"element literal {literal} has {len(literal)} coordinates, "
                 f"ring degree is {ring.deg}"
             )
         return tuple(literal)
-    raise ConfigError(f"bad element literal: {literal!r}")
+    return ring.from_int(_checked(literal, int, "an element literal"))
 
 
 def parse_modulus(ring, literal):
     """Ideal literal: {"generators": [...]} or {"primes": [{p, h, exponent}]}."""
-    if not isinstance(literal, dict):
-        raise ConfigError("modulus must be an object")
+    _checked(literal, dict, "modulus")
     if "generators" in literal:
-        gens = [_parse_element(ring, g) for g in literal["generators"]]
+        gens = [_parse_element(ring, g) for g in _field(literal, "generators", list)]
         return hnf_from_generators(ring, gens)
     if "primes" in literal:
         ideal = unit_ideal(ring)
-        for spec in literal["primes"]:
-            p = spec["p"]
-            h = tuple(c % p for c in spec["h"])
-            exponent = spec.get("exponent", 1)
+        for spec in _field(literal, "primes", list):
+            _checked(spec, dict, "each entry of 'primes'")
+            p = _field(spec, "p", int)
+            if p < 2:
+                raise ConfigError(f"p={p} is not a prime")
+            h = tuple(c % p for c in _list_of(_field(spec, "h", list), int, "'h'"))
+            exponent = _field(spec, "exponent", int, 1)
             matches = [
                 pf
                 for pf in prime_ideals_above(ring, p)
@@ -83,27 +111,26 @@ def parse_modulus(ring, literal):
 
 def load_config(path):
     with open(path) as fh:
-        raw = json.load(fh)
-    try:
-        ring = make_number_ring(raw["field"]["min_poly"])
-        vspec = raw["variety"]
-        amb = vspec["amb"]
-        equations = tuple(
-            parse_poly(src, ring, amb) for src in vspec.get("equations", [])
-        )
-        variety = VarietySpec(
-            amb=amb,
-            codim=vspec["codim"],
-            equations=equations,
-            declared_degree=vspec.get(
-                "degree", max((eq.total_degree() for eq in equations), default=1)
-            ),
-        )
-        f = parse_poly(raw["f"], ring, 1)
-        modulus = parse_modulus(ring, raw["modulus"]) if "modulus" in raw else None
-        options = raw.get("options", {})
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from exc
+        raw = _checked(json.load(fh), dict, "the config")
+    min_poly = _field(_field(raw, "field", dict), "min_poly", list)
+    ring = make_number_ring(_list_of(min_poly, int, "'min_poly'"))
+    vspec = _field(raw, "variety", dict)
+    amb = _field(vspec, "amb", int)
+    sources = _list_of(_field(vspec, "equations", list, []), str, "'equations'")
+    equations = tuple(parse_poly(src, ring, amb) for src in sources)
+    degree = max((eq.total_degree() for eq in equations), default=1)
+    variety = VarietySpec(
+        amb=amb,
+        codim=_field(vspec, "codim", int),
+        equations=equations,
+        declared_degree=_field(vspec, "degree", int, degree),
+    )
+    f = parse_poly(_field(raw, "f", str), ring, 1)
+    modulus = parse_modulus(ring, raw["modulus"]) if "modulus" in raw else None
+    options = _field(raw, "options", dict, {})
+    # the options the commands read; options.workers is accepted and ignored
+    for key in ("cap", "max_norm", "products"):
+        _field(options, key, int, None)
     return {
         "ring": ring,
         "variety": variety,
@@ -159,20 +186,15 @@ def cmd_count(args):
     if cfg["modulus"] is None:
         raise ConfigError("count requires a modulus")
     cap = cfg["options"].get("cap", counting.DEFAULT_CAP)
-    workers = args.workers or cfg["options"].get("workers", 1)
     method = args.method
     ring, V, f, n_ideal = cfg["ring"], cfg["variety"], cfg["f"], cfg["modulus"]
     report = None
     brute_total = None
     try:
         if method in ("formula", "both"):
-            report = counting.theorem1_count(
-                ring, V, f, n_ideal, cap=cap, workers=workers
-            )
+            report = counting.theorem1_count(ring, V, f, n_ideal, cap=cap)
         if method in ("brute", "both"):
-            brute_total = counting.brute_force_count(
-                ring, V, f, n_ideal, cap=cap, workers=workers
-            )
+            brute_total = counting.brute_force_count(ring, V, f, n_ideal, cap=cap)
     except BadReduction as exc:
         _emit(_bad_reduction_json(exc))
         return 2
@@ -254,7 +276,6 @@ def _fmt_float(x):
 def cmd_asympt(args):
     cfg = load_config(args.config)
     cap = cfg["options"].get("cap", counting.DEFAULT_CAP)
-    workers = args.workers or cfg["options"].get("workers", 1)
     max_norm = args.max_norm or cfg["options"].get("max_norm")
     if max_norm is None:
         raise ConfigError("asympt requires --max-norm")
@@ -270,7 +291,7 @@ def cmd_asympt(args):
         for i in range(len(primes)):
             for j in range(i + 1, len(primes)):
                 family.append(ideal_mul(ring, primes[i].hnf, primes[j].hnf))
-    records = counting.asympt_series(ring, V, f, family, cap=cap, workers=workers)
+    records = counting.asympt_series(ring, V, f, family, cap=cap)
     records.sort(key=lambda r: (r.N, r.description))
     buf = io.StringIO()
     buf.write("modulus,N,count,ratio,omega,sum_inv_sqrt,sum_inv,max_local_dev\n")
@@ -332,6 +353,9 @@ def cmd_example25(args):
     return 0
 
 
+_WORKERS_HELP = "accepted and ignored: every count runs in the calling thread"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="exunits",
@@ -344,7 +368,7 @@ def build_parser():
     p_count.add_argument(
         "--method", choices=["formula", "brute", "both"], default="formula"
     )
-    p_count.add_argument("--workers", type=int, default=None)
+    p_count.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_count.set_defaults(func=cmd_count)
 
     p_verify = sub.add_parser("verify", help="good reduction, lifting and multiplicativity checks")
@@ -356,7 +380,7 @@ def build_parser():
     p_asympt.add_argument("--max-norm", type=int, default=None)
     p_asympt.add_argument("--products", type=int, choices=[0, 1, 2], default=None)
     p_asympt.add_argument("--out", default=None)
-    p_asympt.add_argument("--workers", type=int, default=None)
+    p_asympt.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_asympt.set_defaults(func=cmd_asympt)
 
     p_ex = sub.add_parser("example25", help="circle closed form over Q(sqrt(-5))")

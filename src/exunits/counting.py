@@ -15,7 +15,6 @@ error-term behaviour empirically.
 """
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,6 +24,7 @@ from .errors import (
     BadReduction,
     CapExceeded,
     ConstantPolynomial,
+    ExunitsError,
     NotQSqrtMinus5,
     UnitIdeal,
 )
@@ -35,12 +35,12 @@ from .ideals import (
     ideal_pow,
     prime_ideals_above,
 )
-from .number_ring import is_zero
 from .polys import (
+    DEFAULT_CAP,
     check_good_reduction,
-    compile_equations,
     eval_poly,
     iter_variety_points,
+    variety_indices,
 )
 from .residues import (
     is_unit_mod,
@@ -51,8 +51,6 @@ from .residues import (
 )
 
 log = logging.getLogger(__name__)
-
-DEFAULT_CAP = 10 ** 8
 
 
 @dataclass
@@ -96,127 +94,49 @@ def _check_f(f):
         raise ConstantPolynomial("f must be non-constant")
 
 
-def _chunk_ranges(total, workers):
-    workers = max(1, min(workers, total)) if total else 1
-    step = -(-total // workers)
-    return [(s, min(s + step, total)) for s in range(0, total, step)]
-
-
-def _sum_chunks(fn, total, workers):
-    """Deterministic chunked sum of fn(start, stop) over [0, total).
-
-    Chunks are contiguous index ranges, so the result is invariant under the
-    worker count by construction.
-    """
-    chunks = _chunk_ranges(total, workers)
-    if workers <= 1 or len(chunks) <= 1:
-        return sum(fn(s, e) for s, e in chunks)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda se: fn(*se), chunks))
-
-
 def _exunit_flags(ctx, f):
-    """flags[i] = True iff f(residue_i) is a unit mod the context ideal."""
-    flags = []
-    for rep in residues(ctx):
-        val = eval_poly(f, (rep,), ctx)
-        flags.append(is_unit_mod(ctx, val))
-    return flags
+    """Lazily, for each residue index i: is f(residue_i) a unit mod the ideal?"""
+    return (is_unit_mod(ctx, eval_poly(f, (rep,), ctx)) for rep in residues(ctx))
 
 
-_compile_equations = compile_equations
-
-
-def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP, workers=1):
+def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
     """Literal count of tuples on X with every f(x_i) a unit mod n."""
     _check_f(f)
     ctx = residue_ctx(ring, n_ideal)
-    total = ctx.norm ** V.amb
-    if total > cap:
-        raise CapExceeded(f"{total} candidate tuples exceed the cap {cap}")
-    flags = _exunit_flags(ctx, f)
-    reps = list(residues(ctx))
-    norm = ctx.norm
-    amb = V.amb
-    vanishes = _compile_equations(ctx, V.equations, reps)
-
-    def count_range(start, stop):
-        count = 0
-        indices = [0] * amb
-        for idx in range(start, stop):
-            rem = idx
-            ok = True
-            for i in range(amb):
-                rem, digit = divmod(rem, norm)
-                if not flags[digit]:
-                    ok = False
-                    break
-                indices[i] = digit
-            if ok and vanishes(indices):
-                count += 1
-        return count
-
-    return _sum_chunks(count_range, total, workers)
+    # lazy, so that the kernel's cap check runs before f is evaluated
+    units = (i for i, unit in enumerate(_exunit_flags(ctx, f)) if unit)
+    return sum(1 for _ in variety_indices(ctx, V, cap, units))
 
 
-def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP, workers=1):
+def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
     """#X(O_K/p), #N^f(p, X) and the exact local factor."""
     _check_f(f)
     ctx = prime_ctx(ring, prime_factor)
-    total = ctx.norm ** V.amb
-    if total > cap:
-        raise CapExceeded(f"{total} candidate points exceed the cap {cap}")
-    zero = ring.zero
-    zero_flags = [
-        eval_poly(f, (rep,), ctx) == zero for rep in residues(ctx)
-    ]
-    reps = list(residues(ctx))
-    norm = ctx.norm
-    amb = V.amb
-    vanishes = _compile_equations(ctx, V.equations, reps)
-
-    def count_range(start, stop):
-        count_x = 0
-        count_n = 0
-        indices = [0] * amb
-        for idx in range(start, stop):
-            rem = idx
-            hits_zero = False
-            for i in range(amb):
-                rem, digit = divmod(rem, norm)
-                hits_zero = hits_zero or zero_flags[digit]
-                indices[i] = digit
-            if vanishes(indices):
-                count_x += 1
-                if hits_zero:
-                    count_n += 1
-        return (count_x, count_n)
-
-    chunks = _chunk_ranges(total, workers)
-    if workers <= 1 or len(chunks) <= 1:
-        results = [count_range(s, e) for s, e in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda se: count_range(*se), chunks))
-    count_x = sum(r[0] for r in results)
-    count_n = sum(r[1] for r in results)
+    points = variety_indices(ctx, V, cap)  # checks the cap before f is evaluated
+    # a point lies in N when some f(x_i) is not a unit, i.e. is zero mod p
+    flags = list(_exunit_flags(ctx, f))
+    count_x = count_n = 0
+    for indices in points:
+        count_x += 1
+        if not all(flags[i] for i in indices):
+            count_n += 1
     factor = Fraction(count_x - count_n, ctx.norm ** (V.amb - V.codim))
     return LocalData(
         prime=prime_factor, count_X=count_x, count_N=count_n, factor=factor
     )
 
 
-def prime_power_count(ring, V, f, prime_factor, e, cap=DEFAULT_CAP, workers=1):
+def prime_power_count(ring, V, f, prime_factor, e, cap=DEFAULT_CAP):
     """Exact count modulo p^e: q^((amb-d)(e-1)) times the local count."""
     report = check_good_reduction(ring, V, prime_factor, cap=cap)
     if not report.ok:
         raise BadReduction(prime_factor, report.witness)
-    ld = local_counts(ring, V, f, prime_factor, cap=cap, workers=workers)
+    ld = local_counts(ring, V, f, prime_factor, cap=cap)
     q = prime_factor.norm
     return q ** ((V.amb - V.codim) * (e - 1)) * (ld.count_X - ld.count_N)
 
 
-def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP, workers=1):
+def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
     """The product formula: norm(n)^(amb-d) times the local factors.
 
     Only the per-prime enumeration caps apply; the modulus itself may be
@@ -232,14 +152,16 @@ def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP, workers=1):
         report = check_good_reduction(ring, V, pf, cap=cap)
         if not report.ok:
             raise BadReduction(pf, report.witness)
-        locals_.append(local_counts(ring, V, f, pf, cap=cap, workers=workers))
+        locals_.append(local_counts(ring, V, f, pf, cap=cap))
     exponent = V.amb - V.codim
     total = Fraction(n_norm ** exponent)
     for ld in locals_:
         total *= ld.factor
-    assert total.denominator == 1, "product formula must clear denominators"
+    if total.denominator != 1:
+        raise ExunitsError(f"product formula left a non-integral count {total}")
     total = int(total)
-    assert 0 <= total <= n_norm ** V.amb
+    if not 0 <= total <= n_norm ** V.amb:
+        raise ExunitsError(f"count {total} outside [0, {n_norm}^{V.amb}]")
     return CountReport(
         modulus_norm=n_norm,
         exponent=exponent,
@@ -258,19 +180,12 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     report = check_good_reduction(ring, V, prime_factor, cap=cap)
     if not report.ok:
         raise BadReduction(prime_factor, report.witness)
-    q = prime_factor.norm
-    if q ** ((k + 1) * V.amb) > cap:
-        raise CapExceeded(
-            f"{q}^{(k + 1) * V.amb} candidate points exceed the cap {cap}"
-        )
-    pk = ideal_pow(ring, prime_factor.hnf, k)
-    pk1 = ideal_pow(ring, prime_factor.hnf, k + 1)
-    ctx_k = residue_ctx(ring, pk)
-    ctx_k1 = residue_ctx(ring, pk1)
-    lifts = {}
-    for point in iter_variety_points(ctx_k, V):
-        lifts[point] = 0
-    for point in iter_variety_points(ctx_k1, V):
+    ctx_k = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k))
+    ctx_k1 = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k + 1))
+    # the mod p^(k+1) points first, so that their larger cap check runs first
+    upper = iter_variety_points(ctx_k1, V, cap)
+    lifts = dict.fromkeys(iter_variety_points(ctx_k, V, cap), 0)
+    for point in upper:
         base = tuple(reduce_mod(ctx_k, x) for x in point)
         lifts[base] += 1
     histogram = {}
@@ -337,12 +252,9 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
         else:
             splitting = "inert"
         # cross-check against the p mod 20 classification
-        if splitting == "split":
-            assert p % 20 in (1, 3, 7, 9), p
-        elif splitting == "inert":
-            assert p % 20 in (11, 13, 17, 19), p
-        else:
-            assert p == 5, p
+        classes = {"split": (1, 3, 7, 9), "inert": (11, 13, 17, 19), "ramified": (5,)}
+        if p % 20 not in classes[splitting]:
+            raise ExunitsError(f"{p} is {splitting}, against its class mod 20")
         m = _m_of_p(p, a, c)
         if splitting == "inert":
             q = p * p
@@ -380,7 +292,7 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
 # --- asymptotics diagnostics ---
 
 
-def langweil_deviation(ring, V, prime_factor, cap=DEFAULT_CAP, workers=1):
+def langweil_deviation(ring, V, prime_factor, cap=DEFAULT_CAP):
     """Deviation of #X(O_K/p) from q^r against the reference bound.
 
     The bound uses the declared degree l as (l-1)(l-2) q^(r-1/2) plus an
@@ -391,9 +303,7 @@ def langweil_deviation(ring, V, prime_factor, cap=DEFAULT_CAP, workers=1):
         raise BadReduction(prime_factor, report.witness)
     ctx = prime_ctx(ring, prime_factor)
     q = ctx.norm
-    if q ** V.amb > cap:
-        raise CapExceeded(f"{q}^{V.amb} candidate points exceed the cap {cap}")
-    count_x = sum(1 for _ in iter_variety_points(ctx, V))
+    count_x = sum(1 for _ in variety_indices(ctx, V, cap))
     r = V.amb - V.codim
     ell = V.declared_degree
     deviation = abs(count_x - q ** r)
@@ -416,12 +326,12 @@ def describe_ideal(ring, n_ideal):
     return "*".join(parts)
 
 
-def asympt_series(ring, V, f, family, cap=DEFAULT_CAP, workers=1):
+def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
     """One AsymptRecord per modulus; bad-reduction members are skipped."""
     records = []
     for n_ideal in family:
         try:
-            report = theorem1_count(ring, V, f, n_ideal, cap=cap, workers=workers)
+            report = theorem1_count(ring, V, f, n_ideal, cap=cap)
         except BadReduction as exc:
             log.info("skipping modulus with bad reduction: %s", exc)
             continue

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
+    ExunitsError,
     FactorCapExceeded,
     NotFullRank,
     UnitIdeal,
@@ -258,7 +259,8 @@ def factor_poly_mod_p(poly, p):
         key = tuple(fac)
         factors[key] = factors.get(key, 0) + 1
         work, rem = _poly_divmod_mod_p(work, fac, p)
-        assert not rem
+        if rem:
+            raise ExunitsError(f"factor {fac} does not divide {poly} mod {p}")
     return sorted(factors.items())
 
 

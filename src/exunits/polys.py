@@ -14,6 +14,7 @@ Polynomials are sparse term maps: exponent vector -> nonzero coefficient
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     DimensionMismatch,
@@ -39,6 +40,9 @@ from .residues import (
 )
 
 MAX_EXPONENT = 2 ** 31 - 1
+
+# default bound on the norm^amb candidate tuples of one enumeration
+DEFAULT_CAP = 10 ** 8
 
 
 @dataclass
@@ -458,31 +462,6 @@ def jacobian_rank_at(J, point, ctx):
 # --- point enumeration and good reduction ---
 
 
-def iter_points(ctx, amb, start=0, stop=None):
-    """Points of (O_K/n)^amb; coordinate 1 varies fastest.
-
-    The index decoding mirrors the residue enumeration convention (highest
-    position most significant), so disjoint index ranges partition the space.
-    """
-    reps = list(residues(ctx))
-    norm = ctx.norm
-    total = norm ** amb
-    if stop is None:
-        stop = total
-    for idx in range(start, stop):
-        rem = idx
-        coords = []
-        for _ in range(amb):
-            rem, digit = divmod(rem, norm)
-            coords.append(reps[digit])
-        yield tuple(coords)
-
-
-def on_variety(V, point, ctx):
-    zero = ctx.ring.zero
-    return all(eval_poly(eq, point, ctx) == zero for eq in V.equations)
-
-
 def compile_equations(ctx, equations, reps):
     """Precompute per-residue power tables so point loops stay cheap.
 
@@ -530,24 +509,34 @@ def compile_equations(ctx, equations, reps):
     return vanishes
 
 
-def iter_variety_points(ctx, V, start=0, stop=None):
-    """Points of X((O_K/n)^amb) in enumeration order, via compiled equations."""
+def variety_indices(ctx, V, cap, digits=None):
+    """Residue-index tuples of the points of X over O_K/n, in enumeration order.
+
+    Coordinate 1 varies fastest, and index i stands for the i-th residue of
+    ``residues(ctx)``.  ``digits`` restricts every coordinate to the given
+    indices (all of them by default) and keeps their order.  The cap bounds
+    the full space of norm^amb tuples whatever ``digits`` is, and is checked
+    when this is called, before a lazy ``digits`` is consumed.
+    """
+    if ctx.norm ** V.amb > cap:
+        raise EnumerationCapExceeded(
+            f"{ctx.norm}^{V.amb} candidate points exceed the cap {cap}"
+        )
+    vanishes = compile_equations(ctx, V.equations, list(residues(ctx)))
+    if digits is None:
+        digits = range(ctx.norm)
+    tuples = (t[::-1] for t in product(digits, repeat=V.amb))
+    return filter(vanishes, tuples)
+
+
+def iter_variety_points(ctx, V, cap=DEFAULT_CAP):
+    """Points of X((O_K/n)^amb) as residue tuples, in enumeration order."""
+    points = variety_indices(ctx, V, cap)
     reps = list(residues(ctx))
-    vanishes = compile_equations(ctx, V.equations, reps)
-    norm = ctx.norm
-    amb = V.amb
-    if stop is None:
-        stop = norm ** amb
-    indices = [0] * amb
-    for idx in range(start, stop):
-        rem = idx
-        for i in range(amb):
-            rem, indices[i] = divmod(rem, norm)
-        if vanishes(indices):
-            yield tuple(reps[i] for i in indices)
+    return (tuple(reps[i] for i in indices) for indices in points)
 
 
-def check_good_reduction(ring, V, prime_factor, cap=10 ** 8):
+def check_good_reduction(ring, V, prime_factor, cap=DEFAULT_CAP):
     """Smoothness of the mod-p fiber at every residue point of X.
 
     ok iff the Jacobian has rank equal to the declared codimension at each
@@ -555,12 +544,8 @@ def check_good_reduction(ring, V, prime_factor, cap=10 ** 8):
     the first failing point in enumeration order.
     """
     ctx = prime_ctx(ring, prime_factor)
-    if ctx.norm ** V.amb > cap:
-        raise EnumerationCapExceeded(
-            f"{ctx.norm}^{V.amb} candidate points exceed the cap {cap}"
-        )
     J = jacobian(ring, V)
-    for point in iter_variety_points(ctx, V):
+    for point in iter_variety_points(ctx, V, cap):
         if jacobian_rank_at(J, point, ctx) != V.codim:
             return GoodReductionReport(ok=False, witness=point)
     return GoodReductionReport(ok=True)

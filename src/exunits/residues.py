@@ -5,14 +5,19 @@ Residues are canonical coordinate tuples: coordinate i lies in
 arithmetic followed by reduction; there are no precomputed tables.
 
 Enumeration is fixed in lexicographic order of (c_{d-1}, ..., c_0), i.e.
-the highest power-basis coordinate varies slowest; the index decoding in
-``residues`` lets disjoint ranges be consumed independently (parallel
-partitions must not change any result).
+the highest power-basis coordinate varies slowest.
 """
 
 from dataclasses import dataclass
 
-from .errors import EvenCharacteristic, NotAUnit, NotPrime, UnitIdeal, ZeroIdeal
+from .errors import (
+    EvenCharacteristic,
+    ExunitsError,
+    NotAUnit,
+    NotPrime,
+    UnitIdeal,
+    ZeroIdeal,
+)
 from .ideals import hnf_from_generators, ideal_norm
 from .number_ring import elem_add, elem_mul, elem_sub, is_zero
 
@@ -136,5 +141,6 @@ def square_class(ctx, a):
     val = pow_mod(ctx, r, (ctx.norm - 1) // 2)
     if val == reduce_mod(ctx, ctx.ring.one):
         return 1
-    assert val == reduce_mod(ctx, ctx.ring.from_int(-1))
+    if val != reduce_mod(ctx, ctx.ring.from_int(-1)):
+        raise ExunitsError("Euler's criterion gave neither 1 nor -1")
     return -1

@@ -99,6 +99,59 @@ class TestCount:
         assert out["total"] == str(2 * 3 ** 99)
 
 
+    def test_worker_invariance(self, circle_config, capsys):
+        """--workers is accepted and ignored: the report is byte-identical."""
+        path = circle_config(modulus={"generators": [21]})
+        outputs = []
+        for workers in ("1", "2", "4"):
+            argv = ["count", "--config", path, "--method", "both", "--workers", workers]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["agreement"] is True
+
+
+def _variety(**overrides):
+    return {**CIRCLE_CONFIG["variety"], **overrides}
+
+
+@pytest.mark.parametrize(
+    "overrides, argv",
+    [
+        pytest.param({"variety": _variety(amb="2")}, ["count"], id="amb-string"),
+        pytest.param(
+            {"variety": _variety(amb=True, equations=["x1^2 - 1"])},
+            ["count"],
+            id="amb-bool",
+        ),
+        pytest.param({"options": {"cap": "big"}}, ["count"], id="cap-string"),
+        pytest.param({"options": {"cap": True}}, ["count"], id="cap-bool"),
+        pytest.param({"modulus": {"generators": 3}}, ["count"], id="generators-int"),
+        pytest.param(
+            {"modulus": {"generators": [[3, False]]}}, ["count"], id="generator-bool"
+        ),
+        pytest.param(
+            {"modulus": {"primes": [{"p": 3, "h": "x"}]}}, ["count"], id="h-string"
+        ),
+        pytest.param({"modulus": {"primes": 3}}, ["count"], id="primes-int"),
+        pytest.param(
+            None,
+            ["example25", "--a", "2", "--c", "1"]
+            + ["--modulus", '{"primes":[{"h":[1,1]}]}'],
+            id="prime-without-p",
+        ),
+    ],
+)
+def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
+    if overrides is not None:
+        argv = argv + ["--config", circle_config(**overrides)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 class TestVerify:
     def test_circle_three(self, circle_config, capsys):
         rc = main(["verify", "--config", circle_config()])

@@ -1,23 +1,34 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exunits import (
     BadReduction,
     CapExceeded,
     ConstantPolynomial,
+    ExunitsError,
+    LocalData,
+    MultiPoly,
     NotQSqrtMinus5,
     UnitIdeal,
     VarietySpec,
     asympt_series,
     brute_force_count,
+    check_good_reduction,
+    counting,
     describe_ideal,
+    eval_poly,
     example25_count,
     factor_ideal,
     good_reduction_primes,
     hnf_from_generators,
     ideal_mul,
+    ideal_norm,
     ideal_pow,
+    is_unit_mod,
     langweil_deviation,
     lifting_census,
     local_counts,
@@ -25,9 +36,42 @@ from exunits import (
     parse_poly,
     prime_power_count,
     principal_ideal,
+    residue_ctx,
+    residues,
     theorem1_count,
 )
 from exunits.errors import BadModulus
+
+# Q, Q(i), Q(sqrt(-5)) and Q(2^(1/3)); each ring of integers is Z[theta]
+RINGS = [[0, 1], [1, 0, 1], [5, 0, 1], [-2, 0, 0, 1]]
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _polys(draw, ring, amb):
+    """A nonzero polynomial with up to three terms of degree <= 2 per variable."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * amb),
+            st.lists(SMALL, min_size=ring.deg, max_size=ring.deg).map(tuple),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    terms = {e: c for e, c in terms.items() if any(c)}
+    assume(terms)
+    return MultiPoly(amb=amb, terms=terms)
+
+
+def _literal_count(ring, V, f, n_ideal):
+    """The definition, point by point: x on X with every f(x_i) a unit mod n."""
+    ctx = residue_ctx(ring, n_ideal)
+    return sum(
+        1
+        for point in product(list(residues(ctx)), repeat=V.amb)
+        if all(eval_poly(eq, point, ctx) == ring.zero for eq in V.equations)
+        and all(is_unit_mod(ctx, eval_poly(f, (x,), ctx)) for x in point)
+    )
 
 
 @pytest.fixture
@@ -85,13 +129,30 @@ class TestBruteForce:
         with pytest.raises(UnitIdeal):
             brute_force_count(q5, circle, f_x_minus_2, unit_ideal(q5))
 
-    def test_worker_invariance(self, q5, circle, f_x_minus_2):
-        n = principal_ideal(q5, (21, 0))
-        counts = {
-            brute_force_count(q5, circle, f_x_minus_2, n, workers=w)
-            for w in (1, 2, 4)
-        }
-        assert len(counts) == 1
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_literal_count(self, data):
+        ring = make_number_ring(data.draw(st.sampled_from(RINGS)))
+        amb = data.draw(st.integers(1, 3))
+        gens = [
+            ring.from_int(data.draw(st.integers(2, 9))),
+            tuple(data.draw(st.lists(SMALL, min_size=ring.deg, max_size=ring.deg))),
+        ]
+        n_ideal = hnf_from_generators(ring, gens)
+        norm = ideal_norm(n_ideal)
+        assume(norm >= 2 and norm ** amb <= 512)
+        equations = tuple(
+            data.draw(_polys(ring, amb))
+            for _ in range(data.draw(st.integers(0, min(amb, 2))))
+        )
+        V = VarietySpec(
+            amb=amb, codim=len(equations), equations=equations, declared_degree=2
+        )
+        f = data.draw(_polys(ring, 1))
+        assume(not f.is_constant())
+        assert brute_force_count(ring, V, f, n_ideal) == _literal_count(
+            ring, V, f, n_ideal
+        )
 
 
 class TestLocalCounts:
@@ -162,6 +223,14 @@ class TestTheorem1:
         with pytest.raises(BadReduction) as exc:
             theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (2, 0)))
         assert exc.value.witness == ((1, 0), (0, 0))
+
+    def test_non_integral_product_raises(self, q5, circle, f_x_minus_2, monkeypatch):
+        def half(ring, V, f, pf, cap):
+            return LocalData(prime=pf, count_X=1, count_N=0, factor=Fraction(1, 2))
+
+        monkeypatch.setattr(counting, "local_counts", half)
+        with pytest.raises(ExunitsError, match="non-integral"):
+            theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (3, 0)))
 
     def test_integrality_and_range(self, q5, circle, f_x_minus_2):
         for n in (3, 7, 9, 21, 49):
@@ -321,3 +390,31 @@ class TestMultiplicativity:
         assert brute_force_count(q5, cross, f, mn) == brute_force_count(
             q5, cross, f, m
         ) * brute_force_count(q5, cross, f, n)
+
+
+# each call enumerates 3^2 points mod P3; the census also 9^2 mod P3^2
+@pytest.mark.parametrize(
+    "call, cap",
+    [
+        (lambda q5, V, f, p3, cap: check_good_reduction(q5, V, p3, cap=cap), 5),
+        (lambda q5, V, f, p3, cap: local_counts(q5, V, f, p3, cap=cap), 5),
+        (lambda q5, V, f, p3, cap: lifting_census(q5, V, p3, 1, cap=cap), 20),
+        (lambda q5, V, f, p3, cap: langweil_deviation(q5, V, p3, cap=cap), 5),
+        (
+            lambda q5, V, f, p3, cap: brute_force_count(
+                q5, V, f, principal_ideal(q5, (3, 0)), cap=cap
+            ),
+            20,
+        ),
+    ],
+    ids=[
+        "check_good_reduction",
+        "local_counts",
+        "lifting_census",
+        "langweil_deviation",
+        "brute_force_count",
+    ],
+)
+def test_enumeration_cap(q5, circle, f_x_minus_2, p3, call, cap):
+    with pytest.raises(CapExceeded):
+        call(q5, circle, f_x_minus_2, p3, cap)
