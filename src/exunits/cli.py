@@ -20,6 +20,8 @@ import sys
 from . import counting
 from .errors import BadReduction, ExunitsError, UnitIdeal
 from .ideals import (
+    _small_prime_factors,
+    factor_ideal,
     factor_poly_mod_p,
     hnf_from_generators,
     ideal_mul,
@@ -29,8 +31,7 @@ from .ideals import (
     unit_ideal,
 )
 from .number_ring import make_number_ring
-from .polys import VarietySpec, parse_poly
-from .residues import residue_ctx
+from .polys import VarietySpec, check_good_reduction, parse_poly
 
 
 class ConfigError(ExunitsError):
@@ -87,7 +88,7 @@ def parse_modulus(ring, literal):
         for spec in _field(literal, "primes", list):
             _checked(spec, dict, "each entry of 'primes'")
             p = _field(spec, "p", int)
-            if p < 2:
+            if _small_prime_factors(p) != [p]:
                 raise ConfigError(f"p={p} is not a prime")
             h = tuple(c % p for c in _list_of(_field(spec, "h", list), int, "'h'"))
             exponent = _field(spec, "exponent", int, 1)
@@ -172,15 +173,6 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _bad_reduction_json(exc):
-    return {
-        "error": "BadReduction",
-        "p": exc.prime.p,
-        "h": list(exc.prime.h_coeffs),
-        "witness": [list(x) for x in exc.witness],
-    }
-
-
 def cmd_count(args):
     cfg = load_config(args.config)
     if cfg["modulus"] is None:
@@ -190,14 +182,10 @@ def cmd_count(args):
     ring, V, f, n_ideal = cfg["ring"], cfg["variety"], cfg["f"], cfg["modulus"]
     report = None
     brute_total = None
-    try:
-        if method in ("formula", "both"):
-            report = counting.theorem1_count(ring, V, f, n_ideal, cap=cap)
-        if method in ("brute", "both"):
-            brute_total = counting.brute_force_count(ring, V, f, n_ideal, cap=cap)
-    except BadReduction as exc:
-        _emit(_bad_reduction_json(exc))
-        return 2
+    if method in ("formula", "both"):
+        report = counting.theorem1_count(ring, V, f, n_ideal, cap=cap)
+    if method in ("brute", "both"):
+        brute_total = counting.brute_force_count(ring, V, f, n_ideal, cap=cap)
     out = {
         "modulus_norm": str(ideal_norm(n_ideal)),
         "exponent": V.amb - V.codim,
@@ -217,9 +205,6 @@ def cmd_verify(args):
         raise ConfigError("verify requires a modulus")
     cap = cfg["options"].get("cap", counting.DEFAULT_CAP)
     ring, V, f, n_ideal = cfg["ring"], cfg["variety"], cfg["f"], cfg["modulus"]
-    from .ideals import factor_ideal
-    from .polys import check_good_reduction
-
     factors = factor_ideal(ring, n_ideal)
     checks = []
     bad = False
@@ -332,12 +317,8 @@ def cmd_example25(args):
     circle = parse_poly(f"x1^2 + x2^2 - ({c})", ring, 2)
     V = VarietySpec(amb=2, codim=1, equations=(circle,), declared_degree=2)
     f = parse_poly(f"x1 - ({args.a})", ring, 1)
-    try:
-        example = counting.example25_count(ring, args.a, c, n_ideal, mode=mode)
-        theorem = counting.theorem1_count(ring, V, f, n_ideal)
-    except BadReduction as exc:
-        _emit(_bad_reduction_json(exc))
-        return 2
+    example = counting.example25_count(ring, args.a, c, n_ideal, mode=mode)
+    theorem = counting.theorem1_count(ring, V, f, n_ideal)
     out = {
         "example_total": str(example.total),
         "theorem1_total": str(theorem.total),
@@ -399,6 +380,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BadReduction as exc:
+        _emit(
+            {
+                "error": "BadReduction",
+                "p": exc.prime.p,
+                "h": list(exc.prime.h_coeffs),
+                "witness": [list(x) for x in exc.witness],
+            }
+        )
+        return 2
     except (ExunitsError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,7 @@ error-term behaviour empirically.
 """
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -40,6 +41,7 @@ from .polys import (
     check_good_reduction,
     eval_poly,
     iter_variety_points,
+    smooth_points,
     variety_indices,
 )
 from .residues import (
@@ -109,10 +111,14 @@ def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
 
 
 def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
-    """#X(O_K/p), #N^f(p, X) and the exact local factor."""
+    """#X(O_K/p), #N^f(p, X) and the exact local factor, in one sweep.
+
+    Requires good reduction at p: each point's Jacobian rank is checked as it
+    is counted, and the first singular point raises BadReduction.
+    """
     _check_f(f)
     ctx = prime_ctx(ring, prime_factor)
-    points = variety_indices(ctx, V, cap)  # checks the cap before f is evaluated
+    points = smooth_points(ring, V, prime_factor, cap)  # checks the cap first
     # a point lies in N when some f(x_i) is not a unit, i.e. is zero mod p
     flags = list(_exunit_flags(ctx, f))
     count_x = count_n = 0
@@ -128,9 +134,6 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
 
 def prime_power_count(ring, V, f, prime_factor, e, cap=DEFAULT_CAP):
     """Exact count modulo p^e: q^((amb-d)(e-1)) times the local count."""
-    report = check_good_reduction(ring, V, prime_factor, cap=cap)
-    if not report.ok:
-        raise BadReduction(prime_factor, report.witness)
     ld = local_counts(ring, V, f, prime_factor, cap=cap)
     q = prime_factor.norm
     return q ** ((V.amb - V.codim) * (e - 1)) * (ld.count_X - ld.count_N)
@@ -146,13 +149,9 @@ def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
     n_norm = ideal_norm(n_ideal)
     if n_norm < 2:
         raise UnitIdeal("modulus must be a proper ideal")
-    factors = factor_ideal(ring, n_ideal)
-    locals_ = []
-    for pf in factors:
-        report = check_good_reduction(ring, V, pf, cap=cap)
-        if not report.ok:
-            raise BadReduction(pf, report.witness)
-        locals_.append(local_counts(ring, V, f, pf, cap=cap))
+    locals_ = [
+        local_counts(ring, V, f, pf, cap=cap) for pf in factor_ideal(ring, n_ideal)
+    ]
     exponent = V.amb - V.codim
     total = Fraction(n_norm ** exponent)
     for ld in locals_:
@@ -177,9 +176,8 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     Under good reduction every point must lift in exactly norm(p)^(amb-d)
     ways, i.e. the histogram is a single bin.
     """
-    report = check_good_reduction(ring, V, prime_factor, cap=cap)
-    if not report.ok:
-        raise BadReduction(prime_factor, report.witness)
+    for _ in smooth_points(ring, V, prime_factor, cap):
+        pass  # raises BadReduction at the first singular point
     ctx_k = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k))
     ctx_k1 = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k + 1))
     # the mod p^(k+1) points first, so that their larger cap check runs first
@@ -188,10 +186,7 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     for point in upper:
         base = tuple(reduce_mod(ctx_k, x) for x in point)
         lifts[base] += 1
-    histogram = {}
-    for n_lifts in lifts.values():
-        histogram[n_lifts] = histogram.get(n_lifts, 0) + 1
-    return histogram
+    return dict(Counter(lifts.values()))
 
 
 # --- Example: circle x^2 + y^2 = c over Q(sqrt(-5)), f = x - a ---
@@ -298,12 +293,8 @@ def langweil_deviation(ring, V, prime_factor, cap=DEFAULT_CAP):
     The bound uses the declared degree l as (l-1)(l-2) q^(r-1/2) plus an
     empirical 3l q^(r-1) stand-in for the unspecified lower-order constant.
     """
-    report = check_good_reduction(ring, V, prime_factor, cap=cap)
-    if not report.ok:
-        raise BadReduction(prime_factor, report.witness)
-    ctx = prime_ctx(ring, prime_factor)
-    q = ctx.norm
-    count_x = sum(1 for _ in variety_indices(ctx, V, cap))
+    q = prime_factor.norm
+    count_x = sum(1 for _ in smooth_points(ring, V, prime_factor, cap))
     r = V.amb - V.codim
     ell = V.declared_degree
     deviation = abs(count_x - q ** r)

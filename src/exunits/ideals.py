@@ -10,7 +10,7 @@ from the factorization of g mod p, which is always valid here because the
 order is Z[theta] (index 1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .errors import (
@@ -78,9 +78,8 @@ def _span_rows(ring, vectors):
     """
     d = ring.deg
     rows = [None] * d
-    stack = [list(v) for v in vectors if not is_zero(v)]
-    while stack:
-        v = stack.pop()
+    for v in vectors:
+        v = list(v)
         for j in range(d - 1, -1, -1):
             if v[j] == 0:
                 continue
@@ -88,7 +87,6 @@ def _span_rows(ring, vectors):
                 if v[j] < 0:
                     v = [-x for x in v]
                 rows[j] = v
-                v = None
                 break
             r = rows[j]
             g, x, y = _ext_gcd(r[j], v[j])
@@ -96,8 +94,6 @@ def _span_rows(ring, vectors):
             coef_r, coef_v = r[j] // g, v[j] // g
             v = [coef_r * b - coef_v * a for a, b in zip(r, v)]
             rows[j] = new_r
-        if v is not None and any(v):
-            stack.append(v)  # pragma: no cover - loop above always clears v
     return rows
 
 
@@ -109,14 +105,6 @@ def _reduce_off_diagonal(rows):
             if q:
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
     return rows
-
-
-def _hnf_from_span(ring, vectors):
-    rows = _span_rows(ring, vectors)
-    if any(r is None for r in rows):
-        raise NotFullRank("generated lattice is not full rank")
-    rows = _reduce_off_diagonal(rows)
-    return IdealHNF(basis=tuple(tuple(r) for r in rows))
 
 
 def hnf_from_generators(ring, gens):
@@ -131,7 +119,11 @@ def hnf_from_generators(ring, gens):
         for _ in range(ring.deg):
             vectors.append(cur)
             cur = elem_mul(ring, cur, theta)
-    return _hnf_from_span(ring, vectors)
+    rows = _span_rows(ring, vectors)
+    if any(r is None for r in rows):
+        raise NotFullRank("generated lattice is not full rank")
+    rows = _reduce_off_diagonal(rows)
+    return IdealHNF(basis=tuple(tuple(r) for r in rows))
 
 
 def unit_ideal(ring):
@@ -168,15 +160,9 @@ def ideal_contains(I, a):
 
 def ideal_mul(ring, I, J):
     """HNF of the product ideal, spanned by pairwise basis-row products."""
-    products = [elem_mul(ring, r, s) for r in I.basis for s in J.basis]
-    theta = ring.theta
-    vectors = []
-    for v in products:
-        cur = v
-        for _ in range(ring.deg):
-            vectors.append(cur)
-            cur = elem_mul(ring, cur, theta)
-    return _hnf_from_span(ring, vectors)
+    return hnf_from_generators(
+        ring, [elem_mul(ring, r, s) for r in I.basis for s in J.basis]
+    )
 
 
 def ideal_pow(ring, I, e):
@@ -298,14 +284,10 @@ def prime_ideals_above(ring, p):
     """
     out = []
     for h, mult in factor_poly_mod_p(ring.min_poly, p):
-        h_elem = list(h) + [0] * (ring.deg - len(h))
         gens = [ring.from_int(p)]
-        # h(theta) as an element: substitute theta into the lift
-        if len(h) - 1 < ring.deg:
-            gens.append(tuple(h_elem[: ring.deg]))
-        else:
-            gens.append(ring.zero)  # h = g: ideal is just (p)
-        hnf = hnf_from_generators(ring, [g for g in gens if not is_zero(g)])
+        if len(h) <= ring.deg:  # h(theta) in the power basis; h = g leaves (p)
+            gens.append(tuple(h) + (0,) * (ring.deg - len(h)))
+        hnf = hnf_from_generators(ring, gens)
         out.append(
             PrimeFactor(
                 p=p,
@@ -339,16 +321,7 @@ def factor_ideal(ring, I):
         for pf in prime_ideals_above(ring, p):
             e = valuation(ring, I, pf)
             if e > 0:
-                result.append(
-                    PrimeFactor(
-                        p=pf.p,
-                        h_coeffs=pf.h_coeffs,
-                        e_ram=pf.e_ram,
-                        f_res=pf.f_res,
-                        exponent=e,
-                        hnf=pf.hnf,
-                    )
-                )
+                result.append(replace(pf, exponent=e))
     product = unit_ideal(ring)
     for pf in result:
         product = ideal_mul(ring, product, ideal_pow(ring, pf.hnf, pf.exponent))

@@ -15,8 +15,10 @@ Polynomials are sparse term maps: exponent vector -> nonzero coefficient
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 from .errors import (
+    BadReduction,
     DimensionMismatch,
     EnumerationCapExceeded,
     ExponentTooLarge,
@@ -40,6 +42,9 @@ from .residues import (
 )
 
 MAX_EXPONENT = 2 ** 31 - 1
+
+# bound on the terms that one '^' or '*' may expand to, checked before expanding
+MAX_EXPANDED_TERMS = 500
 
 # default bound on the norm^amb candidate tuples of one enumeration
 DEFAULT_CAP = 10 ** 8
@@ -249,19 +254,33 @@ class _Parser:
     def parse_term(self):
         poly = self.parse_factor()
         while self.peek()[0] == "*":
-            self.advance()
-            poly = poly_mul(self.ring, poly, self.parse_factor())
+            pos = self.advance()[2]
+            rhs = self.parse_factor()
+            degree = poly.total_degree() + rhs.total_degree()
+            self.check_expansion(len(poly.terms) * len(rhs.terms), degree, pos)
+            poly = poly_mul(self.ring, poly, rhs)
         return poly
 
     def parse_factor(self):
         poly = self.parse_base()
         if self.peek()[0] == "^":
-            self.advance()
+            pos = self.advance()[2]
             tok = self.expect("int")
-            if tok[1] > MAX_EXPONENT:
-                raise ExponentTooLarge(f"exponent {tok[1]} too large", tok[2])
-            poly = poly_pow(self.ring, poly, tok[1])
+            e = tok[1]
+            if e > MAX_EXPONENT:
+                raise ExponentTooLarge(f"exponent {e} too large", tok[2])
+            # a power of m terms has at most C(m-1+e, e) terms: multisets of them
+            m = len(poly.terms)
+            terms = comb(m - 1 + e, e) if m else 1
+            self.check_expansion(terms, e * poly.total_degree(), pos)
+            poly = poly_pow(self.ring, poly, e)
         return poly
+
+    def check_expansion(self, terms, degree, pos):
+        """Raise unless min(terms, #monomials of degree <= degree) fits the bound."""
+        bound = min(terms, comb(degree + self.amb, self.amb))
+        if bound > MAX_EXPANDED_TERMS:
+            raise ExponentTooLarge(f"expansion may reach {bound} terms", pos)
 
     def parse_base(self):
         kind, value, pos = self.peek()
@@ -536,6 +555,28 @@ def iter_variety_points(ctx, V, cap=DEFAULT_CAP):
     return (tuple(reps[i] for i in indices) for indices in points)
 
 
+def smooth_points(ring, V, prime_factor, cap=DEFAULT_CAP):
+    """Residue-index tuples of X(O_K/p) in enumeration order, checked smooth.
+
+    A point is yielded once the Jacobian has the declared codimension as rank
+    there; the first point where it has not raises BadReduction with it as
+    witness.  The cap is checked when this is called; the points come lazily.
+    """
+    ctx = prime_ctx(ring, prime_factor)
+    points = variety_indices(ctx, V, cap)
+    J = jacobian(ring, V)
+    reps = list(residues(ctx))
+
+    def checked():
+        for indices in points:
+            point = tuple(reps[i] for i in indices)
+            if jacobian_rank_at(J, point, ctx) != V.codim:
+                raise BadReduction(prime_factor, point)
+            yield indices
+
+    return checked()
+
+
 def check_good_reduction(ring, V, prime_factor, cap=DEFAULT_CAP):
     """Smoothness of the mod-p fiber at every residue point of X.
 
@@ -543,9 +584,9 @@ def check_good_reduction(ring, V, prime_factor, cap=DEFAULT_CAP):
     point of X(O_K/p); vacuously true for an empty fiber.  The witness is
     the first failing point in enumeration order.
     """
-    ctx = prime_ctx(ring, prime_factor)
-    J = jacobian(ring, V)
-    for point in iter_variety_points(ctx, V, cap):
-        if jacobian_rank_at(J, point, ctx) != V.codim:
-            return GoodReductionReport(ok=False, witness=point)
+    try:
+        for _ in smooth_points(ring, V, prime_factor, cap):
+            pass
+    except BadReduction as exc:
+        return GoodReductionReport(ok=False, witness=exc.witness)
     return GoodReductionReport(ok=True)

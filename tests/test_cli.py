@@ -135,6 +135,11 @@ def _variety(**overrides):
         ),
         pytest.param({"modulus": {"primes": 3}}, ["count"], id="primes-int"),
         pytest.param(
+            {"modulus": {"primes": [{"p": 9, "h": [2, 1]}]}},
+            ["count"],
+            id="p-composite",
+        ),
+        pytest.param(
             None,
             ["example25", "--a", "2", "--c", "1"]
             + ["--modulus", '{"primes":[{"h":[1,1]}]}'],

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from exunits import (
@@ -34,6 +34,7 @@ from exunits import (
     local_counts,
     make_number_ring,
     parse_poly,
+    polys,
     prime_power_count,
     principal_ideal,
     residue_ctx,
@@ -175,6 +176,15 @@ class TestLocalCounts:
         assert (ld.count_X, ld.count_N) == (4, 4)
         assert ld.factor == 0
 
+    def test_bad_reduction_raises(self, q5, circle, f_x_minus_2):
+        p2 = factor_ideal(q5, principal_ideal(q5, (2, 0)))[0]
+        witness = check_good_reduction(q5, circle, p2).witness
+        assert witness == ((1, 0), (0, 0))
+        with pytest.raises(BadReduction) as exc:
+            local_counts(q5, circle, f_x_minus_2, p2)
+        assert exc.value.prime == p2
+        assert exc.value.witness == witness
+
 
 class TestPrimePower:
     def test_e1_matches_local(self, q5, circle, f_x_minus_2, p3):
@@ -231,6 +241,58 @@ class TestTheorem1:
         monkeypatch.setattr(counting, "local_counts", half)
         with pytest.raises(ExunitsError, match="non-integral"):
             theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (3, 0)))
+
+    def test_one_sweep_per_prime(self, q5, circle, f_x_minus_2, monkeypatch):
+        # every enumeration compiles the equations once, so this counts sweeps
+        calls = []
+        compile_equations = polys.compile_equations
+
+        def counted(*args):
+            calls.append(args[0].prime)
+            return compile_equations(*args)
+
+        monkeypatch.setattr(polys, "compile_equations", counted)
+        n21 = principal_ideal(q5, (21, 0))
+        rep = theorem1_count(q5, circle, f_x_minus_2, n21)
+        primes = [ld.prime for ld in rep.locals]
+        assert len(primes) == 4
+        assert calls == primes
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bad_reduction_iff_unchecked(self, data):
+        """BadReduction exactly where a factor fails the check; else the oracle."""
+        ring = make_number_ring(data.draw(st.sampled_from(RINGS)))
+        amb = data.draw(st.integers(1, 3))
+        gens = [
+            ring.from_int(data.draw(st.integers(2, 12))),
+            tuple(data.draw(st.lists(SMALL, min_size=ring.deg, max_size=ring.deg))),
+        ]
+        n_ideal = hnf_from_generators(ring, gens)
+        norm = ideal_norm(n_ideal)
+        assume(norm >= 2 and norm ** amb <= 1000)
+        equations = tuple(
+            data.draw(_polys(ring, amb))
+            for _ in range(data.draw(st.integers(0, min(amb, 2))))
+        )
+        V = VarietySpec(
+            amb=amb, codim=len(equations), equations=equations, declared_degree=2
+        )
+        f = data.draw(_polys(ring, 1))
+        assume(not f.is_constant())
+        reports = [
+            (pf, check_good_reduction(ring, V, pf))
+            for pf in factor_ideal(ring, n_ideal)
+        ]
+        bad = [(pf, rep.witness) for pf, rep in reports if not rep.ok]
+        event("bad reduction" if bad else "good reduction")
+        if bad:
+            with pytest.raises(BadReduction) as exc:
+                theorem1_count(ring, V, f, n_ideal)
+            assert (exc.value.prime, exc.value.witness) == bad[0]
+        else:
+            total = theorem1_count(ring, V, f, n_ideal).total
+            assert total == brute_force_count(ring, V, f, n_ideal)
 
     def test_integrality_and_range(self, q5, circle, f_x_minus_2):
         for n in (3, 7, 9, 21, 49):

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 
 import pytest
 
@@ -15,10 +17,12 @@ from exunits import (
     make_number_ring,
     parse_poly,
     poly_to_str,
+    polys,
     prime_ctx,
     principal_ideal,
     reduce_mod,
 )
+from exunits.cli import main
 from exunits.errors import DimensionMismatch
 from exunits.polys import (
     MultiPoly,
@@ -81,6 +85,45 @@ class TestParser:
     def test_exponent_too_large(self, q5):
         with pytest.raises(ExponentTooLarge):
             parse_poly("x1^2147483648", q5, 1)
+
+    @pytest.mark.parametrize(
+        "src, op",
+        [
+            pytest.param("(x1+x2+x3+1)^200", "^", id="power"),
+            pytest.param(
+                "(x1+x2+x3+1)^10*(x1+x2+x3+1)^10*(x1+x2+x3+1)^10", "*", id="product"
+            ),
+        ],
+    )
+    def test_expansion_bounded(self, q5, tmp_path, capsys, src, op):
+        start = time.perf_counter()
+        with pytest.raises(ExponentTooLarge) as exc:
+            parse_poly(src, q5, 3)
+        assert time.perf_counter() - start < 1
+        assert exc.value.pos == src.index(op)
+        config = {
+            "field": {"min_poly": [5, 0, 1]},
+            "variety": {"amb": 3, "codim": 1, "equations": [src]},
+            "f": "x1 - 2",
+            "modulus": {"generators": [3]},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["count", "--config", str(path)]) == 1
+        assert "expansion may reach" in capsys.readouterr().err
+
+    def test_expansion_bound_is_tight(self, q5, monkeypatch):
+        monkeypatch.setattr(polys, "MAX_EXPANDED_TERMS", 10)
+        # each admitted case has at most 10 terms by C(m-1+e, e) for a power
+        # of m terms, by m*n for a product, or by its monomials of degree <= d
+        assert len(parse_poly("(x1+1)^9", q5, 1).terms) == 10
+        assert len(parse_poly("(x1+x2+x3)^2", q5, 3).terms) == 6
+        assert len(parse_poly("(x1+1)^5*(x1+1)^4", q5, 1).terms) == 10
+        assert len(parse_poly("(x1^2+x1+1)^4", q5, 1).terms) == 9
+        assert len(parse_poly("x1^2147483647*x2^2147483647", q5, 2).terms) == 1
+        for src in ("(x1+1)^10", "(x1+1)^5*(x1+1)^5", "(x1+x2+1)^4"):
+            with pytest.raises(ExponentTooLarge):
+                parse_poly(src, q5, 2)
 
     def test_element_literal(self, q5):
         poly = parse_poly("[2,-3]*x1", q5, 1)

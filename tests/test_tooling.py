@@ -1,7 +1,16 @@
 import ast
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import exunits
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_library_has_no_assert():
@@ -15,3 +24,38 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    paths = [str(Path(exunits.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    if demo == "lifting_census.py":
+        assert "p = 2 refuses as expected" in result.stdout
+
+
+def test_traced_functions_exist():
+    """The benchmark's tracer reports zero calls for a name that is gone."""
+    path = ROOT / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    missing = [
+        f"{module}.{name}"
+        for module, name in tracing.TRACED
+        if not callable(
+            getattr(importlib.import_module(f"exunits.{module}"), name, None)
+        )
+    ]
+    assert missing == []
