@@ -35,6 +35,7 @@ from .number_ring import (
 from .residues import (
     field_inverse,
     mul_mod,
+    pow_mod,
     prime_ctx,
     reduce_mod,
     residues,
@@ -45,6 +46,13 @@ MAX_EXPONENT = 2 ** 31 - 1
 
 # bound on the terms that one '^' or '*' may expand to, checked before expanding
 MAX_EXPANDED_TERMS = 500
+
+# bound on the terms that all the '^' and '*' of one expression may expand to
+# together: one expansion at the bound above, and half as many terms again
+MAX_EXPRESSION_TERMS = 750
+
+# bound on the bit length of the coefficients that a '^' or '*' may produce
+MAX_COEFF_BITS = 2 ** 16
 
 # default bound on the norm^amb candidate tuples of one enumeration
 DEFAULT_CAP = 10 ** 8
@@ -219,6 +227,7 @@ class _Parser:
         self.pos = 0
         self.ring = ring
         self.amb = amb
+        self.expanded = 0  # the expansion bounds charged so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -257,7 +266,8 @@ class _Parser:
             pos = self.advance()[2]
             rhs = self.parse_factor()
             degree = poly.total_degree() + rhs.total_degree()
-            self.check_expansion(len(poly.terms) * len(rhs.terms), degree, pos)
+            bits = _coeff_bits(poly) + _coeff_bits(rhs)
+            self.check_expansion(len(poly.terms) * len(rhs.terms), degree, bits, pos)
             poly = poly_mul(self.ring, poly, rhs)
         return poly
 
@@ -272,15 +282,31 @@ class _Parser:
             # a power of m terms has at most C(m-1+e, e) terms: multisets of them
             m = len(poly.terms)
             terms = comb(m - 1 + e, e) if m else 1
-            self.check_expansion(terms, e * poly.total_degree(), pos)
+            # +-1 times a monomial stays so; other coefficients grow with e
+            ones = (self.ring.one, elem_neg(self.ring, self.ring.one))
+            signed_monomial = m == 1 and next(iter(poly.terms.values())) in ones
+            bits = 1 if signed_monomial else e * _coeff_bits(poly)
+            self.check_expansion(terms, e * poly.total_degree(), bits, pos)
             poly = poly_pow(self.ring, poly, e)
         return poly
 
-    def check_expansion(self, terms, degree, pos):
-        """Raise unless min(terms, #monomials of degree <= degree) fits the bound."""
+    def check_expansion(self, terms, degree, bits, pos):
+        """Charge an expansion to the expression before expanding; raise if too big.
+
+        Its bound is min(terms, #monomials of degree <= degree).  It must fit
+        MAX_EXPANDED_TERMS on its own and, with the bounds charged before it,
+        MAX_EXPRESSION_TERMS; ``bits`` must fit MAX_COEFF_BITS.
+        """
         bound = min(terms, comb(degree + self.amb, self.amb))
         if bound > MAX_EXPANDED_TERMS:
             raise ExponentTooLarge(f"expansion may reach {bound} terms", pos)
+        self.expanded += bound
+        if self.expanded > MAX_EXPRESSION_TERMS:
+            raise ExponentTooLarge(
+                f"expansions may reach {self.expanded} terms in all", pos
+            )
+        if bits > MAX_COEFF_BITS:
+            raise ExponentTooLarge(f"coefficients may reach {bits} bits", pos)
 
     def parse_base(self):
         kind, value, pos = self.peek()
@@ -329,6 +355,14 @@ class _Parser:
             sign = -1
         tok = self.expect("int")
         return sign * tok[1]
+
+
+def _coeff_bits(poly):
+    """Bit length of the largest coordinate of any coefficient of poly."""
+    return max(
+        (abs(c).bit_length() for coeff in poly.terms.values() for c in coeff),
+        default=0,
+    )
 
 
 def parse_poly(src, ring, amb):
@@ -481,51 +515,102 @@ def jacobian_rank_at(J, point, ctx):
 # --- point enumeration and good reduction ---
 
 
-def compile_equations(ctx, equations, reps):
-    """Precompute per-residue power tables so point loops stay cheap.
+def _evaluator(ctx, terms, power):
+    """The value of sum(coeff * x^exps) over ``terms`` at residue indices.
 
-    Returns a predicate on tuples of residue indices that is True iff every
-    equation vanishes.  Single-variable monomials collapse to one table
-    lookup; mixed monomials cost one modular product per extra variable.
+    ``power(e)`` is the table of e-th powers of all residues.  The
+    coefficient is folded into the first variable's table, each further
+    variable costs one ring product, and the sum is reduced once.
     """
-    from .residues import add_mod, pow_mod
+    ring = ctx.ring
+    const = ring.zero
+    monomials = []
+    for exps, coeff in terms.items():
+        vars_ = [(i, e) for i, e in enumerate(exps) if e]
+        if not vars_:
+            const = elem_add(ring, const, coeff)
+            continue
+        (i0, e0), *others = vars_
+        first = [mul_mod(ctx, coeff, x) for x in power(e0)]
+        monomials.append((i0, first, [(i, power(e)) for i, e in others]))
 
-    zero = ctx.ring.zero
-    compiled = []
+    def value(indices):
+        acc = const
+        for i0, first, others in monomials:
+            val = first[indices[i0]]
+            for i, table in others:
+                val = elem_mul(ring, val, table[indices[i]])
+            acc = elem_add(ring, acc, val)
+        return reduce_mod(ctx, acc)
+
+    return value
+
+
+def compile_equations(ctx, equations):
+    """Split every equation by the power of x1, the fastest coordinate.
+
+    An equation reads sum_e c_e(x2, ..., x_amb) * x1^e.  It is separable when
+    c_e is a constant for every e > 0, that is when no monomial mixes x1 with
+    another variable.  Returns ``(part, target, mixed)``, on residue indices:
+
+    * ``part(i1)``: the values of the x1 parts sum_{e>0} c_e * x1^e of the
+      separable equations;
+    * ``target(rest)``: the values of -c_0 of the separable equations at
+      rest = (i2, ..., i_amb), so that (i1,) + rest solves them exactly when
+      ``part(i1) == target(rest)``;
+    * ``mixed``: None when every equation is separable, else ``mixed(rest)``
+      evaluates each c_e of the other equations at rest once and returns a
+      predicate on i1 that is True iff they all vanish at (i1,) + rest.
+
+    The power tables of the residues are built once and shared.
+    """
+    ring = ctx.ring
+    zero = ring.zero
+    reps = list(residues(ctx)) if equations else []
+    powers = {}
+
+    def power(e):
+        if e not in powers:
+            powers[e] = [pow_mod(ctx, rep, e) for rep in reps]
+        return powers[e]
+
+    parts, targets, mixed_eqs = [], [], []
     for eq in equations:
-        const = zero
-        monomials = []  # list of [(var_index, table)] per term
+        by_power = {}
         for exps, coeff in eq.terms.items():
-            vars_ = [(i, e) for i, e in enumerate(exps) if e]
-            if not vars_:
-                const = add_mod(ctx, const, coeff)
-                continue
-            # fold the coefficient into the first variable's table
-            tables = []
-            for k, (i, e) in enumerate(vars_):
-                if k == 0:
-                    tables.append(
-                        (i, [mul_mod(ctx, coeff, pow_mod(ctx, rep, e)) for rep in reps])
-                    )
-                else:
-                    tables.append((i, [pow_mod(ctx, rep, e) for rep in reps]))
-            monomials.append(tables)
-        compiled.append((const, monomials))
+            by_power.setdefault(exps[0], {})[exps[1:]] = coeff
+        c0 = by_power.pop(0, {})
+        if all(not any(rest) for c in by_power.values() for rest in c):
+            x1_part = {(e,): coeff for e, c in by_power.items() for coeff in c.values()}
+            parts.append(_evaluator(ctx, x1_part, power))
+            negated = {rest: elem_neg(ring, coeff) for rest, coeff in c0.items()}
+            targets.append(_evaluator(ctx, negated, power))
+        else:
+            cs = [(_evaluator(ctx, c, power), power(e)) for e, c in by_power.items()]
+            mixed_eqs.append((_evaluator(ctx, c0, power), cs))
 
-    def vanishes(indices):
-        for const, monomials in compiled:
-            acc = const
-            for tables in monomials:
-                i0, t0 = tables[0]
-                val = t0[indices[i0]]
-                for i, t in tables[1:]:
-                    val = mul_mod(ctx, val, t[indices[i]])
-                acc = add_mod(ctx, acc, val)
-            if acc != zero:
-                return False
-        return True
+    def part(i1):
+        return tuple(value((i1,)) for value in parts)
 
-    return vanishes
+    def target(rest):
+        return tuple(value(rest) for value in targets)
+
+    def mixed(rest):
+        fiber = [
+            (c0(rest), [(c(rest), table) for c, table in cs]) for c0, cs in mixed_eqs
+        ]
+
+        def solves(i1):
+            for acc, terms in fiber:
+                for c, table in terms:
+                    acc = elem_add(ring, acc, elem_mul(ring, c, table[i1]))
+                if reduce_mod(ctx, acc) != zero:
+                    return False
+            return True
+
+        return solves
+
+    return part, target, mixed if mixed_eqs else None
 
 
 def variety_indices(ctx, V, cap, digits=None):
@@ -536,16 +621,39 @@ def variety_indices(ctx, V, cap, digits=None):
     indices (all of them by default) and keeps their order.  The cap bounds
     the full space of norm^amb tuples whatever ``digits`` is, and is checked
     when this is called, before a lazy ``digits`` is consumed.
+
+    The points come fiber by fiber: for each rest = (x2, ..., x_amb) the
+    x1-free parts of the equations are evaluated once, and the x1 solutions
+    of the separable ones are looked up in a table, built once over
+    ``digits``, from the values of their x1 parts to the x1 that take them.
+    Equations that mix x1 with another variable are checked on those
+    solutions one by one.  With amb = 1 there is one fiber, scanned directly.
     """
     if ctx.norm ** V.amb > cap:
         raise EnumerationCapExceeded(
             f"{ctx.norm}^{V.amb} candidate points exceed the cap {cap}"
         )
-    vanishes = compile_equations(ctx, V.equations, list(residues(ctx)))
+    part, target, mixed = compile_equations(ctx, V.equations)
     if digits is None:
         digits = range(ctx.norm)
-    tuples = (t[::-1] for t in product(digits, repeat=V.amb))
-    return filter(vanishes, tuples)
+    if V.amb == 1:
+        goal = target(())
+        return ((i,) for i in digits if part(i) == goal)
+
+    def fibers():
+        xs = list(digits)
+        table = {}
+        for i in xs:
+            table.setdefault(part(i), []).append(i)
+        for t in product(xs, repeat=V.amb - 1):
+            rest = t[::-1]
+            solutions = table.get(target(rest), ())
+            if solutions and mixed is not None:
+                solutions = filter(mixed(rest), solutions)
+            for i in solutions:
+                yield (i,) + rest
+
+    return fibers()
 
 
 def iter_variety_points(ctx, V, cap=DEFAULT_CAP):

@@ -1,8 +1,13 @@
 import json
 import random
+import sys
 import time
+import tracemalloc
+from itertools import product
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from exunits import (
     ExponentTooLarge,
@@ -12,6 +17,8 @@ from exunits import (
     check_good_reduction,
     eval_poly,
     factor_ideal,
+    hnf_from_generators,
+    ideal_norm,
     jacobian,
     jacobian_rank_at,
     make_number_ring,
@@ -21,14 +28,18 @@ from exunits import (
     prime_ctx,
     principal_ideal,
     reduce_mod,
+    residue_ctx,
+    residues,
 )
 from exunits.cli import main
 from exunits.errors import DimensionMismatch
 from exunits.polys import (
+    DEFAULT_CAP,
     MultiPoly,
     partial_derivative,
     poly_add,
     poly_mul,
+    variety_indices,
     zero_poly,
 )
 from exunits.residues import add_mod, mul_mod
@@ -124,6 +135,60 @@ class TestParser:
         for src in ("(x1+1)^10", "(x1+1)^5*(x1+1)^5", "(x1+x2+1)^4"):
             with pytest.raises(ExponentTooLarge):
                 parse_poly(src, q5, 2)
+
+    @pytest.mark.parametrize(
+        "src, op_index, message",
+        [
+            pytest.param(
+                "3^10000000", 0, "coefficients may reach", id="constant-power"
+            ),
+            pytest.param(
+                "(x1+1)^499 + (x1+1)^499 + (x1+1)^499 + (x1+1)^499",
+                1,
+                "terms in all",
+                id="chain",
+            ),
+        ],
+    )
+    def test_expression_bounded(self, rat, tmp_path, capsys, src, op_index, message):
+        # the chain's first power fits every bound; its second overruns the
+        # expression's budget, so only one expansion is paid for
+        pos = [i for i, ch in enumerate(src) if ch == "^"][op_index]
+        start = time.perf_counter()
+        with pytest.raises(ExponentTooLarge) as exc:
+            parse_poly(src, rat, 1)
+        assert time.perf_counter() - start < 1
+        assert exc.value.pos == pos
+        config = {
+            "field": {"min_poly": [0, 1]},
+            "variety": {"amb": 1, "codim": 1, "equations": [src]},
+            "f": "x1 - 2",
+            "modulus": {"generators": [3]},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["count", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_expression_bounds_are_tight(self, q5, monkeypatch):
+        monkeypatch.setattr(polys, "MAX_COEFF_BITS", 10)
+        # e times the base's largest coefficient bit length, and the sum of
+        # both sides' for a product; +-1 times a monomial does not grow
+        assert parse_poly("3^5", q5, 1).terms == {(0,): (243, 0)}
+        assert parse_poly("t^10", q5, 1).terms == {(0,): (-3125, 0)}
+        assert parse_poly("2^5*2^3", q5, 1).terms == {(0,): (256, 0)}
+        assert parse_poly("(-x1)^2147483647", q5, 1).terms == {(2147483647,): (-1, 0)}
+        for src in ("3^6", "t^11", "2^5*2^5", "(2*x1)^6"):
+            with pytest.raises(ExponentTooLarge):
+                parse_poly(src, q5, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(polys, "MAX_EXPRESSION_TERMS", 10)
+        # (x1+1)^e is charged e+1 terms, and a sum charges nothing itself
+        assert len(parse_poly("(x1+1)^5 + (x1+1)^3", q5, 1).terms) == 6
+        src = "(x1+1)^5 + (x1+1)^4"
+        with pytest.raises(ExponentTooLarge) as exc:
+            parse_poly(src, q5, 1)
+        assert exc.value.pos == src.rindex("^")
 
     def test_element_literal(self, q5):
         poly = parse_poly("[2,-3]*x1", q5, 1)
@@ -338,3 +403,114 @@ class TestGoodReduction:
             VarietySpec(
                 amb=2, codim=1, equations=(zero_poly(2),), declared_degree=1
             )
+
+
+# Q, Q(i), Q(sqrt(-5)) and Q(2^(1/3)); each ring of integers is Z[theta]
+RINGS = [[0, 1], [1, 0, 1], [5, 0, 1], [-2, 0, 0, 1]]
+
+
+@st.composite
+def _equation(draw, ring, amb):
+    """A nonzero polynomial of up to three terms, mixed monomials included."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * amb),
+            st.lists(st.integers(-3, 3), min_size=ring.deg, max_size=ring.deg).map(
+                tuple
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    terms = {e: c for e, c in terms.items() if any(c)}
+    assume(terms)
+    return MultiPoly(amb=amb, terms=terms)
+
+
+def _reference_indices(ctx, V, digits):
+    """The definition: every digit tuple, coordinate 1 fastest, kept if on X."""
+    reps = list(residues(ctx))
+    return [
+        t[::-1]
+        for t in product(digits, repeat=V.amb)
+        if all(
+            eval_poly(eq, tuple(reps[i] for i in t[::-1]), ctx) == ctx.ring.zero
+            for eq in V.equations
+        )
+    ]
+
+
+class TestVarietyIndices:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        """Same tuples in the same order as the literal enumeration."""
+        ring = make_number_ring(data.draw(st.sampled_from(RINGS)))
+        amb = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            p = data.draw(st.sampled_from([2, 3, 5, 7]))
+            primes = factor_ideal(ring, principal_ideal(ring, ring.from_int(p)))
+            ctx = prime_ctx(ring, data.draw(st.sampled_from(primes)))
+        else:
+            coords = st.lists(st.integers(-3, 3), min_size=ring.deg, max_size=ring.deg)
+            gens = [
+                ring.from_int(data.draw(st.integers(2, 12))),
+                tuple(data.draw(coords)),
+            ]
+            n_ideal = hnf_from_generators(ring, gens)
+            assume(ideal_norm(n_ideal) >= 2)
+            ctx = residue_ctx(ring, n_ideal)
+        assume(ctx.norm ** amb <= 1000)
+        equations = tuple(
+            data.draw(_equation(ring, amb))
+            for _ in range(data.draw(st.integers(0, min(amb, 2))))
+        )
+        if any(
+            exps[0] and any(exps[1:]) for eq in equations for exps in eq.terms
+        ):
+            event("x1 in a mixed monomial")
+        V = VarietySpec(
+            amb=amb, codim=len(equations), equations=equations, declared_degree=2
+        )
+        if data.draw(st.booleans()):
+            digits = None
+            expected = _reference_indices(ctx, V, range(ctx.norm))
+        else:
+            keep = data.draw(
+                st.lists(st.booleans(), min_size=ctx.norm, max_size=ctx.norm)
+            )
+            digits = [i for i, k in enumerate(keep) if k]
+            expected = _reference_indices(ctx, V, digits)
+            digits = iter(digits)
+        assert list(variety_indices(ctx, V, DEFAULT_CAP, digits)) == expected
+
+    def test_evaluations_linear_in_q(self, q5, circle_variety, monkeypatch):
+        """Each fiber of the circle is one evaluation and one lookup, not q."""
+        p13 = factor_ideal(q5, principal_ideal(q5, (13, 0)))
+        assert [pf.norm for pf in p13] == [169]
+        ctx = prime_ctx(q5, p13[0])
+        calls = 0
+
+        def counted(ctx, a):
+            nonlocal calls
+            calls += 1
+            return reduce_mod(ctx, a)
+
+        # every residue operation, in polys or in residues, ends in reduce_mod
+        for module in (polys, sys.modules["exunits.residues"]):
+            monkeypatch.setattr(module, "reduce_mod", counted)
+        assert len(list(variety_indices(ctx, circle_variety, DEFAULT_CAP))) == 168
+        assert calls <= 20 * ctx.norm
+
+    def test_affine_line_memory(self, rat):
+        """A^1 is one fiber, scanned without a table or a list of residues."""
+        A1 = VarietySpec(amb=1, codim=0, equations=(), declared_degree=1)
+        ctx = residue_ctx(rat, principal_ideal(rat, (100003,)))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in variety_indices(ctx, A1, DEFAULT_CAP))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 100003
+        assert peak < 10 * 2 ** 20

@@ -26,6 +26,41 @@ def test_library_has_no_assert():
     assert offenders == []
 
 
+def test_one_enumeration_kernel():
+    """Points are enumerated in one place: only ``polys.variety_indices``
+    calls ``itertools.product``."""
+    callers = []
+    for path in sorted(Path(exunits.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            for alias in node.names
+            if alias.name == "product"
+        }
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "itertools"
+        }
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id in names) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "product"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in modules
+                ):
+                    callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == ["polys.variety_indices"]
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     paths = [str(Path(exunits.__file__).resolve().parent.parent)]
