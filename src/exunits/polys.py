@@ -14,6 +14,7 @@ Polynomials are sparse term maps: exponent vector -> nonzero coefficient
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -30,15 +31,16 @@ from .number_ring import (
     elem_mul,
     elem_neg,
     elem_scale,
+    elem_sub,
     is_zero,
 )
 from .residues import (
     field_inverse,
     mul_mod,
     pow_mod,
+    power_table,
     prime_ctx,
     reduce_mod,
-    residues,
     sub_mod,
 )
 
@@ -89,6 +91,8 @@ class VarietySpec:
     declared_degree: int
 
     def __post_init__(self):
+        if self.amb < 1:
+            raise ValueError(f"amb must be at least 1, not {self.amb}")
         if self.equations:
             if not 1 <= self.codim <= self.amb:
                 raise ValueError("codim must satisfy 1 <= codim <= amb")
@@ -484,7 +488,9 @@ def jacobian_rank_at(J, point, ctx):
     """Rank over the residue field of the Jacobian evaluated at point.
 
     Gaussian elimination; the pivot is always the first nonzero entry in
-    row-major order, which makes the computation deterministic.
+    row-major order, which makes the computation deterministic.  This is the
+    literal reference: ``smooth_points`` compiles the Jacobian once per prime
+    instead, and its tests compare it with this.
     """
     if not J.rows:
         return 0
@@ -519,10 +525,12 @@ def _evaluator(ctx, terms, power):
     """The value of sum(coeff * x^exps) over ``terms`` at residue indices.
 
     ``power(e)`` is the table of e-th powers of all residues.  The
-    coefficient is folded into the first variable's table, each further
-    variable costs one ring product, and the sum is reduced once.
+    coefficient is folded into the first variable's table (a coefficient 1
+    reuses the power table itself), each further variable costs one ring
+    product, and the sum is reduced once.
     """
     ring = ctx.ring
+    one = ring.one
     const = ring.zero
     monomials = []
     for exps, coeff in terms.items():
@@ -531,7 +539,9 @@ def _evaluator(ctx, terms, power):
             const = elem_add(ring, const, coeff)
             continue
         (i0, e0), *others = vars_
-        first = [mul_mod(ctx, coeff, x) for x in power(e0)]
+        first = power(e0)
+        if coeff != one:
+            first = [mul_mod(ctx, coeff, x) for x in first]
         monomials.append((i0, first, [(i, power(e)) for i, e in others]))
 
     def value(indices):
@@ -544,6 +554,17 @@ def _evaluator(ctx, terms, power):
         return reduce_mod(ctx, acc)
 
     return value
+
+
+def _split_x1(poly):
+    """poly as {e: c_e} with poly = sum_e c_e(x2, ..., x_amb) * x1^e.
+
+    Each c_e is a term map keyed by the exponents of x2, ..., x_amb.
+    """
+    by_power = {}
+    for exps, coeff in poly.terms.items():
+        by_power.setdefault(exps[0], {})[exps[1:]] = coeff
+    return by_power
 
 
 def compile_equations(ctx, equations):
@@ -562,23 +583,15 @@ def compile_equations(ctx, equations):
       evaluates each c_e of the other equations at rest once and returns a
       predicate on i1 that is True iff they all vanish at (i1,) + rest.
 
-    The power tables of the residues are built once and shared.
+    The power tables of the residues are those of ``power_table``, shared
+    with everything else compiled against ctx.
     """
     ring = ctx.ring
     zero = ring.zero
-    reps = list(residues(ctx)) if equations else []
-    powers = {}
-
-    def power(e):
-        if e not in powers:
-            powers[e] = [pow_mod(ctx, rep, e) for rep in reps]
-        return powers[e]
-
+    power = partial(power_table, ctx)
     parts, targets, mixed_eqs = [], [], []
     for eq in equations:
-        by_power = {}
-        for exps, coeff in eq.terms.items():
-            by_power.setdefault(exps[0], {})[exps[1:]] = coeff
+        by_power = _split_x1(eq)
         c0 = by_power.pop(0, {})
         if all(not any(rest) for c in by_power.values() for rest in c):
             x1_part = {(e,): coeff for e, c in by_power.items() for coeff in c.values()}
@@ -659,8 +672,95 @@ def variety_indices(ctx, V, cap, digits=None):
 def iter_variety_points(ctx, V, cap=DEFAULT_CAP):
     """Points of X((O_K/n)^amb) as residue tuples, in enumeration order."""
     points = variety_indices(ctx, V, cap)
-    reps = list(residues(ctx))
+    reps = power_table(ctx, 1)
     return (tuple(reps[i] for i in indices) for indices in points)
+
+
+def _rank(ctx, rows):
+    """Rank over the residue field of a matrix of residues, with no inverse.
+
+    Each row is reduced against every earlier pivot row r, of pivot column c,
+    by row <- r[c] * row - row[c] * r.  Over a field this keeps the row space
+    and clears column c; a row left nonzero adds a pivot.
+    """
+    ring = ctx.ring
+    zero = ring.zero
+    pivots = []
+    for row in rows:
+        for r, c in pivots:
+            a, b = r[c], row[c]
+            if b != zero:
+                row = [
+                    reduce_mod(
+                        ctx, elem_sub(ring, elem_mul(ring, a, x), elem_mul(ring, b, y))
+                    )
+                    for x, y in zip(row, r)
+                ]
+        col = next((j for j, x in enumerate(row) if x != zero), None)
+        if col is not None:
+            pivots.append((row, col))
+    return len(pivots)
+
+
+def _compile_jacobian(ctx, V):
+    """The rank of the Jacobian of V at residue-index points, fiber by fiber.
+
+    Every partial is split by the power of x1, as the equations are in
+    ``compile_equations``.  Returns ``fiber(rest)``, which evaluates the
+    x1-free coefficients once at rest = (i2, ..., i_amb) and returns
+    ``rank(i1)``, the rank at (i1,) + rest.
+
+    The columns whose partials are all free of x1 come first: when they
+    already have rank m, the number of equations, the rank is m on the whole
+    fiber.  Otherwise each point evaluates the other columns, with the powers
+    of x1 computed once per i1 on first use, so that a prime with few points
+    builds no table of size q.
+    """
+    ring = ctx.ring
+    power = partial(power_table, ctx)
+    rows = [[_split_x1(entry) for entry in row] for row in jacobian(ring, V).rows]
+    m = len(rows)
+    free = [j for j in range(V.amb) if all(set(row[j]) <= {0} for row in rows)]
+    free_rows = [
+        [_evaluator(ctx, row[j].get(0, {}), power) for j in free] for row in rows
+    ]
+    x1_rows = [
+        [
+            [(e, _evaluator(ctx, c, power)) for e, c in row[j].items()]
+            for j in range(V.amb)
+            if j not in free
+        ]
+        for row in rows
+    ]
+    exponents = {e for row in x1_rows for entry in row for e, _ in entry}
+    x1_powers = {}
+
+    def fiber(rest):
+        values = [[value(rest) for value in row] for row in free_rows]
+        if _rank(ctx, values) == m:
+            return lambda i1: m
+        coeffs = [
+            [[(e, c(rest)) for e, c in entry] for entry in row] for row in x1_rows
+        ]
+
+        def rank(i1):
+            if i1 not in x1_powers:
+                x1 = power_table(ctx, 1)[i1]
+                x1_powers[i1] = {e: pow_mod(ctx, x1, e) for e in exponents}
+            pw = x1_powers[i1]
+            mat = []
+            for row, terms in zip(values, coeffs):
+                for entry in terms:
+                    acc = ring.zero
+                    for e, c in entry:
+                        acc = elem_add(ring, acc, elem_mul(ring, c, pw[e]))
+                    row = row + [reduce_mod(ctx, acc)]
+                mat.append(row)
+            return _rank(ctx, mat)
+
+        return rank
+
+    return fiber
 
 
 def smooth_points(ring, V, prime_factor, cap=DEFAULT_CAP):
@@ -669,17 +769,24 @@ def smooth_points(ring, V, prime_factor, cap=DEFAULT_CAP):
     A point is yielded once the Jacobian has the declared codimension as rank
     there; the first point where it has not raises BadReduction with it as
     witness.  The cap is checked when this is called; the points come lazily.
+
+    The Jacobian is compiled once per prime and checked fiber by fiber, with
+    its x1-free entries evaluated once per fiber and no field inversion;
+    ``jacobian_rank_at`` is the reference it agrees with.
     """
     ctx = prime_ctx(ring, prime_factor)
     points = variety_indices(ctx, V, cap)
-    J = jacobian(ring, V)
-    reps = list(residues(ctx))
+    fiber = _compile_jacobian(ctx, V)
 
     def checked():
+        rest = None
         for indices in points:
-            point = tuple(reps[i] for i in indices)
-            if jacobian_rank_at(J, point, ctx) != V.codim:
-                raise BadReduction(prime_factor, point)
+            if indices[1:] != rest:
+                rest = indices[1:]
+                rank = fiber(rest)
+            if rank(indices[0]) != V.codim:
+                reps = power_table(ctx, 1)
+                raise BadReduction(prime_factor, tuple(reps[i] for i in indices))
             yield indices
 
     return checked()

@@ -2,13 +2,14 @@
 
 Residues are canonical coordinate tuples: coordinate i lies in
 [0, basis[i][i]) for the modulus HNF basis.  Arithmetic is exact ring
-arithmetic followed by reduction; there are no precomputed tables.
+arithmetic followed by reduction; the only tables are the powers of all
+residues, built on first use and kept with their context (``power_table``).
 
 Enumeration is fixed in lexicographic order of (c_{d-1}, ..., c_0), i.e.
 the highest power-basis coordinate varies slowest.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     EvenCharacteristic,
@@ -28,12 +29,14 @@ class ResidueCtx:
 
     ``prime`` is set when the context was built from a PrimeFactor, which
     unlocks the residue-field operations (inversion, square classes).
+    ``powers`` holds the tables of ``power_table`` once they are built.
     """
 
     ring: object
     modulus: object
     norm: int
     prime: object = None
+    powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def residue_ctx(ring, modulus):
@@ -81,6 +84,21 @@ def residues(ctx, start=0, stop=None):
             rem, digit = divmod(rem, r)
             coords.append(digit)
         yield tuple(coords)
+
+
+def power_table(ctx, e):
+    """The e-th powers of all residues, in index order; e = 1 gives the residues.
+
+    Each table is built on first use and kept in ``ctx.powers``, so that
+    everything compiled against one context shares one list of residues and
+    one table per exponent.
+    """
+    tables = ctx.powers
+    if 1 not in tables:
+        tables[1] = list(residues(ctx))
+    if e not in tables:
+        tables[e] = [pow_mod(ctx, rep, e) for rep in tables[1]]
+    return tables[e]
 
 
 def add_mod(ctx, a, b):

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from exunits import counting, polys
 from exunits.cli import main
 
 CIRCLE_CONFIG = {
@@ -135,6 +140,11 @@ def _variety(**overrides):
         ),
         pytest.param({"modulus": {"primes": 3}}, ["count"], id="primes-int"),
         pytest.param(
+            {"variety": _variety(amb=0, codim=0, equations=[])},
+            ["count"],
+            id="amb-zero",
+        ),
+        pytest.param(
             {"modulus": {"primes": [{"p": 9, "h": [2, 1]}]}},
             ["count"],
             id="p-composite",
@@ -155,6 +165,103 @@ def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+# small values of every JSON type, for keys given the wrong one
+_WRONG = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.text("x12t^*+-()[], ", max_size=8),
+    st.lists(st.integers(-2, 4), max_size=3),
+    st.dictionaries(st.sampled_from(["p", "h", "generators"]), st.integers(0, 3)),
+)
+
+
+@st.composite
+def _configs(draw):
+    """A small valid config, then up to two keys dropped or given wrong values."""
+    amb = draw(st.integers(1, 2))
+    monomial = st.builds(
+        "{}*x{}^{}".format, st.integers(1, 3), st.integers(1, amb), st.integers(0, 3)
+    )
+    equation = st.builds(
+        str.join,
+        st.sampled_from([" + ", " - "]),
+        st.lists(monomial, min_size=1, max_size=3),
+    )
+    equations = draw(st.lists(equation, max_size=2))
+    generators = st.builds(lambda n: {"generators": [n]}, st.integers(2, 7))
+    modulus = draw(
+        st.one_of(
+            generators,
+            generators,
+            st.builds(
+                lambda p, h, e: {"primes": [{"p": p, "h": h, "exponent": e}]},
+                st.sampled_from([2, 3, 5]),
+                st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                st.integers(1, 2),
+            ),
+        )
+    )
+    config = {
+        "field": {"min_poly": draw(st.sampled_from([[0, 1], [1, 0, 1], [5, 0, 1]]))},
+        "variety": {
+            "amb": amb,
+            "codim": min(len(equations), amb),
+            "degree": 2,
+            "equations": equations,
+        },
+        "f": draw(st.sampled_from(["x1 - 2", "x1^2 - x1", "x1"])),
+        "modulus": modulus,
+        "options": draw(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "cap": st.integers(1, 10 ** 6),
+                    "products": st.integers(0, 2),
+                    "max_norm": st.integers(2, 12),
+                },
+            )
+        ),
+    }
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        objects = [config] + [v for v in config.values() if isinstance(v, dict)]
+        obj = draw(st.sampled_from(objects))
+        if not obj:
+            continue
+        key = draw(st.sampled_from(sorted(obj)))
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_WRONG)
+    return config
+
+
+_COMMANDS = st.sampled_from(
+    [
+        ["count"],
+        ["count", "--method", "brute"],
+        ["count", "--method", "both"],
+        ["verify"],
+        ["asympt"],
+        ["asympt", "--max-norm", "12", "--products", "2"],
+    ]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=st.one_of(_configs(), _WRONG), command=_COMMANDS)
+def test_any_config_exits_cleanly(tmp_path_factory, config, command):
+    """Any small JSON config ends in exit 0, 1 or 2, never in a traceback."""
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(command + ["--config", str(path)])
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestVerify:
@@ -192,6 +299,25 @@ class TestVerify:
         assert rc == 2
         out = json.loads(capsys.readouterr().out)
         assert out["all_pass"] is False
+
+    def test_one_sweep_per_prime(self, circle_config, capsys, monkeypatch):
+        """The lifting census's guard sweep gives the good-reduction verdict."""
+        calls = []
+        smooth_points = polys.smooth_points
+
+        def counted(ring, V, prime_factor, cap=polys.DEFAULT_CAP):
+            calls.append(prime_factor)
+            return smooth_points(ring, V, prime_factor, cap)
+
+        for module in (polys, counting):
+            monkeypatch.setattr(module, "smooth_points", counted)
+        path = circle_config(modulus={"generators": [21]})
+        assert main(["verify", "--config", path]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(calls) == len(set(calls)) == 4
+        assert [c["name"].split()[0] for c in checks] == (
+            ["good_reduction", "lifting_census"] * 4 + ["multiplicativity"]
+        )
 
 
 class TestAsympt:

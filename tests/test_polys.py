@@ -10,6 +10,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from exunits import (
+    BadReduction,
     ExponentTooLarge,
     PolySyntaxError,
     UnknownVariable,
@@ -21,6 +22,7 @@ from exunits import (
     ideal_norm,
     jacobian,
     jacobian_rank_at,
+    local_counts,
     make_number_ring,
     parse_poly,
     poly_to_str,
@@ -39,6 +41,7 @@ from exunits.polys import (
     partial_derivative,
     poly_add,
     poly_mul,
+    smooth_points,
     variety_indices,
     zero_poly,
 )
@@ -399,6 +402,8 @@ class TestGoodReduction:
             VarietySpec(amb=2, codim=3, equations=(circle,), declared_degree=2)
         with pytest.raises(ValueError):
             VarietySpec(amb=2, codim=1, equations=(), declared_degree=1)
+        with pytest.raises(ValueError, match="amb"):
+            VarietySpec(amb=0, codim=0, equations=(), declared_degree=1)
         with pytest.raises(ValueError):
             VarietySpec(
                 amb=2, codim=1, equations=(zero_poly(2),), declared_degree=1
@@ -514,3 +519,125 @@ class TestVarietyIndices:
             tracemalloc.stop()
         assert count == 100003
         assert peak < 10 * 2 ** 20
+
+
+def _reference_smooth(ring, V, prime_factor):
+    """The definition: the points of X in order up to the first one where the
+    Jacobian rank is not the codimension, and that point (None if none)."""
+    ctx = prime_ctx(ring, prime_factor)
+    J = jacobian(ring, V)
+    reps = list(residues(ctx))
+    points = []
+    for indices in variety_indices(ctx, V, DEFAULT_CAP):
+        point = tuple(reps[i] for i in indices)
+        if jacobian_rank_at(J, point, ctx) != V.codim:
+            return points, point
+        points.append(indices)
+    return points, None
+
+
+def _swept(ring, V, prime_factor):
+    """The points smooth_points yields, and the witness it raises (or None)."""
+    points = []
+    try:
+        for indices in smooth_points(ring, V, prime_factor):
+            points.append(indices)
+    except BadReduction as exc:
+        assert exc.prime == prime_factor
+        return points, exc.witness
+    return points, None
+
+
+class TestSmoothPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        """Same points and same witness as variety_indices + jacobian_rank_at."""
+        ring = make_number_ring(data.draw(st.sampled_from(RINGS)))
+        amb = data.draw(st.integers(1, 3))
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        primes = factor_ideal(ring, principal_ideal(ring, ring.from_int(p)))
+        prime_factor = data.draw(st.sampled_from(primes))
+        assume(prime_factor.norm ** amb <= 1000)
+        equations = tuple(
+            data.draw(_equation(ring, amb)) for _ in range(data.draw(st.integers(1, 3)))
+        )
+        codim = data.draw(st.integers(1, min(len(equations), amb)))
+        if codim < len(equations):
+            event("more equations than codim")
+        if any(exps[0] and any(exps[1:]) for eq in equations for exps in eq.terms):
+            event("x1 in a mixed monomial")
+        V = VarietySpec(
+            amb=amb, codim=codim, equations=equations, declared_degree=2
+        )
+        expected = _reference_smooth(ring, V, prime_factor)
+        if expected[1] is not None:
+            event("bad reduction")
+        assert _swept(ring, V, prime_factor) == expected
+
+    def test_evaluations_linear_in_q(self, q5, circle_variety, monkeypatch):
+        """The Jacobian is evaluated once per fiber, not once per point."""
+        p13 = factor_ideal(q5, principal_ideal(q5, (13, 0)))
+        assert [pf.norm for pf in p13] == [169]
+        calls = 0
+
+        def counted(ctx, a):
+            nonlocal calls
+            calls += 1
+            return reduce_mod(ctx, a)
+
+        # every residue operation, in polys or in residues, ends in reduce_mod
+        for module in (polys, sys.modules["exunits.residues"]):
+            monkeypatch.setattr(module, "reduce_mod", counted)
+        assert len(list(smooth_points(q5, circle_variety, p13[0]))) == 168
+        assert calls <= 25 * 169
+
+    @pytest.mark.parametrize(
+        "amb, equations, p",
+        [
+            pytest.param(2, ["x1^2 + x2^2 - 1"], 13, id="circle"),
+            pytest.param(3, ["x1^2 + x2^2 - 1", "x3 - x1"], 7, id="curve"),
+            pytest.param(2, ["x1*x2^2 + x1^2*x2 - 1"], 7, id="mixed"),
+            pytest.param(2, ["x1^2 + x2^2 - 1"], 2, id="bad-prime"),
+        ],
+    )
+    def test_no_field_inverse(self, q5, monkeypatch, amb, equations, p):
+        """local_counts checks smoothness with no inversion in the field."""
+        eqs = tuple(parse_poly(src, q5, amb) for src in equations)
+        V = VarietySpec(amb=amb, codim=len(eqs), equations=eqs, declared_degree=2)
+        f = parse_poly("x1 - 2", q5, 1)
+        prime_factor = factor_ideal(q5, principal_ideal(q5, (p, 0)))[0]
+        expected = _reference_smooth(q5, V, prime_factor)
+
+        def refuse(ctx, a):
+            raise AssertionError("field_inverse was called")
+
+        for module in (polys, sys.modules["exunits.residues"]):
+            monkeypatch.setattr(module, "field_inverse", refuse)
+        if expected[1] is None:
+            ld = local_counts(q5, V, f, prime_factor)
+            assert ld.count_X == len(expected[0]) > 0
+        else:
+            with pytest.raises(BadReduction) as exc:
+                local_counts(q5, V, f, prime_factor)
+            assert exc.value.witness == expected[1]
+
+    def test_affine_line_builds_no_table(self, rat, monkeypatch):
+        """A^1 has at most deg F points: checking them costs no table of size q."""
+        F = parse_poly("x1^2 - 4", rat, 1)
+        V = VarietySpec(amb=1, codim=1, equations=(F,), declared_degree=2)
+        prime_factor = factor_ideal(rat, principal_ideal(rat, (10007,)))[0]
+        calls = 0
+
+        def counted(ctx, a):
+            nonlocal calls
+            calls += 1
+            return reduce_mod(ctx, a)
+
+        for module in (polys, sys.modules["exunits.residues"]):
+            monkeypatch.setattr(module, "reduce_mod", counted)
+        ctx = prime_ctx(rat, prime_factor)
+        assert len(list(variety_indices(ctx, V, DEFAULT_CAP))) == 2
+        enumeration, calls = calls, 0
+        assert len(list(smooth_points(rat, V, prime_factor))) == 2
+        assert calls - enumeration <= 20

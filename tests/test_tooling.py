@@ -61,17 +61,21 @@ def test_one_enumeration_kernel():
     assert callers == ["polys.variety_indices"]
 
 
-@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(demo):
+def _env():
+    """The environment of a subprocess that imports this exunits."""
     paths = [str(Path(exunits.__file__).resolve().parent.parent)]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -94,3 +98,18 @@ def test_traced_functions_exist():
         )
     ]
     assert missing == []
+
+
+def test_acceptance_without_asserts():
+    """The acceptance criteria hold under ``python -O``, which strips ``assert``."""
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        + [str(ROOT / "tests" / "test_acceptance.py")],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "9 passed" in result.stdout
