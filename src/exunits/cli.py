@@ -16,6 +16,8 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import replace
+from itertools import combinations
 
 from . import counting
 from .errors import BadReduction, ExunitsError, UnitIdeal
@@ -277,12 +279,15 @@ def cmd_asympt(args):
         "products", 0
     )
     ring, V, f = cfg["ring"], cfg["variety"], cfg["f"]
-    primes = counting.good_reduction_primes(ring, V, max_norm, cap=cap)
-    family = [pf.hnf for pf in primes]
+    # prime_ideals_above labels each prime with exponent e_ram; as a modulus
+    # on its own, or in a product of distinct primes, it has exponent 1
+    primes = [
+        replace(pf, exponent=1)
+        for pf in counting.good_reduction_primes(ring, V, max_norm, cap=cap)
+    ]
+    family = [[pf] for pf in primes]
     if products >= 2:
-        for i in range(len(primes)):
-            for j in range(i + 1, len(primes)):
-                family.append(ideal_mul(ring, primes[i].hnf, primes[j].hnf))
+        family += [list(pair) for pair in combinations(primes, 2)]
     records = counting.asympt_series(ring, V, f, family, cap=cap)
     records.sort(key=lambda r: (r.N, r.description))
     buf = io.StringIO()

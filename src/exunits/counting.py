@@ -18,7 +18,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     BadModulus,
@@ -119,10 +119,13 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
     _check_f(f)
     ctx = prime_ctx(ring, prime_factor)
     points = smooth_points(ring, V, prime_factor, cap)  # checks the cap first
-    # a point lies in N when some f(x_i) is not a unit, i.e. is zero mod p
-    flags = list(_exunit_flags(ctx, f))
+    flags = None
     count_x = count_n = 0
     for indices in points:
+        if flags is None:
+            # a point lies in N when some f(x_i) is not a unit, i.e. is zero
+            # mod p; f is evaluated only once X(O_K/p) is known to have a point
+            flags = list(_exunit_flags(ctx, f))
         count_x += 1
         if not all(flags[i] for i in indices):
             count_n += 1
@@ -152,8 +155,21 @@ def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
     locals_ = [
         local_counts(ring, V, f, pf, cap=cap) for pf in factor_ideal(ring, n_ideal)
     ]
-    exponent = V.amb - V.codim
-    total = Fraction(n_norm ** exponent)
+    return CountReport(
+        modulus_norm=n_norm,
+        exponent=V.amb - V.codim,
+        locals=locals_,
+        total=_product_formula(V, n_norm, locals_),
+        method="formula",
+    )
+
+
+def _product_formula(V, n_norm, locals_):
+    """norm(n)^(amb-d) times the local factors of the primes dividing n.
+
+    Raises unless the result is a count: an integer in [0, norm(n)^amb].
+    """
+    total = Fraction(n_norm ** (V.amb - V.codim))
     for ld in locals_:
         total *= ld.factor
     if total.denominator != 1:
@@ -161,13 +177,7 @@ def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
     total = int(total)
     if not 0 <= total <= n_norm ** V.amb:
         raise ExunitsError(f"count {total} outside [0, {n_norm}^{V.amb}]")
-    return CountReport(
-        modulus_norm=n_norm,
-        exponent=exponent,
-        locals=locals_,
-        total=total,
-        method="formula",
-    )
+    return total
 
 
 def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
@@ -307,9 +317,8 @@ def langweil_deviation(ring, V, prime_factor, cap=DEFAULT_CAP):
     }
 
 
-def describe_ideal(ring, n_ideal):
-    """Deterministic text form of an ideal via its prime factorization."""
-    factors = factor_ideal(ring, n_ideal)
+def _describe(factors):
+    """Deterministic text form of a factorization, by (p, h) of its primes."""
     parts = []
     for pf in sorted(factors, key=lambda f: (f.p, f.h_coeffs)):
         base = f"({pf.p},{list(pf.h_coeffs)})".replace(" ", "")
@@ -317,25 +326,49 @@ def describe_ideal(ring, n_ideal):
     return "*".join(parts)
 
 
+def describe_ideal(ring, n_ideal):
+    """Deterministic text form of an ideal via its prime factorization."""
+    return _describe(factor_ideal(ring, n_ideal))
+
+
 def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
-    """One AsymptRecord per modulus; bad-reduction members are skipped."""
+    """One AsymptRecord per modulus; bad-reduction members are skipped.
+
+    Each member of family is a modulus given by its factorization: a list of
+    PrimeFactor with exponents, as factor_ideal returns it.  Each distinct
+    prime is swept once per call: its LocalData, or the BadReduction it
+    raised, serves every modulus it divides, and is dropped when the call
+    returns.
+    """
+    swept = {}  # (p, h_coeffs) -> LocalData or BadReduction
     records = []
-    for n_ideal in family:
-        try:
-            report = theorem1_count(ring, V, f, n_ideal, cap=cap)
-        except BadReduction as exc:
-            log.info("skipping modulus with bad reduction: %s", exc)
+    for factors in family:
+        if not factors:
+            raise UnitIdeal("modulus must be a proper ideal")
+        locals_ = []
+        for pf in factors:
+            key = (pf.p, pf.h_coeffs)
+            if key not in swept:
+                try:
+                    swept[key] = local_counts(ring, V, f, pf, cap=cap)
+                except BadReduction as exc:
+                    swept[key] = exc
+            locals_.append(swept[key])
+        bad = next((ld for ld in locals_ if isinstance(ld, BadReduction)), None)
+        if bad is not None:
+            log.info("skipping modulus with bad reduction: %s", bad)
             continue
-        ratio = Fraction(report.total, report.modulus_norm ** report.exponent)
-        norms = [ld.prime.norm for ld in report.locals]
-        max_dev = max((abs(ld.factor - 1) for ld in report.locals), default=Fraction(0))
+        n_norm = prod(pf.norm ** pf.exponent for pf in factors)
+        count = _product_formula(V, n_norm, locals_)
+        norms = [pf.norm for pf in factors]
+        max_dev = max(abs(ld.factor - 1) for ld in locals_)
         records.append(
             AsymptRecord(
-                description=describe_ideal(ring, n_ideal),
-                N=report.modulus_norm,
-                count=report.total,
-                ratio=ratio,
-                omega=len(report.locals),
+                description=_describe(factors),
+                N=n_norm,
+                count=count,
+                ratio=Fraction(count, n_norm ** (V.amb - V.codim)),
+                omega=len(factors),
                 sum_inv_sqrt=sum(q ** -0.5 for q in norms),
                 sum_inv=sum(1.0 / q for q in norms),
                 max_local_dev=float(max_dev),

@@ -302,13 +302,32 @@ def prime_ideals_above(ring, p):
 
 
 def valuation(ring, I, pf):
-    """Largest k with I contained in pf^k, by successive power containment."""
-    k = 0
-    power = pf.hnf
-    while all(ideal_contains(power, row) for row in I.basis):
-        k += 1
-        power = ideal_mul(ring, power, pf.hnf)
-    return k
+    """Largest k with I contained in pf^k, by a direct P-adic valuation.
+
+    For P = (p, h(theta)) let beta = c(theta), with c = g / h mod p.  Then
+    beta*P lies in pO and beta does not, so P^-1 = O + (beta/p)O (Cohen,
+    GTM 138, 4.8): v_P(x) is the number of times x <- x*beta/p stays
+    integral, and v_P(I) the least of these over the HNF rows of I, which
+    costs O(k) element products.  P = (p) gives beta = 1.
+
+    The count stops at v_p(N(I)) / f, since N(P)^k divides N(I).  Where g
+    breaks Dedekind-Kummer at p the count may be wrong, and factor_ideal's
+    reassembly check rejects it.
+    """
+    p = pf.p
+    cofactor, _ = _poly_divmod_mod_p(ring.min_poly, pf.h_coeffs, p)
+    beta = tuple(cofactor) + (0,) * (ring.deg - len(cofactor))
+    n, v_p = ideal_norm(I), 0
+    while n % p == 0:
+        n //= p
+        v_p += 1
+    rows = I.basis
+    for count in range(v_p // pf.f_res):
+        rows = [elem_mul(ring, row, beta) for row in rows]
+        if any(c % p for row in rows for c in row):
+            return count
+        rows = [tuple(c // p for c in row) for row in rows]
+    return v_p // pf.f_res
 
 
 def factor_ideal(ring, I):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from exunits import counting, polys
+from exunits import cli, counting, ideals, polys
 from exunits.cli import main
 
 CIRCLE_CONFIG = {
@@ -375,6 +375,34 @@ class TestAsympt:
         # primes: two above 3 plus the one above 5; pairs: 3 products
         assert len(lines) == 1 + 3 + 3
         assert any(",9," in line for line in lines)  # the product (3)
+
+    def test_one_local_count_per_prime(self, circle_config, capsys, monkeypatch):
+        """The family is built from the good primes: each is swept once and
+        no modulus is factored again."""
+        swept, factored = [], []
+        local_counts, factor_ideal = counting.local_counts, ideals.factor_ideal
+
+        def counted_local(ring, V, f, pf, cap):
+            swept.append((pf.p, pf.h_coeffs))
+            return local_counts(ring, V, f, pf, cap=cap)
+
+        def counted_factor(*args):
+            factored.append(args)
+            return factor_ideal(*args)
+
+        monkeypatch.setattr(counting, "local_counts", counted_local)
+        for module in (counting, cli, ideals):
+            monkeypatch.setattr(module, "factor_ideal", counted_factor)
+        argv = ["asympt", "--config", circle_config(), "--max-norm", "45"]
+        assert main(argv + ["--products", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")[1:]
+        singles = [line for line in lines if "*" not in line]
+        assert len(lines) == len(singles) * (len(singles) + 1) // 2
+        assert len(swept) == len(set(swept)) == len(singles)
+        assert factored == []
+        # the ramified prime above 5 is a modulus of norm 5, not its square
+        assert any(line.startswith("(5,[0,1]),5,") for line in singles)
+        assert not any("^" in line for line in lines)
 
     def test_max_norm_cap(self, circle_config, capsys):
         assert main(["asympt", "--config", circle_config(), "--max-norm", "20000"]) == 1

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -35,11 +36,13 @@ from exunits import (
     make_number_ring,
     parse_poly,
     polys,
+    prime_ideals_above,
     prime_power_count,
     principal_ideal,
     residue_ctx,
     residues,
     theorem1_count,
+    unit_ideal,
 )
 from exunits.errors import BadModulus
 
@@ -184,6 +187,26 @@ class TestLocalCounts:
             local_counts(q5, circle, f_x_minus_2, p2)
         assert exc.value.prime == p2
         assert exc.value.witness == witness
+
+    def test_no_point_evaluates_no_f(self, rat, monkeypatch):
+        # 2 is not a square mod 11, so x1^2 = 2 has no point there
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_poly(*args)
+
+        monkeypatch.setattr(counting, "eval_poly", counted)
+        V = VarietySpec(
+            amb=1,
+            codim=1,
+            equations=(parse_poly("x1^2 - 2", rat, 1),),
+            declared_degree=2,
+        )
+        pf = factor_ideal(rat, principal_ideal(rat, (11,)))[0]
+        ld = local_counts(rat, V, parse_poly("x1 - 1", rat, 1), pf)
+        assert (ld.count_X, ld.count_N) == (0, 0)
+        assert calls == []
 
 
 class TestPrimePower:
@@ -391,7 +414,7 @@ class TestLangWeil:
 class TestAsympt:
     def test_three(self, q5, circle, f_x_minus_2):
         records = asympt_series(
-            q5, circle, f_x_minus_2, [principal_ideal(q5, (3, 0))]
+            q5, circle, f_x_minus_2, [factor_ideal(q5, principal_ideal(q5, (3, 0)))]
         )
         assert len(records) == 1
         r = records[0]
@@ -402,20 +425,25 @@ class TestAsympt:
         assert abs(r.max_local_dev - 1 / 3) < 1e-12
 
     def test_single_prime(self, q5, circle, f_x_minus_2, p3):
-        records = asympt_series(q5, circle, f_x_minus_2, [p3.hnf])
+        records = asympt_series(q5, circle, f_x_minus_2, [factor_ideal(q5, p3.hnf)])
         r = records[0]
         assert (r.N, r.count, r.omega) == (3, 2, 1)
         assert r.ratio == Fraction(2, 3)
 
     def test_empty_family(self, q5, circle, f_x_minus_2):
         assert asympt_series(q5, circle, f_x_minus_2, []) == []
+        with pytest.raises(UnitIdeal):
+            asympt_series(q5, circle, f_x_minus_2, [[]])
 
     def test_bad_reduction_skipped(self, q5, circle, f_x_minus_2):
         records = asympt_series(
             q5,
             circle,
             f_x_minus_2,
-            [principal_ideal(q5, (2, 0)), principal_ideal(q5, (3, 0))],
+            [
+                factor_ideal(q5, principal_ideal(q5, (2, 0))),
+                factor_ideal(q5, principal_ideal(q5, (3, 0))),
+            ],
         )
         assert len(records) == 1
         assert records[0].N == 9
@@ -426,6 +454,65 @@ class TestAsympt:
         # above 5 still reduces smoothly for c = 1
         assert sorted({pf.p for pf in primes}) == [3, 5, 7]
         assert len(primes) == 5
+
+    def test_each_prime_swept_once(self, q5, circle, f_x_minus_2, monkeypatch):
+        swept = []
+
+        def counted(ring, V, f, pf, cap):
+            swept.append((pf.p, pf.h_coeffs))
+            return local_counts(ring, V, f, pf, cap=cap)
+
+        monkeypatch.setattr(counting, "local_counts", counted)
+        family = [
+            factor_ideal(q5, principal_ideal(q5, (n, 0))) for n in (2, 6, 3, 9, 2)
+        ]
+        records = asympt_series(q5, circle, f_x_minus_2, family)
+        # the bad prime above 2 is swept once and skips all three of its moduli
+        assert [r.N for r in records] == [9, 81]
+        assert sorted(swept) == [(2, (1, 1)), (3, (1, 1)), (3, (2, 1))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_family_matches_theorem1_and_oracle(self, data):
+        """Each record equals the product formula on the reassembled modulus,
+        and the oracle where it is small enough to enumerate."""
+        ring = make_number_ring(data.draw(st.sampled_from([[5, 0, 1], [-2, 0, 0, 1]])))
+        amb = data.draw(st.integers(1, 2))
+        equations = tuple(
+            data.draw(_polys(ring, amb)) for _ in range(data.draw(st.integers(0, 1)))
+        )
+        V = VarietySpec(
+            amb=amb, codim=len(equations), equations=equations, declared_degree=2
+        )
+        f = data.draw(_polys(ring, 1))
+        assume(not f.is_constant())
+        primes = [pf for p in (2, 3, 5, 7) for pf in prime_ideals_above(ring, p)]
+        members = st.lists(
+            st.tuples(st.sampled_from(primes), st.integers(1, 3)),
+            min_size=1,
+            max_size=2,
+            unique_by=lambda t: (t[0].p, t[0].h_coeffs),
+        )
+        family = [
+            [replace(pf, exponent=e) for pf, e in member]
+            for member in data.draw(st.lists(members, min_size=1, max_size=4))
+        ]
+        expected = []
+        for factors in family:
+            n_ideal = unit_ideal(ring)
+            for pf in factors:
+                n_ideal = ideal_mul(ring, n_ideal, ideal_pow(ring, pf.hnf, pf.exponent))
+            try:
+                total = theorem1_count(ring, V, f, n_ideal).total
+            except BadReduction:
+                continue
+            norm = ideal_norm(n_ideal)
+            if norm ** amb <= 2000:
+                assert total == brute_force_count(ring, V, f, n_ideal)
+            expected.append((describe_ideal(ring, n_ideal), norm, total))
+        event(f"{len(expected)} of {len(family)} moduli kept")
+        records = asympt_series(ring, V, f, family)
+        assert [(r.description, r.N, r.count) for r in records] == expected
 
     def test_describe_ideal(self, q5, p3):
         assert describe_ideal(q5, ideal_pow(q5, p3.hnf, 2)) == "(3,[1,1])^2"

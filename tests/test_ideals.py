@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exunits import (
     FactorCapExceeded,
@@ -19,7 +22,8 @@ from exunits import (
     principal_ideal,
     unit_ideal,
 )
-from exunits.ideals import ideal_eq
+from exunits import ideals
+from exunits.ideals import ideal_eq, valuation
 
 
 @pytest.fixture
@@ -186,3 +190,64 @@ class TestProperties:
             I = _random_ideal(rng, q5)
             for row in I.basis:
                 assert ideal_contains(I, elem_mul(q5, row, q5.theta))
+
+
+def _valuation_reference(ring, I, pf):
+    """The literal valuation: the largest k with I inside pf^k, by powers."""
+    k = 0
+    power = pf.hnf
+    while all(ideal_contains(power, row) for row in I.basis):
+        k += 1
+        power = ideal_mul(ring, power, pf.hnf)
+    return k
+
+
+# Q, Q(i), Q(sqrt(-5)), Q(2^(1/3)) and Z[t] with t^3 + t + 3 = 0, each with
+# primes that split, ramify (2 in Q(i) and Q(sqrt(-5)), 2 and 3 in
+# Q(2^(1/3)), 13 and 19 for t^3 + t + 3) or stay inert, so that h = g
+VALUATION_CASES = [
+    ([0, 1], (2, 3, 5)),
+    ([1, 0, 1], (2, 3, 5)),
+    ([5, 0, 1], (2, 3, 5, 11)),
+    ([-2, 0, 0, 1], (2, 3, 5)),
+    ([3, 1, 0, 1], (2, 13, 19)),
+]
+
+
+class TestValuation:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        min_poly, ps = data.draw(st.sampled_from(VALUATION_CASES))
+        ring = make_number_ring(min_poly)
+        primes = [pf for p in ps for pf in prime_ideals_above(ring, p)]
+        I = unit_ideal(ring)
+        for pf in data.draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3)):
+            e = data.draw(st.integers(0, 12))
+            I = ideal_mul(ring, I, ideal_pow(ring, pf.hnf, e))
+        pf = data.draw(st.sampled_from(primes))
+        assert valuation(ring, I, pf) == _valuation_reference(ring, I, pf)
+
+    def test_work_logarithmic_in_exponent(self, q5, monkeypatch):
+        p3 = prime_ideals_above(q5, 3)[1]
+        I = ideal_pow(q5, p3.hnf, 1600)
+        calls = []
+        ideal_mul_ = ideals.ideal_mul
+
+        def counted(*args):
+            calls.append(1)
+            return ideal_mul_(*args)
+
+        monkeypatch.setattr(ideals, "ideal_mul", counted)
+        fs = factor_ideal(q5, I)
+        assert [(pf.h_coeffs, pf.exponent) for pf in fs] == [((2, 1), 1600)]
+        # the reassembly check's ideal_pow makes all of them
+        assert len(calls) <= 8 * math.log2(1600)
+
+    def test_non_maximal_order_rejected(self):
+        # Z[sqrt(-3)] is not maximal at 2: beta/2 = (1 + sqrt(-3))/2 is a
+        # unit, so only the norm bound stops the count
+        ring = make_number_ring([3, 0, 1])
+        for e in (1, 5):
+            with pytest.raises(NotFullRank):
+                factor_ideal(ring, principal_ideal(ring, (2 ** e, 0)))

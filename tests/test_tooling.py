@@ -61,6 +61,36 @@ def test_one_enumeration_kernel():
     assert callers == ["polys.variety_indices"]
 
 
+def test_no_module_level_cache():
+    """Memos live and die inside one call: ``src/exunits`` uses no
+    ``functools`` cache, has no ``global`` statement and binds no empty or
+    caching container at module level."""
+    caches = {"cache", "lru_cache", "cached_property"}
+    containers = {"defaultdict", "OrderedDict", "Counter", "WeakValueDictionary"}
+    offenders = []
+    for path in sorted(Path(exunits.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                if any(alias.name in caches for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr in caches:
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Global):
+                offenders.append(f"{path.name}:{node.lineno}")
+        for top in tree.body:
+            value = getattr(top, "value", None)
+            func = getattr(getattr(value, "func", None), "id", None)
+            if (
+                isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, (ast.List, ast.Set)) and not value.elts
+                or func in {"dict", "list", "set"} and not value.args
+                or func in containers
+            ):
+                offenders.append(f"{path.name}:{top.lineno}")
+    assert offenders == []
+
+
 def _env():
     """The environment of a subprocess that imports this exunits."""
     paths = [str(Path(exunits.__file__).resolve().parent.parent)]
