@@ -30,6 +30,7 @@ from .ideals import (
     ideal_norm,
     ideal_pow,
     prime_ideals_above,
+    prime_ideals_up_to,
     unit_ideal,
 )
 from .number_ring import make_number_ring
@@ -280,11 +281,10 @@ def cmd_asympt(args):
     )
     ring, V, f = cfg["ring"], cfg["variety"], cfg["f"]
     # prime_ideals_above labels each prime with exponent e_ram; as a modulus
-    # on its own, or in a product of distinct primes, it has exponent 1
-    primes = [
-        replace(pf, exponent=1)
-        for pf in counting.good_reduction_primes(ring, V, max_norm, cap=cap)
-    ]
+    # on its own, or in a product of distinct primes, it has exponent 1.
+    # asympt_series sweeps each prime once and skips the moduli of a prime
+    # with bad reduction or over the cap.
+    primes = [replace(pf, exponent=1) for pf in prime_ideals_up_to(ring, max_norm)]
     family = [[pf] for pf in primes]
     if products >= 2:
         family += [list(pair) for pair in combinations(primes, 2)]

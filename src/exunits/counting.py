@@ -34,23 +34,17 @@ from .ideals import (
     factor_poly_mod_p,
     ideal_norm,
     ideal_pow,
-    prime_ideals_above,
+    prime_ideals_up_to,
 )
 from .polys import (
     DEFAULT_CAP,
+    _evaluator,
     check_good_reduction,
-    eval_poly,
     iter_variety_points,
     smooth_points,
     variety_indices,
 )
-from .residues import (
-    is_unit_mod,
-    prime_ctx,
-    reduce_mod,
-    residue_ctx,
-    residues,
-)
+from .residues import is_unit_mod, prime_ctx, reduce_mod, residue_ctx
 
 log = logging.getLogger(__name__)
 
@@ -97,8 +91,13 @@ def _check_f(f):
 
 
 def _exunit_flags(ctx, f):
-    """Lazily, for each residue index i: is f(residue_i) a unit mod the ideal?"""
-    return (is_unit_mod(ctx, eval_poly(f, (rep,), ctx)) for rep in residues(ctx))
+    """Lazily, for each residue index i: is f(residue_i) a unit mod the ideal?
+
+    f is compiled on its first value, so that nothing is built before then.
+    """
+    value = _evaluator(ctx, f.terms)
+    for i in range(ctx.norm):
+        yield is_unit_mod(ctx, value((i,)))
 
 
 def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
@@ -332,15 +331,15 @@ def describe_ideal(ring, n_ideal):
 
 
 def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
-    """One AsymptRecord per modulus; bad-reduction members are skipped.
+    """One AsymptRecord per modulus; members with a skipped prime are skipped.
 
     Each member of family is a modulus given by its factorization: a list of
     PrimeFactor with exponents, as factor_ideal returns it.  Each distinct
-    prime is swept once per call: its LocalData, or the BadReduction it
-    raised, serves every modulus it divides, and is dropped when the call
-    returns.
+    prime is swept once per call: its LocalData serves every modulus it
+    divides, and a prime whose sweep raised BadReduction or CapExceeded
+    skips them all.  Nothing is kept when the call returns.
     """
-    swept = {}  # (p, h_coeffs) -> LocalData or BadReduction
+    swept = {}  # (p, h_coeffs) -> LocalData, BadReduction or CapExceeded
     records = []
     for factors in family:
         if not factors:
@@ -351,12 +350,12 @@ def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
             if key not in swept:
                 try:
                     swept[key] = local_counts(ring, V, f, pf, cap=cap)
-                except BadReduction as exc:
+                except (BadReduction, CapExceeded) as exc:
                     swept[key] = exc
             locals_.append(swept[key])
-        bad = next((ld for ld in locals_ if isinstance(ld, BadReduction)), None)
-        if bad is not None:
-            log.info("skipping modulus with bad reduction: %s", bad)
+        skip = next((ld for ld in locals_ if isinstance(ld, ExunitsError)), None)
+        if skip is not None:
+            log.info("skipping modulus: %s", skip)
             continue
         n_norm = prod(pf.norm ** pf.exponent for pf in factors)
         count = _product_formula(V, n_norm, locals_)
@@ -380,15 +379,10 @@ def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
 def good_reduction_primes(ring, V, max_norm, cap=DEFAULT_CAP):
     """All prime ideals of norm <= max_norm at which X reduces well."""
     out = []
-    p = 2
-    while p <= max_norm:
-        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            for pf in prime_ideals_above(ring, p):
-                if pf.norm <= max_norm:
-                    try:
-                        if check_good_reduction(ring, V, pf, cap=cap).ok:
-                            out.append(pf)
-                    except CapExceeded:
-                        log.info("skipping prime of norm %s: cap", pf.norm)
-        p += 1
+    for pf in prime_ideals_up_to(ring, max_norm):
+        try:
+            if check_good_reduction(ring, V, pf, cap=cap).ok:
+                out.append(pf)
+        except CapExceeded:
+            log.info("skipping prime of norm %s: cap", pf.norm)
     return out

@@ -301,6 +301,15 @@ def prime_ideals_above(ring, p):
     return out
 
 
+def prime_ideals_up_to(ring, max_norm):
+    """Every prime ideal of norm <= max_norm, by p and then as above p."""
+    for p in range(2, max_norm + 1):
+        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            for pf in prime_ideals_above(ring, p):
+                if pf.norm <= max_norm:
+                    yield pf
+
+
 def valuation(ring, I, pf):
     """Largest k with I contained in pf^k, by a direct P-adic valuation.
 

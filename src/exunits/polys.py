@@ -14,7 +14,6 @@ Polynomials are sparse term maps: exponent vector -> nonzero coefficient
 """
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from math import comb
 
@@ -422,34 +421,22 @@ def poly_to_str(poly):
 
 
 def eval_poly(poly, point, ctx):
-    """Canonical representative of poly(point) in O_K / n.
+    """Canonical representative of poly(point) in O_K / n, term by term.
 
-    Reduction happens after every ring operation; per-variable power tables
-    keep repeated exponents cheap.
+    The literal reference: each term is its coefficient times ``pow_mod`` of
+    every coordinate, with no table and no memo.  The counting paths compile
+    their polynomials with ``_evaluator`` instead.
     """
     if len(point) != poly.amb:
         raise DimensionMismatch(
             f"point has {len(point)} coordinates, polynomial expects {poly.amb}"
         )
-    pows = [{0: reduce_mod(ctx, ctx.ring.one)} for _ in range(poly.amb)]
-
-    def power(i, e):
-        table = pows[i]
-        if e not in table:
-            half = power(i, e // 2)
-            val = mul_mod(ctx, half, half)
-            if e % 2:
-                val = mul_mod(ctx, val, reduce_mod(ctx, point[i]))
-            table[e] = val
-        return table[e]
-
     acc = ctx.ring.zero
     for exps, coeff in poly.terms.items():
-        val = reduce_mod(ctx, coeff)
-        for i, e in enumerate(exps):
+        for x, e in zip(point, exps):
             if e:
-                val = mul_mod(ctx, val, power(i, e))
-        acc = elem_add(ctx.ring, acc, val)
+                coeff = mul_mod(ctx, coeff, pow_mod(ctx, x, e))
+        acc = elem_add(ctx.ring, acc, coeff)
     return reduce_mod(ctx, acc)
 
 
@@ -521,13 +508,13 @@ def jacobian_rank_at(J, point, ctx):
 # --- point enumeration and good reduction ---
 
 
-def _evaluator(ctx, terms, power):
+def _evaluator(ctx, terms):
     """The value of sum(coeff * x^exps) over ``terms`` at residue indices.
 
-    ``power(e)`` is the table of e-th powers of all residues.  The
-    coefficient is folded into the first variable's table (a coefficient 1
-    reuses the power table itself), each further variable costs one ring
-    product, and the sum is reduced once.
+    Each power is read from ``power_table``.  The coefficient is folded into
+    the first variable's table (a coefficient 1 reuses the power table
+    itself), each further variable costs one ring product, and the sum is
+    reduced once.
     """
     ring = ctx.ring
     one = ring.one
@@ -539,10 +526,10 @@ def _evaluator(ctx, terms, power):
             const = elem_add(ring, const, coeff)
             continue
         (i0, e0), *others = vars_
-        first = power(e0)
+        first = power_table(ctx, e0)
         if coeff != one:
             first = [mul_mod(ctx, coeff, x) for x in first]
-        monomials.append((i0, first, [(i, power(e)) for i, e in others]))
+        monomials.append((i0, first, [(i, power_table(ctx, e)) for i, e in others]))
 
     def value(indices):
         acc = const
@@ -556,15 +543,32 @@ def _evaluator(ctx, terms, power):
     return value
 
 
-def _split_x1(poly):
-    """poly as {e: c_e} with poly = sum_e c_e(x2, ..., x_amb) * x1^e.
+def _fiber_form(ctx, poly):
+    """poly = sum_e c_e(x2, ..., x_amb) * x1^e, compiled for one fiber at a time.
 
-    Each c_e is a term map keyed by the exponents of x2, ..., x_amb.
+    Returns ``at(rest)``, which evaluates every c_e once at the residue
+    indices rest = (i2, ..., i_amb) and gives ``(c_0, [(c_e, x1^e table)])``
+    for ``_x1_value``.  A table is built on the first call that needs it.
     """
     by_power = {}
     for exps, coeff in poly.terms.items():
         by_power.setdefault(exps[0], {})[exps[1:]] = coeff
-    return by_power
+    c0 = _evaluator(ctx, by_power.pop(0, {}))
+    cs = [(_evaluator(ctx, c), e) for e, c in by_power.items()]
+
+    def at(rest):
+        return c0(rest), [(c(rest), power_table(ctx, e)) for c, e in cs]
+
+    return at
+
+
+def _x1_value(ctx, fiber, i1):
+    """The value at x1 = residue i1 of a ``_fiber_form`` evaluated at a fiber."""
+    ring = ctx.ring
+    acc, terms = fiber
+    for c, table in terms:
+        acc = elem_add(ring, acc, elem_mul(ring, c, table[i1]))
+    return reduce_mod(ctx, acc)
 
 
 def compile_equations(ctx, equations):
@@ -580,27 +584,26 @@ def compile_equations(ctx, equations):
       rest = (i2, ..., i_amb), so that (i1,) + rest solves them exactly when
       ``part(i1) == target(rest)``;
     * ``mixed``: None when every equation is separable, else ``mixed(rest)``
-      evaluates each c_e of the other equations at rest once and returns a
-      predicate on i1 that is True iff they all vanish at (i1,) + rest.
+      evaluates the ``_fiber_form`` of each other equation at rest once and
+      returns a predicate on i1 that is True iff they all vanish at
+      (i1,) + rest.
 
-    The power tables of the residues are those of ``power_table``, shared
-    with everything else compiled against ctx.
+    Everything is compiled with ``_evaluator`` on the power tables of
+    ``power_table``, shared with everything else compiled against ctx.
     """
     ring = ctx.ring
     zero = ring.zero
-    power = partial(power_table, ctx)
-    parts, targets, mixed_eqs = [], [], []
+    parts, targets, forms = [], [], []
     for eq in equations:
-        by_power = _split_x1(eq)
-        c0 = by_power.pop(0, {})
-        if all(not any(rest) for c in by_power.values() for rest in c):
-            x1_part = {(e,): coeff for e, c in by_power.items() for coeff in c.values()}
-            parts.append(_evaluator(ctx, x1_part, power))
-            negated = {rest: elem_neg(ring, coeff) for rest, coeff in c0.items()}
-            targets.append(_evaluator(ctx, negated, power))
-        else:
-            cs = [(_evaluator(ctx, c, power), power(e)) for e, c in by_power.items()]
-            mixed_eqs.append((_evaluator(ctx, c0, power), cs))
+        if any(exps[0] and any(exps[1:]) for exps in eq.terms):
+            forms.append(_fiber_form(ctx, eq))
+            continue
+        x1_part = {exps[:1]: c for exps, c in eq.terms.items() if exps[0]}
+        parts.append(_evaluator(ctx, x1_part))
+        negated = {
+            exps[1:]: elem_neg(ring, c) for exps, c in eq.terms.items() if not exps[0]
+        }
+        targets.append(_evaluator(ctx, negated))
 
     def part(i1):
         return tuple(value((i1,)) for value in parts)
@@ -609,21 +612,17 @@ def compile_equations(ctx, equations):
         return tuple(value(rest) for value in targets)
 
     def mixed(rest):
-        fiber = [
-            (c0(rest), [(c(rest), table) for c, table in cs]) for c0, cs in mixed_eqs
-        ]
+        fibers = [at(rest) for at in forms]
 
         def solves(i1):
-            for acc, terms in fiber:
-                for c, table in terms:
-                    acc = elem_add(ring, acc, elem_mul(ring, c, table[i1]))
-                if reduce_mod(ctx, acc) != zero:
+            for fiber in fibers:
+                if _x1_value(ctx, fiber, i1) != zero:
                     return False
             return True
 
         return solves
 
-    return part, target, mixed if mixed_eqs else None
+    return part, target, mixed if forms else None
 
 
 def variety_indices(ctx, V, cap, digits=None):
@@ -702,67 +701,6 @@ def _rank(ctx, rows):
     return len(pivots)
 
 
-def _compile_jacobian(ctx, V):
-    """The rank of the Jacobian of V at residue-index points, fiber by fiber.
-
-    Every partial is split by the power of x1, as the equations are in
-    ``compile_equations``.  Returns ``fiber(rest)``, which evaluates the
-    x1-free coefficients once at rest = (i2, ..., i_amb) and returns
-    ``rank(i1)``, the rank at (i1,) + rest.
-
-    The columns whose partials are all free of x1 come first: when they
-    already have rank m, the number of equations, the rank is m on the whole
-    fiber.  Otherwise each point evaluates the other columns, with the powers
-    of x1 computed once per i1 on first use, so that a prime with few points
-    builds no table of size q.
-    """
-    ring = ctx.ring
-    power = partial(power_table, ctx)
-    rows = [[_split_x1(entry) for entry in row] for row in jacobian(ring, V).rows]
-    m = len(rows)
-    free = [j for j in range(V.amb) if all(set(row[j]) <= {0} for row in rows)]
-    free_rows = [
-        [_evaluator(ctx, row[j].get(0, {}), power) for j in free] for row in rows
-    ]
-    x1_rows = [
-        [
-            [(e, _evaluator(ctx, c, power)) for e, c in row[j].items()]
-            for j in range(V.amb)
-            if j not in free
-        ]
-        for row in rows
-    ]
-    exponents = {e for row in x1_rows for entry in row for e, _ in entry}
-    x1_powers = {}
-
-    def fiber(rest):
-        values = [[value(rest) for value in row] for row in free_rows]
-        if _rank(ctx, values) == m:
-            return lambda i1: m
-        coeffs = [
-            [[(e, c(rest)) for e, c in entry] for entry in row] for row in x1_rows
-        ]
-
-        def rank(i1):
-            if i1 not in x1_powers:
-                x1 = power_table(ctx, 1)[i1]
-                x1_powers[i1] = {e: pow_mod(ctx, x1, e) for e in exponents}
-            pw = x1_powers[i1]
-            mat = []
-            for row, terms in zip(values, coeffs):
-                for entry in terms:
-                    acc = ring.zero
-                    for e, c in entry:
-                        acc = elem_add(ring, acc, elem_mul(ring, c, pw[e]))
-                    row = row + [reduce_mod(ctx, acc)]
-                mat.append(row)
-            return _rank(ctx, mat)
-
-        return rank
-
-    return fiber
-
-
 def smooth_points(ring, V, prime_factor, cap=DEFAULT_CAP):
     """Residue-index tuples of X(O_K/p) in enumeration order, checked smooth.
 
@@ -770,21 +708,45 @@ def smooth_points(ring, V, prime_factor, cap=DEFAULT_CAP):
     there; the first point where it has not raises BadReduction with it as
     witness.  The cap is checked when this is called; the points come lazily.
 
-    The Jacobian is compiled once per prime and checked fiber by fiber, with
-    its x1-free entries evaluated once per fiber and no field inversion;
-    ``jacobian_rank_at`` is the reference it agrees with.
+    Every Jacobian entry is compiled once per prime as a ``_fiber_form``.  At
+    each fiber the columns free of x1 are evaluated first: when they already
+    have rank m, the number of equations, the rank is m on the whole fiber.
+    Only otherwise are the other entries evaluated at the fiber, which has a
+    point, and at each point through ``_x1_value``; the rank is taken with no
+    field inversion.
+    ``jacobian_rank_at`` is the reference this agrees with.
     """
     ctx = prime_ctx(ring, prime_factor)
     points = variety_indices(ctx, V, cap)
-    fiber = _compile_jacobian(ctx, V)
+    rows = jacobian(ring, V).rows
+    m = len(rows)
+    free = [
+        j for j in range(V.amb) if not any(exps[0] for r in rows for exps in r[j].terms)
+    ]
+    forms = [[_fiber_form(ctx, entry) for entry in row] for row in rows]
+    free_forms = [[row[j] for j in free] for row in forms]
+    x1_forms = [[at for j, at in enumerate(row) if j not in free] for row in forms]
 
     def checked():
         rest = None
         for indices in points:
             if indices[1:] != rest:
                 rest = indices[1:]
-                rank = fiber(rest)
-            if rank(indices[0]) != V.codim:
+                values = [[at(rest)[0] for at in row] for row in free_forms]
+                fibers = None  # rank m on the whole fiber
+                if _rank(ctx, values) != m:
+                    fibers = [[at(rest) for at in row] for row in x1_forms]
+            rank = m
+            if fibers is not None:
+                i1 = indices[0]
+                rank = _rank(
+                    ctx,
+                    [
+                        row + [_x1_value(ctx, fiber, i1) for fiber in entries]
+                        for row, entries in zip(values, fibers)
+                    ],
+                )
+            if rank != V.codim:
                 reps = power_table(ctx, 1)
                 raise BadReduction(prime_factor, tuple(reps[i] for i in indices))
             yield indices

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from exunits import cli, counting, ideals, polys
+from exunits import cli, counting, ideals, make_number_ring, polys, prime_ideals_above
 from exunits.cli import main
 
 CIRCLE_CONFIG = {
@@ -377,20 +377,31 @@ class TestAsympt:
         assert any(",9," in line for line in lines)  # the product (3)
 
     def test_one_local_count_per_prime(self, circle_config, capsys, monkeypatch):
-        """The family is built from the good primes: each is swept once and
-        no modulus is factored again."""
+        """Each prime ideal of norm <= 45 is swept once, good or bad, whether
+        by local_counts or by check_good_reduction, and no modulus is
+        factored again."""
+        q5 = make_number_ring([5, 0, 1])
+        small = [p for p in range(2, 46) if all(p % d for d in range(2, p))]
+        primes = [
+            (pf.p, pf.h_coeffs)
+            for p in small
+            for pf in prime_ideals_above(q5, p)
+            if pf.norm <= 45
+        ]
+        assert len(primes) == 14
         swept, factored = [], []
-        local_counts, factor_ideal = counting.local_counts, ideals.factor_ideal
+        smooth_points, factor_ideal = polys.smooth_points, ideals.factor_ideal
 
-        def counted_local(ring, V, f, pf, cap):
+        def counted_sweep(ring, V, pf, *args):
             swept.append((pf.p, pf.h_coeffs))
-            return local_counts(ring, V, f, pf, cap=cap)
+            return smooth_points(ring, V, pf, *args)
 
         def counted_factor(*args):
             factored.append(args)
             return factor_ideal(*args)
 
-        monkeypatch.setattr(counting, "local_counts", counted_local)
+        for module in (counting, polys):
+            monkeypatch.setattr(module, "smooth_points", counted_sweep)
         for module in (counting, cli, ideals):
             monkeypatch.setattr(module, "factor_ideal", counted_factor)
         argv = ["asympt", "--config", circle_config(), "--max-norm", "45"]
@@ -398,7 +409,7 @@ class TestAsympt:
         lines = capsys.readouterr().out.strip().split("\n")[1:]
         singles = [line for line in lines if "*" not in line]
         assert len(lines) == len(singles) * (len(singles) + 1) // 2
-        assert len(swept) == len(set(swept)) == len(singles)
+        assert swept == primes
         assert factored == []
         # the ramified prime above 5 is a modulus of norm 5, not its square
         assert any(line.startswith("(5,[0,1]),5,") for line in singles)

@@ -1,9 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction
+from importlib import import_module
 from itertools import product
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from exunits import (
@@ -49,22 +50,49 @@ from exunits.errors import BadModulus
 # Q, Q(i), Q(sqrt(-5)) and Q(2^(1/3)); each ring of integers is Z[theta]
 RINGS = [[0, 1], [1, 0, 1], [5, 0, 1], [-2, 0, 0, 1]]
 SMALL = st.integers(-3, 3)
+NONZERO = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
 
 @st.composite
-def _polys(draw, ring, amb):
-    """A nonzero polynomial with up to three terms of degree <= 2 per variable."""
-    terms = draw(
-        st.dictionaries(
-            st.tuples(*[st.integers(0, 2)] * amb),
-            st.lists(SMALL, min_size=ring.deg, max_size=ring.deg).map(tuple),
-            min_size=1,
-            max_size=3,
-        )
+def _elements(draw, ring):
+    """A nonzero ring element with coordinates in [-3, 3]."""
+    coords = draw(st.lists(SMALL, min_size=ring.deg, max_size=ring.deg))
+    coords[draw(st.integers(0, ring.deg - 1))] = draw(NONZERO)
+    return tuple(coords)
+
+
+@st.composite
+def _polys(draw, ring, amb, nonconstant=False):
+    """A nonzero polynomial with up to three terms of degree <= 2 per variable,
+    and with nonconstant one more term, of positive degree."""
+    exponents = st.tuples(*[st.integers(0, 2)] * amb)
+    # a list, not st.dictionaries, whose unique keys would be drawn by rejection
+    terms = dict(
+        draw(st.lists(st.tuples(exponents, _elements(ring)), min_size=1, max_size=3))
     )
-    terms = {e: c for e, c in terms.items() if any(c)}
-    assume(terms)
+    if nonconstant:
+        exps = list(draw(exponents))
+        exps[draw(st.integers(0, amb - 1))] = draw(st.integers(1, 2))
+        terms[tuple(exps)] = draw(_elements(ring))
     return MultiPoly(amb=amb, terms=terms)
+
+
+@st.composite
+def _moduli(draw, ring, amb, bound):
+    """An ideal of norm N >= 2 with N^amb <= bound, a product of primes above
+    2 to 11.
+
+    Every ring in RINGS has degree <= 3, so a prime above 2 has norm <= 8 and
+    the first factor always fits when 8^amb <= bound.
+    """
+    primes = [pf for p in (2, 3, 5, 7, 11) for pf in prime_ideals_above(ring, p)]
+    ideal, norm = unit_ideal(ring), 1
+    while True:
+        fits = [pf for pf in primes if (norm * pf.norm) ** amb <= bound]
+        if not fits or norm > 1 and not draw(st.booleans()):
+            return ideal
+        pf = draw(st.sampled_from(fits))
+        ideal, norm = ideal_mul(ring, ideal, pf.hnf), norm * pf.norm
 
 
 def _literal_count(ring, V, f, n_ideal):
@@ -127,6 +155,19 @@ class TestBruteForce:
         with pytest.raises(CapExceeded):
             brute_force_count(q5, circle, f_x_minus_2, n, cap=1000)
 
+    def test_cap_before_power_tables(self, q5, circle, f_x_minus_2, monkeypatch):
+        """Over the cap, brute force raises before f or the equations build
+        any power table."""
+
+        def boom(*args):
+            raise RuntimeError("power table built before the cap check")
+
+        for module in (polys, import_module("exunits.residues"), counting):
+            monkeypatch.setattr(module, "power_table", boom, raising=False)
+        n = principal_ideal(q5, (101, 0))
+        with pytest.raises(CapExceeded):
+            brute_force_count(q5, circle, f_x_minus_2, n, cap=1000)
+
     def test_unit_ideal_rejected(self, q5, circle, f_x_minus_2):
         from exunits import unit_ideal
 
@@ -138,13 +179,9 @@ class TestBruteForce:
     def test_matches_literal_count(self, data):
         ring = make_number_ring(data.draw(st.sampled_from(RINGS)))
         amb = data.draw(st.integers(1, 3))
-        gens = [
-            ring.from_int(data.draw(st.integers(2, 9))),
-            tuple(data.draw(st.lists(SMALL, min_size=ring.deg, max_size=ring.deg))),
-        ]
-        n_ideal = hnf_from_generators(ring, gens)
+        n_ideal = data.draw(_moduli(ring, amb, 512))
         norm = ideal_norm(n_ideal)
-        assume(norm >= 2 and norm ** amb <= 512)
+        assert norm >= 2 and norm ** amb <= 512
         equations = tuple(
             data.draw(_polys(ring, amb))
             for _ in range(data.draw(st.integers(0, min(amb, 2))))
@@ -152,8 +189,7 @@ class TestBruteForce:
         V = VarietySpec(
             amb=amb, codim=len(equations), equations=equations, declared_degree=2
         )
-        f = data.draw(_polys(ring, 1))
-        assume(not f.is_constant())
+        f = data.draw(_polys(ring, 1, nonconstant=True))
         assert brute_force_count(ring, V, f, n_ideal) == _literal_count(
             ring, V, f, n_ideal
         )
@@ -191,12 +227,13 @@ class TestLocalCounts:
     def test_no_point_evaluates_no_f(self, rat, monkeypatch):
         # 2 is not a square mod 11, so x1^2 = 2 has no point there
         calls = []
+        exunit_flags = counting._exunit_flags
 
         def counted(*args):
             calls.append(args)
-            return eval_poly(*args)
+            return exunit_flags(*args)
 
-        monkeypatch.setattr(counting, "eval_poly", counted)
+        monkeypatch.setattr(counting, "_exunit_flags", counted)
         V = VarietySpec(
             amb=1,
             codim=1,
@@ -287,13 +324,9 @@ class TestTheorem1:
         """BadReduction exactly where a factor fails the check; else the oracle."""
         ring = make_number_ring(data.draw(st.sampled_from(RINGS)))
         amb = data.draw(st.integers(1, 3))
-        gens = [
-            ring.from_int(data.draw(st.integers(2, 12))),
-            tuple(data.draw(st.lists(SMALL, min_size=ring.deg, max_size=ring.deg))),
-        ]
-        n_ideal = hnf_from_generators(ring, gens)
+        n_ideal = data.draw(_moduli(ring, amb, 1000))
         norm = ideal_norm(n_ideal)
-        assume(norm >= 2 and norm ** amb <= 1000)
+        assert norm >= 2 and norm ** amb <= 1000
         equations = tuple(
             data.draw(_polys(ring, amb))
             for _ in range(data.draw(st.integers(0, min(amb, 2))))
@@ -301,8 +334,8 @@ class TestTheorem1:
         V = VarietySpec(
             amb=amb, codim=len(equations), equations=equations, declared_degree=2
         )
-        f = data.draw(_polys(ring, 1))
-        assume(not f.is_constant())
+        f = data.draw(_polys(ring, 1, nonconstant=True))
+        assert not f.is_constant()
         reports = [
             (pf, check_good_reduction(ring, V, pf))
             for pf in factor_ideal(ring, n_ideal)
@@ -484,8 +517,7 @@ class TestAsympt:
         V = VarietySpec(
             amb=amb, codim=len(equations), equations=equations, declared_degree=2
         )
-        f = data.draw(_polys(ring, 1))
-        assume(not f.is_constant())
+        f = data.draw(_polys(ring, 1, nonconstant=True))
         primes = [pf for p in (2, 3, 5, 7) for pf in prime_ideals_above(ring, p)]
         members = st.lists(
             st.tuples(st.sampled_from(primes), st.integers(1, 3)),

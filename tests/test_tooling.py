@@ -61,6 +61,22 @@ def test_one_enumeration_kernel():
     assert callers == ["polys.variety_indices"]
 
 
+def test_eval_poly_is_reference_only():
+    """Counting compiles its polynomials: inside ``src/exunits`` only the
+    literal reference ``polys.jacobian_rank_at`` calls ``eval_poly``."""
+    callers = []
+    for path in sorted(Path(exunits.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "eval_poly" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == ["polys.jacobian_rank_at"]
+
+
 def test_no_module_level_cache():
     """Memos live and die inside one call: ``src/exunits`` uses no
     ``functools`` cache, has no ``global`` statement and binds no empty or
