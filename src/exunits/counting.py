@@ -29,13 +29,7 @@ from .errors import (
     NotQSqrtMinus5,
     UnitIdeal,
 )
-from .ideals import (
-    factor_ideal,
-    factor_poly_mod_p,
-    ideal_norm,
-    ideal_pow,
-    prime_ideals_up_to,
-)
+from .ideals import factor_ideal, ideal_norm, ideal_pow, prime_ideals_up_to
 from .polys import (
     DEFAULT_CAP,
     _evaluator,
@@ -44,7 +38,7 @@ from .polys import (
     smooth_points,
     variety_indices,
 )
-from .residues import is_unit_mod, prime_ctx, reduce_mod, residue_ctx
+from .residues import is_unit_mod, power_table, prime_ctx, reduce_mod, residue_ctx
 
 log = logging.getLogger(__name__)
 
@@ -113,14 +107,14 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
     """#X(O_K/p), #N^f(p, X) and the exact local factor, in one sweep.
 
     Requires good reduction at p: each point's Jacobian rank is checked as it
-    is counted, and the first singular point raises BadReduction.
+    is counted, and the first singular point raises BadReduction.  The sweep
+    and f share one residue context, so O_K/p is listed once.
     """
     _check_f(f)
     ctx = prime_ctx(ring, prime_factor)
-    points = smooth_points(ring, V, prime_factor, cap)  # checks the cap first
     flags = None
     count_x = count_n = 0
-    for indices in points:
+    for indices in smooth_points(ctx, V, cap):  # checks the cap first
         if flags is None:
             # a point lies in N when some f(x_i) is not a unit, i.e. is zero
             # mod p; f is evaluated only once X(O_K/p) is known to have a point
@@ -184,17 +178,22 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
 
     Under good reduction every point must lift in exactly norm(p)^(amb-d)
     ways, i.e. the histogram is a single bin.
+
+    The enumeration of X mod p^(k+1) is set up first, so a census over the
+    cap raises CapExceeded before it sweeps anything, even at a bad prime.
+    Then X mod p is swept as the guard, which raises BadReduction at the
+    first singular point.  The residues mod p^(k+1) are listed only after
+    the guard passes, so a bad prime costs that one sweep.
     """
-    for _ in smooth_points(ring, V, prime_factor, cap):
+    ctx_k1 = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k + 1))
+    upper = variety_indices(ctx_k1, V, cap)  # checks the cap, builds nothing
+    for _ in smooth_points(prime_ctx(ring, prime_factor), V, cap):
         pass  # raises BadReduction at the first singular point
     ctx_k = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k))
-    ctx_k1 = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k + 1))
-    # the mod p^(k+1) points first, so that their larger cap check runs first
-    upper = iter_variety_points(ctx_k1, V, cap)
     lifts = dict.fromkeys(iter_variety_points(ctx_k, V, cap), 0)
-    for point in upper:
-        base = tuple(reduce_mod(ctx_k, x) for x in point)
-        lifts[base] += 1
+    reps = power_table(ctx_k1, 1)
+    for indices in upper:
+        lifts[tuple(reduce_mod(ctx_k, reps[i]) for i in indices)] += 1
     return dict(Counter(lifts.values()))
 
 
@@ -228,6 +227,9 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
     of the intersection set gives.  mode='strict_paper' keeps the printed
     (chi + 1)/2 gate, which diverges when chi = 0; the divergence is the
     point of exposing both modes.
+
+    The splitting of p is read off each prime that factor_ideal gives: inert
+    when f = 2, ramified when e = 2, split otherwise.
     """
     if ring.min_poly != _QSQRT5_POLY:
         raise NotQSqrtMinus5("the closed form is specific to g = x^2 + 5")
@@ -240,23 +242,18 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
         raise UnitIdeal("modulus must be a proper ideal")
     if gcd(n_norm, 2 * c) != 1:
         raise BadModulus(f"norm {n_norm} must be coprime to 2c = {2 * c}")
-    factors = factor_ideal(ring, n_ideal)
-    by_p = {}
-    for pf in factors:
-        by_p.setdefault(pf.p, []).append(pf)
-
+    classes = {"split": (1, 3, 7, 9), "inert": (11, 13, 17, 19), "ramified": (5,)}
     locals_ = []
     total = Fraction(n_norm)
-    for p, pfs in sorted(by_p.items()):
-        g_factors = factor_poly_mod_p(ring.min_poly, p)
-        if len(g_factors) == 2:
-            splitting = "split"
-        elif len(g_factors[0][0]) == 2:  # single linear factor, squared
+    for pf in factor_ideal(ring, n_ideal):
+        p = pf.p
+        if pf.f_res == 2:
+            splitting = "inert"
+        elif pf.e_ram == 2:
             splitting = "ramified"
         else:
-            splitting = "inert"
+            splitting = "split"
         # cross-check against the p mod 20 classification
-        classes = {"split": (1, 3, 7, 9), "inert": (11, 13, 17, 19), "ramified": (5,)}
         if p % 20 not in classes[splitting]:
             raise ExunitsError(f"{p} is {splitting}, against its class mod 20")
         m = _m_of_p(p, a, c)
@@ -276,12 +273,9 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
             count_x = q - chi_minus1
             count_n = gate * m
             factor = 1 - Fraction(chi_minus1 + gate * m, q)
-        for pf in pfs:
-            cn = int(count_n) if count_n.denominator == 1 else count_n
-            locals_.append(
-                LocalData(prime=pf, count_X=count_x, count_N=cn, factor=factor)
-            )
-            total *= factor
+        cn = int(count_n) if count_n.denominator == 1 else count_n
+        locals_.append(LocalData(prime=pf, count_X=count_x, count_N=cn, factor=factor))
+        total *= factor
     if total.denominator == 1:
         total = int(total)
     return CountReport(
@@ -303,7 +297,7 @@ def langweil_deviation(ring, V, prime_factor, cap=DEFAULT_CAP):
     empirical 3l q^(r-1) stand-in for the unspecified lower-order constant.
     """
     q = prime_factor.norm
-    count_x = sum(1 for _ in smooth_points(ring, V, prime_factor, cap))
+    count_x = sum(1 for _ in smooth_points(prime_ctx(ring, prime_factor), V, cap))
     r = V.amb - V.codim
     ell = V.declared_degree
     deviation = abs(count_x - q ** r)

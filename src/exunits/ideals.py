@@ -304,7 +304,7 @@ def prime_ideals_above(ring, p):
 def prime_ideals_up_to(ring, max_norm):
     """Every prime ideal of norm <= max_norm, by p and then as above p."""
     for p in range(2, max_norm + 1):
-        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+        if _small_prime_factors(p) == [p]:
             for pf in prime_ideals_above(ring, p):
                 if pf.norm <= max_norm:
                     yield pf

@@ -139,17 +139,6 @@ def elem_mul(ring, a, b):
     return tuple(conv[:d])
 
 
-def elem_pow(ring, a, e):
-    result = ring.one
-    base = a
-    while e:
-        if e & 1:
-            result = elem_mul(ring, result, base)
-        base = elem_mul(ring, base, base)
-        e >>= 1
-    return result
-
-
 def _det_bareiss(mat):
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     m = [row[:] for row in mat]

@@ -631,8 +631,10 @@ def variety_indices(ctx, V, cap, digits=None):
     Coordinate 1 varies fastest, and index i stands for the i-th residue of
     ``residues(ctx)``.  ``digits`` restricts every coordinate to the given
     indices (all of them by default) and keeps their order.  The cap bounds
-    the full space of norm^amb tuples whatever ``digits`` is, and is checked
-    when this is called, before a lazy ``digits`` is consumed.
+    the full space of norm^amb tuples whatever ``digits`` is.  This is the
+    only check of the enumeration cap: it runs when this is called, and
+    nothing else, not even the list of residues, is built before the first
+    point is asked for.
 
     The points come fiber by fiber: for each rest = (x2, ..., x_amb) the
     x1-free parts of the equations are evaluated once, and the x1 solutions
@@ -645,15 +647,15 @@ def variety_indices(ctx, V, cap, digits=None):
         raise EnumerationCapExceeded(
             f"{ctx.norm}^{V.amb} candidate points exceed the cap {cap}"
         )
-    part, target, mixed = compile_equations(ctx, V.equations)
-    if digits is None:
-        digits = range(ctx.norm)
-    if V.amb == 1:
-        goal = target(())
-        return ((i,) for i in digits if part(i) == goal)
 
-    def fibers():
-        xs = list(digits)
+    def points():
+        part, target, mixed = compile_equations(ctx, V.equations)
+        xs = range(ctx.norm) if digits is None else digits
+        if V.amb == 1:
+            goal = target(())
+            yield from ((i,) for i in xs if part(i) == goal)
+            return
+        xs = list(xs)
         table = {}
         for i in xs:
             table.setdefault(part(i), []).append(i)
@@ -665,7 +667,7 @@ def variety_indices(ctx, V, cap, digits=None):
             for i in solutions:
                 yield (i,) + rest
 
-    return fibers()
+    return points()
 
 
 def iter_variety_points(ctx, V, cap=DEFAULT_CAP):
@@ -701,12 +703,15 @@ def _rank(ctx, rows):
     return len(pivots)
 
 
-def smooth_points(ring, V, prime_factor, cap=DEFAULT_CAP):
+def smooth_points(ctx, V, cap=DEFAULT_CAP):
     """Residue-index tuples of X(O_K/p) in enumeration order, checked smooth.
 
-    A point is yielded once the Jacobian has the declared codimension as rank
-    there; the first point where it has not raises BadReduction with it as
-    witness.  The cap is checked when this is called; the points come lazily.
+    ``ctx`` is the prime's context (``prime_ctx``): whatever else is compiled
+    against it, such as f in ``local_counts``, shares its residue list and
+    power tables.  A point is yielded once the Jacobian has the declared
+    codimension as rank there; the first point where it has not raises
+    BadReduction with ``ctx.prime`` and that point as witness.  The cap is
+    checked when this is called; the points come lazily.
 
     Every Jacobian entry is compiled once per prime as a ``_fiber_form``.  At
     each fiber the columns free of x1 are evaluated first: when they already
@@ -716,9 +721,8 @@ def smooth_points(ring, V, prime_factor, cap=DEFAULT_CAP):
     field inversion.
     ``jacobian_rank_at`` is the reference this agrees with.
     """
-    ctx = prime_ctx(ring, prime_factor)
     points = variety_indices(ctx, V, cap)
-    rows = jacobian(ring, V).rows
+    rows = jacobian(ctx.ring, V).rows
     m = len(rows)
     free = [
         j for j in range(V.amb) if not any(exps[0] for r in rows for exps in r[j].terms)
@@ -748,7 +752,7 @@ def smooth_points(ring, V, prime_factor, cap=DEFAULT_CAP):
                 )
             if rank != V.codim:
                 reps = power_table(ctx, 1)
-                raise BadReduction(prime_factor, tuple(reps[i] for i in indices))
+                raise BadReduction(ctx.prime, tuple(reps[i] for i in indices))
             yield indices
 
     return checked()
@@ -762,7 +766,7 @@ def check_good_reduction(ring, V, prime_factor, cap=DEFAULT_CAP):
     the first failing point in enumeration order.
     """
     try:
-        for _ in smooth_points(ring, V, prime_factor, cap):
+        for _ in smooth_points(prime_ctx(ring, prime_factor), V, cap):
             pass
     except BadReduction as exc:
         return GoodReductionReport(ok=False, witness=exc.witness)

@@ -68,16 +68,14 @@ def reduce_mod(ctx, a):
     return tuple(c)
 
 
-def residues(ctx, start=0, stop=None):
-    """Yield canonical representatives for indices [start, stop).
+def residues(ctx):
+    """Yield the canonical representatives in index order.
 
     Index 0 is the zero residue; coordinate 0 is the least significant
     mixed-radix digit.
     """
     radices = [row[i] for i, row in enumerate(ctx.modulus.basis)]
-    if stop is None:
-        stop = ctx.norm
-    for idx in range(start, stop):
+    for idx in range(ctx.norm):
         rem = idx
         coords = []
         for r in radices:

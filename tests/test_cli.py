@@ -116,6 +116,32 @@ class TestCount:
         assert json.loads(outputs[0])["agreement"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--config", "x", "--method", "bogus"],
+        ["asympt", "--config", "x", "--products", "3"],
+        ["verify"],
+        [],
+    ],
+    ids=["bad-choice", "bad-products", "missing-config", "no-command"],
+)
+def test_command_line_error_exits_one(argv, capsys):
+    """A command-line error is bad input: exit 1 and one line on stderr."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: exunits")
+
+
 def _variety(**overrides):
     return {**CIRCLE_CONFIG["variety"], **overrides}
 
@@ -305,9 +331,9 @@ class TestVerify:
         calls = []
         smooth_points = polys.smooth_points
 
-        def counted(ring, V, prime_factor, cap=polys.DEFAULT_CAP):
-            calls.append(prime_factor)
-            return smooth_points(ring, V, prime_factor, cap)
+        def counted(ctx, V, cap=polys.DEFAULT_CAP):
+            calls.append(ctx.prime)
+            return smooth_points(ctx, V, cap)
 
         for module in (polys, counting):
             monkeypatch.setattr(module, "smooth_points", counted)
@@ -318,6 +344,53 @@ class TestVerify:
         assert [c["name"].split()[0] for c in checks] == (
             ["good_reduction", "lifting_census"] * 4 + ["multiplicativity"]
         )
+
+    def test_checks_the_cap_refuses_are_left_out(
+        self, circle_config, capsys, monkeypatch
+    ):
+        """Mod (21) with cap 2400, the kernel takes the census at the primes
+        above 3 (3^4 tuples mod P^2) and refuses it at those above 7 (7^4),
+        which are swept alone, and refuses the brute force over 441^2."""
+        calls = []
+        smooth_points = polys.smooth_points
+
+        def counted(ctx, V, cap=polys.DEFAULT_CAP):
+            calls.append(ctx.prime)
+            return smooth_points(ctx, V, cap)
+
+        for module in (polys, counting):
+            monkeypatch.setattr(module, "smooth_points", counted)
+        path = circle_config(modulus={"generators": [21]}, options={"cap": 2400})
+        assert main(["verify", "--config", path]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"].split()[:2] for c in checks] == [
+            ["good_reduction", "p=3"],
+            ["lifting_census", "k=1"],
+            ["good_reduction", "p=3"],
+            ["lifting_census", "k=1"],
+            ["good_reduction", "p=7"],
+            ["good_reduction", "p=7"],
+        ]
+        assert all(c["pass"] for c in checks)
+        assert [pf.p for pf in calls] == [3, 3, 7, 7]
+        assert len(set(calls)) == 4
+
+    def test_census_guard_gives_witness_under_the_cap(self, circle_config, capsys):
+        """Mod (14) with cap 60, the census at the prime above 2 (2^4 tuples
+        mod P^2) finds the witness; the primes above 7 (7^4) are swept alone."""
+        path = circle_config(modulus={"generators": [14]}, options={"cap": 60})
+        assert main(["verify", "--config", path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        checks = out["checks"]
+        assert [c["name"].split()[:2] for c in checks] == [
+            ["good_reduction", "p=2"],
+            ["good_reduction", "p=7"],
+            ["good_reduction", "p=7"],
+        ]
+        assert checks[0]["pass"] is False
+        assert checks[0]["witness"] == [[1, 0], [0, 0]]
+        assert all(c["pass"] for c in checks[1:])
+        assert out["all_pass"] is False
 
 
 class TestAsympt:
@@ -392,9 +465,9 @@ class TestAsympt:
         swept, factored = [], []
         smooth_points, factor_ideal = polys.smooth_points, ideals.factor_ideal
 
-        def counted_sweep(ring, V, pf, *args):
-            swept.append((pf.p, pf.h_coeffs))
-            return smooth_points(ring, V, pf, *args)
+        def counted_sweep(ctx, V, *args):
+            swept.append((ctx.prime.p, ctx.prime.h_coeffs))
+            return smooth_points(ctx, V, *args)
 
         def counted_factor(*args):
             factored.append(args)
@@ -420,6 +493,19 @@ class TestAsympt:
 
 
 class TestExample25:
+    @pytest.mark.parametrize(
+        "exponent, total, brute", [(9, "13122", None), (5, "162", "162")]
+    )
+    def test_brute_total_left_out_past_the_cap(self, capsys, exponent, total, brute):
+        """3^9 gives 19683^2 tuples, over the default cap; 3^5 gives 243^2."""
+        modulus = {"primes": [{"p": 3, "h": [1, 1], "exponent": exponent}]}
+        argv = ["example25", "--a", "2", "--c", "1", "--modulus", json.dumps(modulus)]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out.get("brute_total") == brute
+        assert out["example_total"] == out["theorem1_total"] == total
+        assert out["agree"] is True
+
     def test_corrected(self, capsys):
         rc = main(
             [

@@ -13,7 +13,7 @@ from exunits import (
     make_number_ring,
 )
 from exunits.errors import DimensionMismatch
-from exunits.number_ring import elem_pow, is_zero
+from exunits.number_ring import is_zero
 
 
 @pytest.fixture
@@ -123,7 +123,3 @@ class TestProperties:
             acc = elem_add(ring, acc, tuple(c * x for x in power))
             power = elem_mul(ring, power, ring.theta)
         assert is_zero(acc)
-
-    def test_pow(self):
-        q5 = make_number_ring([5, 0, 1])
-        assert elem_pow(q5, (0, 1), 4) == (25, 0)

@@ -540,7 +540,7 @@ def _swept(ring, V, prime_factor):
     """The points smooth_points yields, and the witness it raises (or None)."""
     points = []
     try:
-        for indices in smooth_points(ring, V, prime_factor):
+        for indices in smooth_points(prime_ctx(ring, prime_factor), V):
             points.append(indices)
     except BadReduction as exc:
         assert exc.prime == prime_factor
@@ -589,7 +589,8 @@ class TestSmoothPoints:
         # every residue operation, in polys or in residues, ends in reduce_mod
         for module in (polys, sys.modules["exunits.residues"]):
             monkeypatch.setattr(module, "reduce_mod", counted)
-        assert len(list(smooth_points(q5, circle_variety, p13[0]))) == 168
+        ctx = prime_ctx(q5, p13[0])
+        assert len(list(smooth_points(ctx, circle_variety))) == 168
         assert calls <= 25 * 169
 
     @pytest.mark.parametrize(
@@ -639,5 +640,6 @@ class TestSmoothPoints:
         ctx = prime_ctx(rat, prime_factor)
         assert len(list(variety_indices(ctx, V, DEFAULT_CAP))) == 2
         enumeration, calls = calls, 0
-        assert len(list(smooth_points(rat, V, prime_factor))) == 2
+        # a context of its own, so the sweep builds its tables again
+        assert len(list(smooth_points(prime_ctx(rat, prime_factor), V))) == 2
         assert calls - enumeration <= 20

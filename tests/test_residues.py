@@ -73,10 +73,6 @@ class TestEnumeration:
         ctx = residue_ctx(q5, principal_ideal(q5, (2, 0)))
         assert len(list(residues(ctx))) == 4
 
-    def test_range_split(self, ctx3):
-        full = list(residues(ctx3))
-        assert list(residues(ctx3, 0, 2)) + list(residues(ctx3, 2)) == full
-
     def test_unit_ideal_rejected(self, q5):
         with pytest.raises(UnitIdeal):
             residue_ctx(q5, unit_ideal(q5))

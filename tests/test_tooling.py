@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import exunits
+from exunits import counting, polys
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,6 +76,66 @@ def test_eval_poly_is_reference_only():
                 ):
                     callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == ["polys.jacobian_rank_at"]
+
+
+def _owners(matches):
+    """``module.function`` of each top-level definition in ``src/exunits``,
+    once per node in it that ``matches``."""
+    owners = []
+    for path in sorted(Path(exunits.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            owners += [
+                f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top)
+                if matches(node)
+            ]
+    return owners
+
+
+def test_cap_has_one_owner():
+    """Only ``polys.variety_indices`` compares anything with ``cap`` or
+    ``DEFAULT_CAP``: the kernel alone decides what is over the cap."""
+
+    def compares_cap(node):
+        return isinstance(node, ast.Compare) and any(
+            getattr(sub, "id", None) in ("cap", "DEFAULT_CAP")
+            or getattr(sub, "attr", None) == "DEFAULT_CAP"
+            for sub in ast.walk(node)
+        )
+
+    assert _owners(compares_cap) == ["polys.variety_indices"]
+
+
+def test_splitting_of_p_has_one_owner():
+    """Only ``ideals.prime_ideals_above`` factors g mod p."""
+
+    def calls_factor(node):
+        return isinstance(node, ast.Call) and "factor_poly_mod_p" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert _owners(calls_factor) == ["ideals.prime_ideals_above"]
+
+
+def test_one_residue_context_per_local_count(monkeypatch):
+    """The sweep and f of one local count share one residue context."""
+    ring = exunits.make_number_ring([5, 0, 1])
+    circle = exunits.parse_poly("x1^2 + x2^2 - 1", ring, 2)
+    V = exunits.VarietySpec(amb=2, codim=1, equations=(circle,), declared_degree=2)
+    f = exunits.parse_poly("x1 - 2", ring, 1)
+    contexts = []
+
+    def counted(*args):
+        contexts.append(exunits.prime_ctx(*args))
+        return contexts[-1]
+
+    for module in (counting, polys):
+        monkeypatch.setattr(module, "prime_ctx", counted)
+    prime_factor = exunits.prime_ideals_above(ring, 3)[0]
+    assert exunits.local_counts(ring, V, f, prime_factor).count_X == 4
+    assert len(contexts) == 1
 
 
 def test_no_module_level_cache():
