@@ -218,6 +218,9 @@ def cmd_verify(args):
         raise ConfigError("verify requires a modulus")
     cap = cfg["options"].get("cap", counting.DEFAULT_CAP)
     ring, V, f, n_ideal = cfg["ring"], cfg["variety"], cfg["f"], cfg["modulus"]
+    # f is checked here, before any sweep: the multiplicativity check, the
+    # only one that counts with f, does not run at every modulus
+    counting._check_f(f)
     factors = factor_ideal(ring, n_ideal)
     checks = []
     bad = False

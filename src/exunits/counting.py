@@ -3,7 +3,8 @@
 Three mutually checking routes are implemented:
 
 * ``brute_force_count``  -- literal enumeration of (O_K/n)^amb, the oracle;
-  it never assumes smoothness or good reduction.
+  it never assumes smoothness or good reduction, and it decides the units
+  of O_K/n by walking powers (``residues.unit_flags``), not by factoring n.
 * ``theorem1_count``     -- the local-global product over primes dividing n,
   valid under good reduction; cost is independent of the exponents in n.
 * ``example25_count``    -- the closed form for the circle x^2 + y^2 = c over
@@ -30,6 +31,7 @@ from .errors import (
     UnitIdeal,
 )
 from .ideals import factor_ideal, ideal_norm, ideal_pow, prime_ideals_up_to
+from .number_ring import is_zero
 from .polys import (
     DEFAULT_CAP,
     _evaluator,
@@ -38,7 +40,14 @@ from .polys import (
     smooth_points,
     variety_indices,
 )
-from .residues import is_unit_mod, power_table, prime_ctx, reduce_mod, residue_ctx
+from .residues import (
+    power_table,
+    prime_ctx,
+    reduce_mod,
+    residue_ctx,
+    residue_index,
+    unit_flags,
+)
 
 log = logging.getLogger(__name__)
 
@@ -87,11 +96,19 @@ def _check_f(f):
 def _exunit_flags(ctx, f):
     """Lazily, for each residue index i: is f(residue_i) a unit mod the ideal?
 
-    f is compiled on its first value, so that nothing is built before then.
+    In a residue field a unit is a nonzero residue.  Otherwise f(residue_i)
+    is looked up in ``unit_flags``, which decides every unit of O/n by
+    walking powers, with no factorization.  f and the flags are built on the
+    first value, so that nothing is built before then.
     """
     value = _evaluator(ctx, f.terms)
+    if ctx.prime is not None:
+        for i in range(ctx.norm):
+            yield not is_zero(value((i,)))
+        return
+    units = unit_flags(ctx)
     for i in range(ctx.norm):
-        yield is_unit_mod(ctx, value((i,)))
+        yield units[residue_index(ctx, value((i,)))] == 1
 
 
 def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):

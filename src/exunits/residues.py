@@ -3,7 +3,8 @@
 Residues are canonical coordinate tuples: coordinate i lies in
 [0, basis[i][i]) for the modulus HNF basis.  Arithmetic is exact ring
 arithmetic followed by reduction; the only tables are the powers of all
-residues, built on first use and kept with their context (``power_table``).
+residues, built on first use and kept with their context (``power_table``),
+and the units of O/n, decided by walking powers (``unit_flags``).
 
 Enumeration is fixed in lexicographic order of (c_{d-1}, ..., c_0), i.e.
 the highest power-basis coordinate varies slowest.
@@ -99,6 +100,57 @@ def power_table(ctx, e):
     return tables[e]
 
 
+def residue_index(ctx, r):
+    """The index of the canonical residue r in the order of ``residues``."""
+    basis = ctx.modulus.basis
+    idx = 0
+    for i in range(len(r) - 1, -1, -1):
+        idx = idx * basis[i][i] + r[i]
+    return idx
+
+
+def unit_flags(ctx):
+    """Which residues are units of O/n: a bytearray in index order, 1 or 0.
+
+    Decided by walking powers with ring products mod n alone, so no
+    factorization, CRT or Hensel lifting is involved.  From each residue a
+    with no verdict the walk takes a, a^2, a^3, ... until it reaches a
+    residue that has one, or closes a cycle, and every residue on the walk
+    takes one verdict:
+
+    * unit, if it reached a unit (1 is seeded as one), since a power of a
+      is a unit only when a is;
+    * non-unit, if it reached a non-unit (0 is seeded as one), or closed a
+      cycle without reaching 1, since the powers of a unit are purely
+      periodic and pass through 1.
+
+    A walk costs one product per residue it decides, so O/n costs at most
+    norm products where ``is_unit_mod`` costs one HNF per residue.
+    """
+    unknown, on_walk = 2, 3
+    reps = power_table(ctx, 1)
+    flags = bytearray([unknown]) * ctx.norm
+    flags[0] = 0
+    flags[residue_index(ctx, reduce_mod(ctx, ctx.ring.one))] = 1
+    for start in range(ctx.norm):
+        if flags[start] != unknown:
+            continue
+        a = x = reps[start]
+        walk = [start]
+        flags[start] = on_walk
+        while True:
+            x = mul_mod(ctx, x, a)
+            j = residue_index(ctx, x)
+            if flags[j] != unknown:
+                break
+            flags[j] = on_walk
+            walk.append(j)
+        verdict = 0 if flags[j] == on_walk else flags[j]
+        for j in walk:
+            flags[j] = verdict
+    return flags
+
+
 def add_mod(ctx, a, b):
     return reduce_mod(ctx, elem_add(ctx.ring, a, b))
 
@@ -112,18 +164,24 @@ def mul_mod(ctx, a, b):
 
 
 def pow_mod(ctx, a, e):
-    result = reduce_mod(ctx, ctx.ring.one)
+    """a^e mod n for e >= 0, by left-to-right square-and-multiply."""
     base = reduce_mod(ctx, a)
-    while e:
-        if e & 1:
+    if not e:
+        return reduce_mod(ctx, ctx.ring.one)
+    result = base
+    for bit in bin(e)[3:]:
+        result = mul_mod(ctx, result, result)
+        if bit == "1":
             result = mul_mod(ctx, result, base)
-        base = mul_mod(ctx, base, base)
-        e >>= 1
     return result
 
 
 def is_unit_mod(ctx, a):
-    """True iff (a) + n = O_K, tested via the HNF of the joint span."""
+    """True iff (a) + n = O_K, tested via the HNF of the joint span.
+
+    The literal reference that the tests compare ``unit_flags`` with; the
+    counting paths call ``unit_flags``.
+    """
     if ctx.prime is not None:
         # in a field, unit just means nonzero
         return not is_zero(reduce_mod(ctx, a))

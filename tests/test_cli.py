@@ -392,6 +392,18 @@ class TestVerify:
         assert all(c["pass"] for c in checks[1:])
         assert out["all_pass"] is False
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 21])
+    def test_constant_f_rejected(self, circle_config, capsys, n):
+        """A constant f exits 1 before any sweep, whether or not the
+        multiplicativity check would run (mod 2 the circle is also bad)."""
+        path = circle_config(
+            field={"min_poly": [0, 1]}, f="3", modulus={"generators": [n]}
+        )
+        assert main(["verify", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: f must be non-constant\n"
+
 
 class TestAsympt:
     def test_csv_and_determinism(self, circle_config, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exunits import (
     EvenCharacteristic,
@@ -12,6 +14,7 @@ from exunits import (
     hnf_from_generators,
     ideal_contains,
     ideal_mul,
+    ideal_norm,
     is_unit_mod,
     make_number_ring,
     prime_ctx,
@@ -23,7 +26,7 @@ from exunits import (
     unit_ideal,
 )
 from exunits.number_ring import elem_sub, is_zero
-from exunits.residues import mul_mod
+from exunits.residues import mul_mod, pow_mod, unit_flags
 
 
 @pytest.fixture
@@ -100,6 +103,78 @@ class TestUnits:
         ctx = residue_ctx(q5, principal_ideal(q5, (3, 0)))
         units = sum(1 for a in residues(ctx) if is_unit_mod(ctx, a))
         assert units == 4
+
+
+def _moduli(draw):
+    """A ring of degree 1 to 4 and a modulus (m, a) of norm 2 to 2000 in it,
+    or (m) itself when (m, a) is the unit ideal."""
+    min_poly = draw(st.sampled_from(UNIT_RINGS))
+    ring = make_number_ring(min_poly)
+    d = ring.deg
+    m = draw(st.integers(2, int(2000 ** (1 / d))))
+    a = tuple(draw(st.integers(-3 * m, 3 * m)) for _ in range(d))
+    n = hnf_from_generators(ring, [ring.from_int(m), a])
+    if ideal_norm(n) < 2:
+        n = principal_ideal(ring, ring.from_int(m))
+    return ring, residue_ctx(ring, n)
+
+
+# Q(sqrt(-5)), Q(i), Q(2^(1/3)), Z[t] with t^3 + t + 3 = 0, Q(2^(1/4)) and Q
+UNIT_RINGS = [[5, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [3, 1, 0, 1], [2, 0, 0, 0, 1], [0, 1]]
+
+
+class TestUnitFlags:
+    """``unit_flags`` decides the units of O/n by walking powers; the HNF of
+    ``is_unit_mod`` is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_is_unit_mod(self, data):
+        _, ctx = _moduli(data.draw)
+        assert ctx.norm <= 2000
+        flags = unit_flags(ctx)
+        assert len(flags) == ctx.norm
+        assert list(flags) == [int(is_unit_mod(ctx, a)) for a in residues(ctx)]
+
+    @pytest.mark.parametrize(
+        "min_poly, modulus, units",
+        [
+            ([5, 0, 1], "(3)", 4),  # F3 x F3
+            ([5, 0, 1], "P5^2", 20),  # ramified: 25 - 5
+            ([0, 1], "(12)", 4),  # phi(12)
+        ],
+    )
+    def test_unit_counts(self, min_poly, modulus, units):
+        ring = make_number_ring(min_poly)
+        if modulus == "P5^2":
+            p5 = factor_ideal(ring, principal_ideal(ring, (5, 0)))[0]
+            n = ideal_mul(ring, p5.hnf, p5.hnf)
+        else:
+            n = principal_ideal(ring, ring.from_int(int(modulus[1:-1])))
+        assert sum(unit_flags(residue_ctx(ring, n))) == units
+
+
+class TestPowMod:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 10**6), st.integers(-(10**6), 10**6), st.integers(0, 64))
+    def test_degree_one_matches_pow(self, m, a, e):
+        ring = make_number_ring([0, 1])
+        ctx = residue_ctx(ring, principal_ideal(ring, (m,)))
+        assert pow_mod(ctx, (a,), e) == (pow(a, e, m),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.tuples(*[st.integers(-50, 50)] * 3),
+        st.integers(0, 64),
+    )
+    def test_cubic_matches_repeated_products(self, m, a, e):
+        ring = make_number_ring([-2, 0, 0, 1])  # x^3 - 2
+        ctx = residue_ctx(ring, principal_ideal(ring, ring.from_int(m)))
+        expected = reduce_mod(ctx, ring.one)
+        for _ in range(e):
+            expected = mul_mod(ctx, expected, a)
+        assert pow_mod(ctx, a, e) == expected
 
 
 class TestFieldOps:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import exunits
-from exunits import counting, polys
+from exunits import counting, ideals, polys
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,6 +76,37 @@ def test_eval_poly_is_reference_only():
                 ):
                     callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == ["polys.jacobian_rank_at"]
+
+
+def test_is_unit_mod_is_reference_only():
+    """The oracle decides units by walking powers: no function in
+    ``src/exunits`` calls ``is_unit_mod``, the literal reference."""
+
+    def calls_is_unit_mod(node):
+        return isinstance(node, ast.Call) and "is_unit_mod" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert _owners(calls_is_unit_mod) == []
+
+
+def test_brute_force_builds_no_hnf(monkeypatch):
+    """Once its modulus is built, the oracle computes no HNF: counting
+    reaches ``hnf_from_generators`` neither directly nor through residues."""
+    ring = exunits.make_number_ring([5, 0, 1])
+    circle = exunits.parse_poly("x1^2 + x2^2 - 1", ring, 2)
+    V = exunits.VarietySpec(amb=2, codim=1, equations=(circle,), declared_degree=2)
+    f = exunits.parse_poly("x1 - 2", ring, 1)
+    n = exunits.principal_ideal(ring, (21, 0))
+
+    def boom(*args):
+        raise RuntimeError("HNF computed by the oracle")
+
+    residues = importlib.import_module("exunits.residues")
+    for module in (ideals, residues, counting):
+        monkeypatch.setattr(module, "hnf_from_generators", boom, raising=False)
+    assert exunits.brute_force_count(ring, V, f, n) == 100
 
 
 def _owners(matches):
