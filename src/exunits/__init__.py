@@ -31,6 +31,7 @@ from .errors import (
     ExponentTooLarge,
     ExunitsError,
     FactorCapExceeded,
+    MinPolyTooLarge,
     NotAUnit,
     NotFullRank,
     NotMonic,
@@ -85,7 +86,6 @@ from .residues import (
     prime_ctx,
     reduce_mod,
     residue_ctx,
-    residues,
     square_class,
 )
 

@@ -31,7 +31,6 @@ from .errors import (
     UnitIdeal,
 )
 from .ideals import factor_ideal, ideal_norm, ideal_pow, prime_ideals_up_to
-from .number_ring import is_zero
 from .polys import (
     DEFAULT_CAP,
     _evaluator,
@@ -41,6 +40,7 @@ from .polys import (
     variety_indices,
 )
 from .residues import (
+    arithmetic,
     power_table,
     prime_ctx,
     reduce_mod,
@@ -103,8 +103,9 @@ def _exunit_flags(ctx, f):
     """
     value = _evaluator(ctx, f.terms)
     if ctx.prime is not None:
+        zero = arithmetic(ctx).zero
         for i in range(ctx.norm):
-            yield not is_zero(value((i,)))
+            yield value((i,)) != zero
         return
     units = unit_flags(ctx)
     for i in range(ctx.norm):
@@ -125,7 +126,8 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
 
     Requires good reduction at p: each point's Jacobian rank is checked as it
     is counted, and the first singular point raises BadReduction.  The sweep
-    and f share one residue context, so O_K/p is listed once.
+    and f share one residue context, so the field tables of O_K/p are built
+    once.
     """
     _check_f(f)
     ctx = prime_ctx(ring, prime_factor)

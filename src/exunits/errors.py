@@ -19,6 +19,10 @@ class Reducible(ExunitsError):
     pass
 
 
+class MinPolyTooLarge(ExunitsError):
+    """The defining polynomial is past MAX_DEGREE or MAX_COEFF."""
+
+
 class DimensionMismatch(ExunitsError):
     pass
 

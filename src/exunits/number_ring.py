@@ -12,9 +12,21 @@ and a wrong assertion surfaces later as norm inconsistencies.
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotMonic, Reducible, ZeroDegree
+from .errors import (
+    DimensionMismatch,
+    MinPolyTooLarge,
+    NotMonic,
+    Reducible,
+    ZeroDegree,
+)
 
 Element = tuple
+
+# bounds on g, checked first: its degree, and the absolute value of each of its
+# coefficients; the rational root test lists the divisors of the constant term
+# by trial division up to its square root, 10^6 divisions at the bound
+MAX_DEGREE = 12
+MAX_COEFF = 10 ** 12
 
 
 @dataclass(frozen=True)
@@ -70,9 +82,16 @@ def make_number_ring(min_poly):
     coeffs = tuple(int(c) for c in min_poly)
     if not coeffs:
         raise NotMonic("empty coefficient sequence")
+    deg = len(coeffs) - 1
+    if deg > MAX_DEGREE:
+        raise MinPolyTooLarge(f"degree {deg} is larger than {MAX_DEGREE}")
+    big = max(coeffs, key=abs)
+    if abs(big) > MAX_COEFF:
+        raise MinPolyTooLarge(
+            f"coefficient {big} is larger than {MAX_COEFF} in absolute value"
+        )
     if coeffs[-1] != 1:
         raise NotMonic(f"leading coefficient is {coeffs[-1]}, expected 1")
-    deg = len(coeffs) - 1
     if deg == 0:
         raise ZeroDegree("defining polynomial must have degree >= 1")
     if deg >= 2:

@@ -30,10 +30,10 @@ from .number_ring import (
     elem_mul,
     elem_neg,
     elem_scale,
-    elem_sub,
     is_zero,
 )
 from .residues import (
+    arithmetic,
     field_inverse,
     mul_mod,
     pow_mod,
@@ -511,34 +511,33 @@ def jacobian_rank_at(J, point, ctx):
 def _evaluator(ctx, terms):
     """The value of sum(coeff * x^exps) over ``terms`` at residue indices.
 
-    Each power is read from ``power_table``.  The coefficient is folded into
-    the first variable's table (a coefficient 1 reuses the power table
-    itself), each further variable costs one ring product, and the sum is
+    Compiled against ``arithmetic(ctx)``: each monomial is the ``term`` of
+    its coefficient and first variable, times the ``power`` of each further
+    variable, and the monomials are summed onto the constant term and
     reduced once.
     """
-    ring = ctx.ring
-    one = ring.one
-    const = ring.zero
+    ops = arithmetic(ctx)
+    const = ops.zero
     monomials = []
     for exps, coeff in terms.items():
         vars_ = [(i, e) for i, e in enumerate(exps) if e]
         if not vars_:
-            const = elem_add(ring, const, coeff)
+            const = ops.add(const, ops.encode(coeff))
             continue
         (i0, e0), *others = vars_
-        first = power_table(ctx, e0)
-        if coeff != one:
-            first = [mul_mod(ctx, coeff, x) for x in first]
-        monomials.append((i0, first, [(i, power_table(ctx, e)) for i, e in others]))
+        monomials.append(
+            (i0, ops.term(coeff, e0), [(i, ops.power(e)) for i, e in others])
+        )
+    add, mul, reduce = ops.add, ops.mul, ops.reduce
 
     def value(indices):
         acc = const
         for i0, first, others in monomials:
-            val = first[indices[i0]]
-            for i, table in others:
-                val = elem_mul(ring, val, table[indices[i]])
-            acc = elem_add(ring, acc, val)
-        return reduce_mod(ctx, acc)
+            val = first(indices[i0])
+            for i, power in others:
+                val = mul(val, power(indices[i]))
+            acc = add(acc, val)
+        return reduce(acc)
 
     return value
 
@@ -547,28 +546,29 @@ def _fiber_form(ctx, poly):
     """poly = sum_e c_e(x2, ..., x_amb) * x1^e, compiled for one fiber at a time.
 
     Returns ``at(rest)``, which evaluates every c_e once at the residue
-    indices rest = (i2, ..., i_amb) and gives ``(c_0, [(c_e, x1^e table)])``
-    for ``_x1_value``.  A table is built on the first call that needs it.
+    indices rest = (i2, ..., i_amb) and gives ``(c_0, [(c_e, x1 -> x1^e)])``
+    for ``_x1_value``.
     """
+    ops = arithmetic(ctx)
     by_power = {}
     for exps, coeff in poly.terms.items():
         by_power.setdefault(exps[0], {})[exps[1:]] = coeff
     c0 = _evaluator(ctx, by_power.pop(0, {}))
-    cs = [(_evaluator(ctx, c), e) for e, c in by_power.items()]
+    cs = [(_evaluator(ctx, c), ops.power(e)) for e, c in by_power.items()]
 
     def at(rest):
-        return c0(rest), [(c(rest), power_table(ctx, e)) for c, e in cs]
+        return c0(rest), [(c(rest), power) for c, power in cs]
 
     return at
 
 
-def _x1_value(ctx, fiber, i1):
+def _x1_value(ops, fiber, i1):
     """The value at x1 = residue i1 of a ``_fiber_form`` evaluated at a fiber."""
-    ring = ctx.ring
+    add, mul = ops.add, ops.mul
     acc, terms = fiber
-    for c, table in terms:
-        acc = elem_add(ring, acc, elem_mul(ring, c, table[i1]))
-    return reduce_mod(ctx, acc)
+    for c, power in terms:
+        acc = add(acc, mul(c, power(i1)))
+    return ops.reduce(acc)
 
 
 def compile_equations(ctx, equations):
@@ -588,11 +588,11 @@ def compile_equations(ctx, equations):
       returns a predicate on i1 that is True iff they all vanish at
       (i1,) + rest.
 
-    Everything is compiled with ``_evaluator`` on the power tables of
-    ``power_table``, shared with everything else compiled against ctx.
+    Everything is compiled with ``_evaluator`` against ``arithmetic(ctx)``,
+    shared with everything else compiled against ctx.
     """
     ring = ctx.ring
-    zero = ring.zero
+    ops = arithmetic(ctx)
     parts, targets, forms = [], [], []
     for eq in equations:
         if any(exps[0] and any(exps[1:]) for exps in eq.terms):
@@ -606,17 +606,17 @@ def compile_equations(ctx, equations):
         targets.append(_evaluator(ctx, negated))
 
     def part(i1):
-        return tuple(value((i1,)) for value in parts)
+        return tuple([value((i1,)) for value in parts])
 
     def target(rest):
-        return tuple(value(rest) for value in targets)
+        return tuple([value(rest) for value in targets])
 
     def mixed(rest):
         fibers = [at(rest) for at in forms]
 
         def solves(i1):
             for fiber in fibers:
-                if _x1_value(ctx, fiber, i1) != zero:
+                if _x1_value(ops, fiber, i1) != ops.zero:
                     return False
             return True
 
@@ -677,26 +677,20 @@ def iter_variety_points(ctx, V, cap=DEFAULT_CAP):
     return (tuple(reps[i] for i in indices) for indices in points)
 
 
-def _rank(ctx, rows):
-    """Rank over the residue field of a matrix of residues, with no inverse.
+def _rank(ops, rows):
+    """Rank over the residue field of a matrix of elements, with no inverse.
 
     Each row is reduced against every earlier pivot row r, of pivot column c,
     by row <- r[c] * row - row[c] * r.  Over a field this keeps the row space
     and clears column c; a row left nonzero adds a pivot.
     """
-    ring = ctx.ring
-    zero = ring.zero
+    zero, sub, mul, reduce = ops.zero, ops.sub, ops.mul, ops.reduce
     pivots = []
     for row in rows:
         for r, c in pivots:
             a, b = r[c], row[c]
             if b != zero:
-                row = [
-                    reduce_mod(
-                        ctx, elem_sub(ring, elem_mul(ring, a, x), elem_mul(ring, b, y))
-                    )
-                    for x, y in zip(row, r)
-                ]
+                row = [reduce(sub(mul(a, x), mul(b, y))) for x, y in zip(row, r)]
         col = next((j for j, x in enumerate(row) if x != zero), None)
         if col is not None:
             pivots.append((row, col))
@@ -707,11 +701,11 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     """Residue-index tuples of X(O_K/p) in enumeration order, checked smooth.
 
     ``ctx`` is the prime's context (``prime_ctx``): whatever else is compiled
-    against it, such as f in ``local_counts``, shares its residue list and
-    power tables.  A point is yielded once the Jacobian has the declared
-    codimension as rank there; the first point where it has not raises
-    BadReduction with ``ctx.prime`` and that point as witness.  The cap is
-    checked when this is called; the points come lazily.
+    against it, such as f in ``local_counts``, shares its arithmetic, and so
+    one build of the field tables.  A point is yielded once the Jacobian has
+    the declared codimension as rank there; the first point where it has not
+    raises BadReduction with ``ctx.prime`` and that point as witness.  The
+    cap is checked when this is called; the points come lazily.
 
     Every Jacobian entry is compiled once per prime as a ``_fiber_form``.  At
     each fiber the columns free of x1 are evaluated first: when they already
@@ -722,6 +716,7 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     ``jacobian_rank_at`` is the reference this agrees with.
     """
     points = variety_indices(ctx, V, cap)
+    ops = arithmetic(ctx)
     rows = jacobian(ctx.ring, V).rows
     m = len(rows)
     free = [
@@ -738,15 +733,15 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
                 rest = indices[1:]
                 values = [[at(rest)[0] for at in row] for row in free_forms]
                 fibers = None  # rank m on the whole fiber
-                if _rank(ctx, values) != m:
+                if _rank(ops, values) != m:
                     fibers = [[at(rest) for at in row] for row in x1_forms]
             rank = m
             if fibers is not None:
                 i1 = indices[0]
                 rank = _rank(
-                    ctx,
+                    ops,
                     [
-                        row + [_x1_value(ctx, fiber, i1) for fiber in entries]
+                        row + [_x1_value(ops, fiber, i1) for fiber in entries]
                         for row, entries in zip(values, fibers)
                     ],
                 )

@@ -2,15 +2,21 @@
 
 Residues are canonical coordinate tuples: coordinate i lies in
 [0, basis[i][i]) for the modulus HNF basis.  Arithmetic is exact ring
-arithmetic followed by reduction; the only tables are the powers of all
-residues, built on first use and kept with their context (``power_table``),
-and the units of O/n, decided by walking powers (``unit_flags``).
+arithmetic followed by reduction.  The only tables are the powers of all
+residues, built on first use and kept with their context (``power_table``);
+the units of O/n, decided by walking powers (``unit_flags``); and, at a
+prime, the log, antilog and Zech tables of the residue field
+(``field_tables``), through which ``arithmetic`` adds and multiplies
+residue indices as integers.
 
 Enumeration is fixed in lexicographic order of (c_{d-1}, ..., c_0), i.e.
 the highest power-basis coordinate varies slowest.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
+from operator import index, mul
 
 from .errors import (
     EvenCharacteristic,
@@ -20,7 +26,7 @@ from .errors import (
     UnitIdeal,
     ZeroIdeal,
 )
-from .ideals import hnf_from_generators, ideal_norm
+from .ideals import _small_prime_factors, hnf_from_generators, ideal_norm
 from .number_ring import elem_add, elem_mul, elem_sub, is_zero
 
 
@@ -29,15 +35,16 @@ class ResidueCtx:
     """A number ring together with a proper modulus ideal.
 
     ``prime`` is set when the context was built from a PrimeFactor, which
-    unlocks the residue-field operations (inversion, square classes).
-    ``powers`` holds the tables of ``power_table`` once they are built.
+    unlocks the residue-field operations (inversion, square classes) and
+    the field tables.  ``tables`` holds what is built on first use: the
+    tables of ``power_table`` by exponent, and the ``arithmetic`` object.
     """
 
     ring: object
     modulus: object
     norm: int
     prime: object = None
-    powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def residue_ctx(ring, modulus):
@@ -88,11 +95,11 @@ def residues(ctx):
 def power_table(ctx, e):
     """The e-th powers of all residues, in index order; e = 1 gives the residues.
 
-    Each table is built on first use and kept in ``ctx.powers``, so that
+    Each table is built on first use and kept in ``ctx.tables``, so that
     everything compiled against one context shares one list of residues and
     one table per exponent.
     """
-    tables = ctx.powers
+    tables = ctx.tables
     if 1 not in tables:
         tables[1] = list(residues(ctx))
     if e not in tables:
@@ -174,6 +181,166 @@ def pow_mod(ctx, a, e):
         if bit == "1":
             result = mul_mod(ctx, result, base)
     return result
+
+
+def field_tables(ctx):
+    """Log, antilog and Zech tables of the residue field O/P, by residue index.
+
+    g is the first primitive element in index order, found by testing
+    g^((q-1)/r) != 1 for each prime r dividing q - 1; when q > p the search
+    starts past the subfield F_p, whose indices come first.  Then, with
+    m = q - 1:
+
+    * ``exp[k]`` is the index of g^k, for 0 <= k < m;
+    * ``log[i]`` is the k with exp[k] = i, for every nonzero index i
+      (``log[0]`` is -1: zero has no log);
+    * ``zech[k]`` is log(1 + g^k), or -1 where 1 + g^k = 0 (Zech's
+      logarithm; Lidl and Niederreiter, *Finite Fields*, and K. Huber, IEEE
+      Trans. IT 36, 1990).
+
+    Past the search, and the f ring products that give the matrix of g,
+    neither the walk over the powers of g nor the Zech table needs a ring
+    product.  Every HNF row of P with diagonal p is p times a unit vector,
+    so the f digits of an index are its coordinates of radix p, the sum of
+    two residues is their digit-wise sum mod p, adding 1 adds 1 to the
+    lowest digit, and multiplying by g is a matrix over F_p on the digits.
+    Raises ExunitsError, naming p and q, unless every nonzero index received
+    a log.
+    """
+    basis = ctx.modulus.basis
+    p = basis[0][0]
+    q = ctx.norm
+    m = q - 1
+    one = reduce_mod(ctx, ctx.ring.one)
+    primes = _small_prime_factors(m)
+    # when q > p, the indices below p are the subfield F_p: none is primitive;
+    # if no element is (O/P is no field), g = 1 and the guard below raises
+    candidates = islice(residues(ctx), p if q > p else 1, None)
+    primitive = (
+        a for a in candidates if all(pow_mod(ctx, a, m // r) != one for r in primes)
+    )
+    g = next(primitive, one)
+    coords = [i for i, row in enumerate(basis) if row[i] > 1]  # of radix p
+    vectors = [tuple(int(j == i) for j in range(len(basis))) for i in coords]
+    images = [mul_mod(ctx, g, v) for v in vectors]
+    matrix = [[image[j] for image in images] for j in coords]
+    weights = [p ** j for j in range(len(coords))]
+    log = [-1] * q
+    exp = [0] * m
+    digits = [1] + [0] * (len(coords) - 1)
+    for k in range(m):
+        i = sum(map(mul, weights, digits))
+        exp[k] = i
+        log[i] = k
+        digits = [sum(map(mul, row, digits)) % p for row in matrix]
+    # index 0, and only index 0, has no log
+    if log[0] != -1 or log.count(-1) != 1:
+        raise ExunitsError(
+            f"the powers of a primitive element miss residues of O/P "
+            f"(p = {ctx.prime.p}, q = {q})"
+        )
+    zech = [-1] * m
+    for k, i in enumerate(exp):
+        j = i - i % p + (i + 1) % p
+        if j:
+            zech[k] = log[j]
+    return log, exp, zech
+
+
+def arithmetic(ctx):
+    """The arithmetic of O/n that the point kernel compiles against.
+
+    Built on first use and kept with ctx.  It hides the form of an element:
+
+    * at a prime context (``ctx.prime`` set) an element is the residue's
+      index in the order of ``residues``, and arithmetic goes through the
+      tables of ``field_tables``, so every result is canonical;
+    * otherwise it is a ring element tuple: ``add``, ``sub`` and ``mul`` are
+      ring arithmetic, and ``reduce`` (``reduce_mod``) makes a result
+      canonical once at the end, as for any tuple in this module.
+
+    Either object has ``zero``; ``encode(a)``, the canonical element of a
+    ring element a; ``add``, ``sub``, ``mul`` and ``reduce``; and, for
+    e >= 1, ``power(e)`` and ``term(c, e)``, functions from a residue index
+    i to the canonical element of r_i^e and of c * r_i^e, where r_i is the
+    i-th residue.  Two canonical elements are equal iff their residues are.
+    """
+    ops = ctx.tables.get("arithmetic")
+    if ops is None:
+        kind = _FieldArithmetic if ctx.prime is not None else _RingArithmetic
+        ops = ctx.tables["arithmetic"] = kind(ctx)
+    return ops
+
+
+class _RingArithmetic:
+    """O/n as tuples; powers are read from ``power_table``."""
+
+    def __init__(self, ctx):
+        ring = ctx.ring
+        self.ctx = ctx
+        self.zero = ring.zero
+        self.encode = self.reduce = partial(reduce_mod, ctx)
+        self.add = partial(elem_add, ring)
+        self.sub = partial(elem_sub, ring)
+        self.mul = partial(elem_mul, ring)
+
+    def power(self, e):
+        return power_table(self.ctx, e).__getitem__
+
+    def term(self, c, e):
+        table = power_table(self.ctx, e)
+        if c != self.ctx.ring.one:
+            table = [mul_mod(self.ctx, c, x) for x in table]
+        return table.__getitem__
+
+
+class _FieldArithmetic:
+    """O/P as residue indices, 0 the zero residue and i = g^log[i] otherwise.
+
+    A product adds logs mod q - 1, a sum a + b = a * (1 + b/a) adds the Zech
+    logarithm of b/a to log a, and x^e multiplies log x by e, so no table is
+    built per exponent.  Sums of two logs are not reduced: for 0 <= k < 2m,
+    Python's negative indices read exp[k - m] as exp[k mod m].
+    """
+
+    zero = 0
+    reduce = staticmethod(index)  # every result is canonical: the int itself
+
+    def __init__(self, ctx):
+        log, exp, zech = field_tables(ctx)
+        m = ctx.norm - 1
+        log_minus_one = log[ctx.modulus.basis[0][0] - 1]  # -1 has index p - 1
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            return exp[la + z - m] if z >= 0 else 0
+
+        def sub(a, b):
+            return add(a, exp[(log[b] + log_minus_one) % m]) if b else a
+
+        def mul(a, b):
+            return exp[log[a] + log[b] - m] if a and b else 0
+
+        self.encode = lambda a: residue_index(ctx, reduce_mod(ctx, a))
+        self.add, self.sub, self.mul = add, sub, mul
+        self.log, self.exp, self.m = log, exp, m
+
+    def power(self, e):
+        log, exp, m = self.log, self.exp, self.m
+        return lambda i: exp[log[i] * e % m] if i else 0
+
+    def term(self, c, e):
+        c = self.encode(c)
+        if not c:
+            return lambda i: 0
+        log, exp, m = self.log, self.exp, self.m
+        lc = log[c]
+        return lambda i: exp[(lc + log[i] * e) % m] if i else 0
 
 
 def is_unit_mod(ctx, a):

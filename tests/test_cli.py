@@ -181,6 +181,21 @@ def _variety(**overrides):
             + ["--modulus", '{"primes":[{"h":[1,1]}]}'],
             id="prime-without-p",
         ),
+        pytest.param(
+            {"field": {"min_poly": [2] + [0] * 12 + [1]}},
+            ["count"],
+            id="g-degree-13",
+        ),
+        pytest.param(
+            {"field": {"min_poly": [10 ** 12 + 1, 0, 1]}},
+            ["count"],
+            id="g-coefficient",
+        ),
+        pytest.param(
+            {"field": {"min_poly": [1, -(10 ** 16), 0, 1]}},
+            ["verify"],
+            id="g-coefficient-not-constant",
+        ),
     ],
 )
 def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
@@ -191,6 +206,14 @@ def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_g_at_the_coefficient_bound(circle_config, capsys):
+    """g = x^2 + 10^12 is inside the bound: 3 is inert, as for x^2 + 1."""
+    path = circle_config(field={"min_poly": [10 ** 12, 0, 1]})
+    assert main(["count", "--config", path, "--method", "both"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["modulus_norm"] == "9" and out["agreement"] is True
 
 
 # small values of every JSON type, for keys given the wrong one

@@ -31,21 +31,25 @@ from exunits import (
     ideal_norm,
     ideal_pow,
     is_unit_mod,
+    iter_variety_points,
+    jacobian,
+    jacobian_rank_at,
     langweil_deviation,
     lifting_census,
     local_counts,
     make_number_ring,
     parse_poly,
     polys,
+    prime_ctx,
     prime_ideals_above,
     prime_power_count,
     principal_ideal,
     residue_ctx,
-    residues,
     theorem1_count,
     unit_ideal,
 )
 from exunits.errors import BadModulus
+from exunits.residues import residues
 
 # Q, Q(i), Q(sqrt(-5)) and Q(2^(1/3)); each ring of integers is Z[theta]
 RINGS = [[0, 1], [1, 0, 1], [5, 0, 1], [-2, 0, 0, 1]]
@@ -244,6 +248,47 @@ class TestLocalCounts:
         ld = local_counts(rat, V, parse_poly("x1 - 1", rat, 1), pf)
         assert (ld.count_X, ld.count_N) == (0, 0)
         assert calls == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_at_prime_moduli(self, data):
+        """The field arithmetic of the sweep against the oracle, which counts
+        mod P on tuples: the quartic x^4 + 1 and rings of degree 1 to 3, the
+        mixed monomial x1*x2 - 1, the codim-2 curve and random hypersurfaces."""
+        quartic = [1, 0, 0, 0, 1]  # x^4 + 1
+        ring = make_number_ring(data.draw(st.sampled_from(RINGS + [quartic])))
+        kind = data.draw(st.sampled_from(["mixed", "curve", "random"]))
+        if kind == "mixed":
+            amb, sources = 2, ["x1*x2 - 1"]
+        elif kind == "curve":
+            amb, sources = 3, ["x1^2 + x2^2 - 1", "x3 - x1*x2"]
+        else:
+            amb, sources = data.draw(st.integers(1, 2)), []
+        equations = tuple(parse_poly(src, ring, amb) for src in sources) or (
+            data.draw(_polys(ring, amb, nonconstant=True)),
+        )
+        V = VarietySpec(
+            amb=amb, codim=len(equations), equations=equations, declared_degree=2
+        )
+        primes = [
+            pf
+            for p in (2, 3, 5, 7, 11, 13)
+            for pf in prime_ideals_above(ring, p)
+            if pf.norm ** amb <= 2500
+        ]
+        pf = data.draw(st.sampled_from(primes))
+        event(f"q = {pf.norm}")
+        f = data.draw(_polys(ring, 1, nonconstant=True))
+        try:
+            ld = local_counts(ring, V, f, pf)
+        except BadReduction as exc:
+            event("bad reduction")
+            J = jacobian(ring, V)
+            assert jacobian_rank_at(J, exc.witness, prime_ctx(ring, pf)) != V.codim
+            return
+        points = iter_variety_points(residue_ctx(ring, pf.hnf), V)
+        assert ld.count_X == sum(1 for _ in points)
+        assert ld.count_X - ld.count_N == brute_force_count(ring, V, f, pf.hnf)
 
 
 class TestPrimePower:

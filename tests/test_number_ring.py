@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exunits import (
+    MinPolyTooLarge,
     NotMonic,
     Reducible,
     ZeroDegree,
@@ -13,7 +14,7 @@ from exunits import (
     make_number_ring,
 )
 from exunits.errors import DimensionMismatch
-from exunits.number_ring import is_zero
+from exunits.number_ring import MAX_COEFF, MAX_DEGREE, is_zero
 
 
 @pytest.fixture
@@ -52,6 +53,29 @@ class TestConstruction:
 
     def test_cubic_irreducible(self):
         assert make_number_ring([2, 0, 0, 1]).deg == 3
+
+    def test_degree_bound(self):
+        """x^12 + 2 is accepted and x^13 + 2 refused."""
+        assert MAX_DEGREE == 12
+        assert make_number_ring([2] + [0] * 11 + [1]).deg == 12
+        with pytest.raises(MinPolyTooLarge, match="degree 13"):
+            make_number_ring([2] + [0] * 12 + [1])
+
+    def test_coefficient_bound(self):
+        """|c| = 10^12 is accepted as the constant term (10^6 trial divisions
+        for its divisors) and elsewhere; 10^12 + 1 is refused in any position
+        and with either sign, before the divisors are listed."""
+        assert MAX_COEFF == 10 ** 12
+        assert make_number_ring([MAX_COEFF, 0, 1]).deg == 2
+        assert make_number_ring([1, -MAX_COEFF, 0, 1]).deg == 3
+        for g in (
+            [MAX_COEFF + 1, 0, 1],
+            [-MAX_COEFF - 1, 0, 1],
+            [1, MAX_COEFF + 1, 0, 1],
+            [10 ** 16 + 61, 0, 1],
+        ):
+            with pytest.raises(MinPolyTooLarge, match="larger than 1000000000000"):
+                make_number_ring(g)
 
 
 class TestOperations:

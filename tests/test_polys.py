@@ -31,7 +31,6 @@ from exunits import (
     principal_ideal,
     reduce_mod,
     residue_ctx,
-    residues,
 )
 from exunits.cli import main
 from exunits.errors import DimensionMismatch
@@ -45,7 +44,7 @@ from exunits.polys import (
     variety_indices,
     zero_poly,
 )
-from exunits.residues import add_mod, mul_mod
+from exunits.residues import add_mod, mul_mod, residues
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from exunits import (
     EvenCharacteristic,
+    ExunitsError,
     NotAUnit,
     NotPrime,
     UnitIdeal,
@@ -21,12 +22,22 @@ from exunits import (
     principal_ideal,
     reduce_mod,
     residue_ctx,
-    residues,
     square_class,
     unit_ideal,
 )
+from exunits.ideals import prime_ideals_above
 from exunits.number_ring import elem_sub, is_zero
-from exunits.residues import mul_mod, pow_mod, unit_flags
+from exunits.residues import (
+    ResidueCtx,
+    add_mod,
+    arithmetic,
+    field_tables,
+    mul_mod,
+    pow_mod,
+    residues,
+    sub_mod,
+    unit_flags,
+)
 
 
 @pytest.fixture
@@ -273,3 +284,121 @@ class TestPartitionAndCRT:
             for a in residues(ctx_mn)
         }
         assert len(images) == ctx_m.norm * ctx_n.norm == ctx_mn.norm
+
+
+# Q, Q(i), Q(sqrt(-5)), Z[2^(1/3)], x^4 + 1, and the characteristic-2 fields
+# F_4 (x^2 + x + 1 at 2) and F_8 (x^3 + x + 3 at 2)
+FIELD_RINGS = [[0, 1], [1, 0, 1], [5, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1]]
+CHAR2_RINGS = [[1, 1, 1], [3, 1, 0, 1]]
+
+
+def _field(min_poly, p, index=0):
+    ring = make_number_ring(min_poly)
+    pf = prime_ideals_above(ring, p)[index]
+    ctx = prime_ctx(ring, pf)
+    return ring, ctx, list(residues(ctx))
+
+
+class TestFieldArithmetic:
+    """At a prime, ``arithmetic`` works on residue indices through log,
+    antilog and Zech tables; the tuple operations are the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_arithmetic(self, data):
+        min_poly = data.draw(st.sampled_from(FIELD_RINGS + CHAR2_RINGS))
+        ring = make_number_ring(min_poly)
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+        pf = data.draw(st.sampled_from(prime_ideals_above(ring, p)))  # q <= 2197
+        ctx = prime_ctx(ring, pf)
+        ops = arithmetic(ctx)
+        reps = list(residues(ctx))
+        indices = st.integers(0, ctx.norm - 1)
+        a, b = data.draw(indices), data.draw(indices)
+        e = data.draw(st.integers(1, 3 * ctx.norm))
+        coords = st.integers(-2 * p, 2 * p)
+        c = tuple(data.draw(coords) for _ in range(ring.deg))
+        x, y = reps[a], reps[b]
+        assert reps[ops.add(a, b)] == add_mod(ctx, x, y)
+        assert reps[ops.sub(a, b)] == sub_mod(ctx, x, y)
+        assert reps[ops.mul(a, b)] == mul_mod(ctx, x, y)
+        assert reps[ops.power(e)(a)] == pow_mod(ctx, x, e)
+        assert reps[ops.term(c, e)(a)] == mul_mod(ctx, c, pow_mod(ctx, x, e))
+        assert reps[ops.encode(c)] == reduce_mod(ctx, c)
+        assert ops.reduce(a) == a
+
+    @pytest.mark.parametrize(
+        "min_poly, p, index, q",
+        [
+            ([0, 1], 13, 0, 13),  # Q
+            ([1, 0, 1], 3, 0, 9),  # Q(i), inert
+            ([1, 0, 1], 5, 1, 5),  # Q(i), split
+            ([1, 0, 1], 2, 0, 2),  # Q(i), ramified
+            ([5, 0, 1], 5, 0, 5),  # Q(sqrt(-5)), ramified
+            ([5, 0, 1], 11, 0, 121),  # Q(sqrt(-5)), inert
+            ([-2, 0, 0, 1], 7, 0, 343),  # Z[2^(1/3)], inert
+            ([-2, 0, 0, 1], 3, 0, 3),  # Z[2^(1/3)], ramified
+            ([1, 0, 0, 0, 1], 2, 0, 2),  # x^4 + 1 above 2, ramified
+            ([1, 0, 0, 0, 1], 3, 0, 9),  # x^4 + 1 above 3
+            ([1, 0, 0, 0, 1], 5, 0, 25),  # x^4 + 1 above 5
+            ([1, 0, 0, 0, 1], 17, 0, 17),  # x^4 + 1 above 17, split
+            ([1, 1, 1], 2, 0, 4),  # F_4
+            ([3, 1, 0, 1], 2, 0, 8),  # F_8
+        ],
+    )
+    def test_every_pair(self, min_poly, p, index, q):
+        """Every sum, difference and product, and the tables themselves."""
+        _, ctx, reps = _field(min_poly, p, index)
+        assert ctx.norm == q
+        ops = arithmetic(ctx)
+        log, exp, zech = field_tables(ctx)
+        assert sorted(exp) == list(range(1, q))
+        assert log[0] == -1 and all(exp[log[i]] == i for i in range(1, q))
+        sample = range(q) if q <= 25 else random.Random(q).sample(range(q), 25)
+        for a in sample:
+            for b in range(q):
+                x, y = reps[a], reps[b]
+                assert reps[ops.add(a, b)] == add_mod(ctx, x, y)
+                assert reps[ops.sub(a, b)] == sub_mod(ctx, x, y)
+                assert reps[ops.mul(a, b)] == mul_mod(ctx, x, y)
+
+    @pytest.mark.parametrize(
+        "min_poly, q", [([0, 1], 2), ([1, 1, 1], 4), ([3, 1, 0, 1], 8)]
+    )
+    def test_characteristic_two(self, min_poly, q):
+        """q = 2 has q - 1 = 1; in every characteristic-2 field -1 = 1, so
+        a difference is a sum and a + a = 0."""
+        ring, ctx, reps = _field(min_poly, 2)
+        assert ctx.norm == q
+        ops = arithmetic(ctx)
+        for a in range(q):
+            assert ops.add(a, a) == 0
+            for b in range(q):
+                assert ops.sub(a, b) == ops.add(a, b)
+        one = reduce_mod(ctx, ring.one)
+        assert [reps[ops.power(q - 1)(a)] for a in range(1, q)] == [one] * (q - 1)
+
+    def test_guard_names_p_and_q(self):
+        """A context whose modulus is not a prime gets no tables: the powers
+        of the element found miss residues, and the guard raises."""
+        rat = make_number_ring([0, 1])
+        p3 = prime_ideals_above(rat, 3)[0]
+        fake = ResidueCtx(
+            ring=rat, modulus=principal_ideal(rat, (9,)), norm=9, prime=p3
+        )
+        with pytest.raises(ExunitsError, match=r"p = 3, q = 9"):
+            field_tables(fake)
+
+    def test_composite_stays_on_tuples(self, q5):
+        ctx = residue_ctx(q5, principal_ideal(q5, (6, 0)))
+        ops = arithmetic(ctx)
+        reps = list(residues(ctx))
+        assert ops.zero == q5.zero
+        for x in reps[:12]:
+            for y in reps[::5]:
+                assert ops.reduce(ops.add(x, y)) == add_mod(ctx, x, y)
+                assert ops.reduce(ops.sub(x, y)) == sub_mod(ctx, x, y)
+                assert ops.reduce(ops.mul(x, y)) == mul_mod(ctx, x, y)
+        assert [ops.power(3)(i) for i in range(ctx.norm)] == [
+            pow_mod(ctx, x, 3) for x in reps
+        ]

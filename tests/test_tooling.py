@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,69 @@ def test_one_residue_context_per_local_count(monkeypatch):
     prime_factor = exunits.prime_ideals_above(ring, 3)[0]
     assert exunits.local_counts(ring, V, f, prime_factor).count_X == 4
     assert len(contexts) == 1
+
+
+def test_residues_is_the_submodule():
+    """``exunits.residues`` is the module, not the generator it defines, so
+    that a monkeypatch on it intercepts."""
+    assert isinstance(exunits.residues, types.ModuleType)
+    assert exunits.residues is importlib.import_module("exunits.residues")
+
+
+def test_field_tables_have_one_owner():
+    """Only the field arithmetic of ``residues`` builds the field tables."""
+
+    def calls_field_tables(node):
+        return isinstance(node, ast.Call) and "field_tables" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert _owners(calls_field_tables) == ["residues._FieldArithmetic"]
+
+
+def _count_field_tables(monkeypatch):
+    """Patch the builder of the field tables; returns the list of its calls."""
+    builds = []
+    build = exunits.residues.field_tables
+
+    def counted(ctx):
+        builds.append((ctx.prime.p, ctx.prime.h_coeffs))
+        return build(ctx)
+
+    monkeypatch.setattr(exunits.residues, "field_tables", counted)
+    return builds
+
+
+def test_field_tables_once_per_local_count(monkeypatch):
+    """The sweep, its Jacobian check and f share one build of the tables."""
+    ring = exunits.make_number_ring([5, 0, 1])
+    curve = tuple(
+        exunits.parse_poly(src, ring, 3) for src in ("x1^2 + x2^2 - 1", "x3 - x1*x2")
+    )
+    V = exunits.VarietySpec(amb=3, codim=2, equations=curve, declared_degree=2)
+    f = exunits.parse_poly("x1 - 2", ring, 1)
+    builds = _count_field_tables(monkeypatch)
+    prime_factor = exunits.prime_ideals_above(ring, 7)[0]
+    assert exunits.local_counts(ring, V, f, prime_factor).count_X == 8
+    assert builds == [(7, prime_factor.h_coeffs)]
+
+
+def test_field_tables_once_per_prime_in_asympt(monkeypatch):
+    """A family builds the tables once per distinct prime, bad ones included."""
+    ring = exunits.make_number_ring([5, 0, 1])
+    circle = exunits.parse_poly("x1^2 + x2^2 - 1", ring, 2)
+    V = exunits.VarietySpec(amb=2, codim=1, equations=(circle,), declared_degree=2)
+    f = exunits.parse_poly("x1 - 2", ring, 1)
+    family = [
+        exunits.factor_ideal(ring, exunits.principal_ideal(ring, (n, 0)))
+        for n in (2, 3, 6, 9, 21, 7)
+    ]
+    builds = _count_field_tables(monkeypatch)
+    records = exunits.asympt_series(ring, V, f, family)
+    assert [r.N for r in records] == [9, 81, 441, 49]
+    primes = [(2, (1, 1)), (3, (1, 1)), (3, (2, 1)), (7, (3, 1)), (7, (4, 1))]
+    assert sorted(builds) == primes
 
 
 def test_no_module_level_cache():
