@@ -285,11 +285,14 @@ def _fmt_float(x):
 def cmd_asympt(args):
     cfg = load_config(args.config)
     cap = cfg["options"].get("cap", counting.DEFAULT_CAP)
-    max_norm = args.max_norm or cfg["options"].get("max_norm")
+    max_norm = args.max_norm if args.max_norm is not None else cfg["options"].get(
+        "max_norm"
+    )
     if max_norm is None:
         raise ConfigError("asympt requires --max-norm")
-    if max_norm > 10 ** 4:
-        raise ConfigError("max-norm must be at most 10^4")
+    # no prime ideal has norm below 2: a smaller bound names an empty family
+    if not 2 <= max_norm <= 10 ** 4:
+        raise ConfigError(f"max-norm must be from 2 to 10^4, not {max_norm}")
     products = args.products if args.products is not None else cfg["options"].get(
         "products", 0
     )

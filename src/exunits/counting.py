@@ -2,9 +2,10 @@
 
 Three mutually checking routes are implemented:
 
-* ``brute_force_count``  -- literal enumeration of (O_K/n)^amb, the oracle;
-  it never assumes smoothness or good reduction, and it decides the units
-  of O_K/n by walking powers (``residues.unit_flags``), not by factoring n.
+* ``brute_force_count``  -- the oracle: it enumerates X(O_K/n) fiber by
+  fiber over the unit residues and counts the points; it never assumes
+  smoothness or good reduction, and it decides the units of O_K/n by
+  walking powers (``residues.unit_flags``), not by factoring n.
 * ``theorem1_count``     -- the local-global product over primes dividing n,
   valid under good reduction; cost is independent of the exponents in n.
 * ``example25_count``    -- the closed form for the circle x^2 + y^2 = c over
@@ -118,7 +119,7 @@ def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
     ctx = residue_ctx(ring, n_ideal)
     # lazy, so that the kernel's cap check runs before f is evaluated
     units = (i for i, unit in enumerate(_exunit_flags(ctx, f)) if unit)
-    return sum(1 for _ in variety_indices(ctx, V, cap, units))
+    return sum(len(x1s) for _, x1s in variety_indices(ctx, V, cap, units))
 
 
 def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
@@ -211,8 +212,10 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     ctx_k = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k))
     lifts = dict.fromkeys(iter_variety_points(ctx_k, V, cap), 0)
     reps = power_table(ctx_k1, 1)
-    for indices in upper:
-        lifts[tuple(reduce_mod(ctx_k, reps[i]) for i in indices)] += 1
+    for rest, x1s in upper:
+        below = tuple(reduce_mod(ctx_k, reps[i]) for i in rest)
+        for i in x1s:
+            lifts[(reduce_mod(ctx_k, reps[i]),) + below] += 1
     return dict(Counter(lifts.values()))
 
 

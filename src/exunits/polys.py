@@ -14,7 +14,7 @@ Polynomials are sparse term maps: exponent vector -> nonzero coefficient
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import comb
 
 from .errors import (
@@ -542,28 +542,40 @@ def _evaluator(ctx, terms):
     return value
 
 
-def _fiber_form(ctx, poly):
-    """poly = sum_e c_e(x2, ..., x_amb) * x1^e, compiled for one fiber at a time.
+class _FiberForm:
+    """poly = c_0 + sum_{e>0} c_e * x1^e, each c_e a polynomial in x2, ..., x_amb.
 
-    Returns ``at(rest)``, which evaluates every c_e once at the residue
-    indices rest = (i2, ..., i_amb) and gives ``(c_0, [(c_e, x1 -> x1^e)])``
-    for ``_x1_value``.
+    ``c0`` and every c_e are compiled with ``_evaluator`` on the residue
+    indices rest = (i2, ..., i_amb).  ``cs`` pairs each c_e with x1 -> x1^e
+    (``power(e)``) and is empty when poly is free of x1.  ``separable`` is
+    True when every c_e is a constant, that is when no monomial mixes x1
+    with another variable.
     """
+
+    __slots__ = ("c0", "cs", "separable")
+
+    def __init__(self, c0, cs, separable):
+        self.c0, self.cs, self.separable = c0, cs, separable
+
+    def at(self, rest):
+        """c_0 and the pairs (c_e, x1 -> x1^e) at one fiber, for ``_x1_value``."""
+        return self.c0(rest), [(c(rest), power) for c, power in self.cs]
+
+
+def _fiber_form(ctx, poly):
+    """Compile poly once as a ``_FiberForm``: equations and Jacobian entries alike."""
     ops = arithmetic(ctx)
     by_power = {}
     for exps, coeff in poly.terms.items():
         by_power.setdefault(exps[0], {})[exps[1:]] = coeff
     c0 = _evaluator(ctx, by_power.pop(0, {}))
     cs = [(_evaluator(ctx, c), ops.power(e)) for e, c in by_power.items()]
-
-    def at(rest):
-        return c0(rest), [(c(rest), power) for c, power in cs]
-
-    return at
+    separable = not any(any(exps) for c in by_power.values() for exps in c)
+    return _FiberForm(c0, cs, separable)
 
 
 def _x1_value(ops, fiber, i1):
-    """The value at x1 = residue i1 of a ``_fiber_form`` evaluated at a fiber."""
+    """The value at x1 = residue i1 of a ``_FiberForm`` evaluated at a fiber."""
     add, mul = ops.add, ops.mul
     acc, terms = fiber
     for c, power in terms:
@@ -571,110 +583,77 @@ def _x1_value(ops, fiber, i1):
     return ops.reduce(acc)
 
 
-def compile_equations(ctx, equations):
-    """Split every equation by the power of x1, the fastest coordinate.
-
-    An equation reads sum_e c_e(x2, ..., x_amb) * x1^e.  It is separable when
-    c_e is a constant for every e > 0, that is when no monomial mixes x1 with
-    another variable.  Returns ``(part, target, mixed)``, on residue indices:
-
-    * ``part(i1)``: the values of the x1 parts sum_{e>0} c_e * x1^e of the
-      separable equations;
-    * ``target(rest)``: the values of -c_0 of the separable equations at
-      rest = (i2, ..., i_amb), so that (i1,) + rest solves them exactly when
-      ``part(i1) == target(rest)``;
-    * ``mixed``: None when every equation is separable, else ``mixed(rest)``
-      evaluates the ``_fiber_form`` of each other equation at rest once and
-      returns a predicate on i1 that is True iff they all vanish at
-      (i1,) + rest.
-
-    Everything is compiled with ``_evaluator`` against ``arithmetic(ctx)``,
-    shared with everything else compiled against ctx.
-    """
-    ring = ctx.ring
-    ops = arithmetic(ctx)
-    parts, targets, forms = [], [], []
-    for eq in equations:
-        if any(exps[0] and any(exps[1:]) for exps in eq.terms):
-            forms.append(_fiber_form(ctx, eq))
-            continue
-        x1_part = {exps[:1]: c for exps, c in eq.terms.items() if exps[0]}
-        parts.append(_evaluator(ctx, x1_part))
-        negated = {
-            exps[1:]: elem_neg(ring, c) for exps, c in eq.terms.items() if not exps[0]
-        }
-        targets.append(_evaluator(ctx, negated))
-
-    def part(i1):
-        return tuple([value((i1,)) for value in parts])
-
-    def target(rest):
-        return tuple([value(rest) for value in targets])
-
-    def mixed(rest):
-        fibers = [at(rest) for at in forms]
-
-        def solves(i1):
-            for fiber in fibers:
-                if _x1_value(ops, fiber, i1) != ops.zero:
-                    return False
-            return True
-
-        return solves
-
-    return part, target, mixed if forms else None
+def _roots(ops, fibers, xs):
+    """The i1 of xs, in order, at which every one of the fibers vanishes."""
+    zero = ops.zero
+    return [i for i in xs if all(_x1_value(ops, f, i) == zero for f in fibers)]
 
 
 def variety_indices(ctx, V, cap, digits=None):
-    """Residue-index tuples of the points of X over O_K/n, in enumeration order.
+    """The points of X over O_K/n, one fiber at a time, in enumeration order.
 
-    Coordinate 1 varies fastest, and index i stands for the i-th residue of
-    ``residues(ctx)``.  ``digits`` restricts every coordinate to the given
-    indices (all of them by default) and keeps their order.  The cap bounds
-    the full space of norm^amb tuples whatever ``digits`` is.  This is the
-    only check of the enumeration cap: it runs when this is called, and
-    nothing else, not even the list of residues, is built before the first
-    point is asked for.
+    Yields ``(rest, x1s)`` for each rest = (i2, ..., i_amb) whose fiber has a
+    point, where x1s lists the i1 for which (i1,) + rest is a point.  Index
+    i stands for the i-th residue of ``residues(ctx)``; coordinate 1 varies
+    fastest and the last slowest.  ``digits`` restricts every coordinate to
+    the given indices (all of them by default) and keeps their order.  The
+    cap bounds the full space of norm^amb tuples whatever ``digits`` is.
+    This is the only check of the enumeration cap: it runs when this is
+    called, and nothing else, not even the list of residues, is built before
+    the first fiber is asked for.
 
-    The points come fiber by fiber: for each rest = (x2, ..., x_amb) the
-    x1-free parts of the equations are evaluated once, and the x1 solutions
-    of the separable ones are looked up in a table, built once over
-    ``digits``, from the values of their x1 parts to the x1 that take them.
-    Equations that mix x1 with another variable are checked on those
-    solutions one by one.  With amb = 1 there is one fiber, scanned directly.
+    Every equation is compiled once, as a ``_fiber_form``.  For the separable
+    ones a table is built once over ``digits`` from their constants c_e: it
+    maps minus the values of their x1 parts to the x1 that take them, and a
+    fiber looks up the values of their c_0 there.  Equations that mix x1
+    with another variable are checked on those x1 one by one.  With amb = 1
+    there is one fiber, (), scanned with no table.
     """
     if ctx.norm ** V.amb > cap:
         raise EnumerationCapExceeded(
             f"{ctx.norm}^{V.amb} candidate points exceed the cap {cap}"
         )
 
-    def points():
-        part, target, mixed = compile_equations(ctx, V.equations)
+    def fibers():
+        ops = arithmetic(ctx)
+        forms = [_fiber_form(ctx, eq) for eq in V.equations]
         xs = range(ctx.norm) if digits is None else digits
         if V.amb == 1:
-            goal = target(())
-            yield from ((i,) for i in xs if part(i) == goal)
+            x1s = _roots(ops, [form.at(()) for form in forms], xs)
+            if x1s:
+                yield (), x1s
             return
+        separable = [form for form in forms if form.separable]
+        mixed = [form for form in forms if not form.separable]
+        # the c_e of a separable equation are constants: any fiber gives them
+        origin = (0,) * (V.amb - 1)
+        minus = [
+            (ops.zero, [(ops.neg(c), power) for c, power in form.at(origin)[1]])
+            for form in separable
+        ]
         xs = list(xs)
         table = {}
         for i in xs:
-            table.setdefault(part(i), []).append(i)
+            key = tuple([_x1_value(ops, part, i) for part in minus])
+            table.setdefault(key, []).append(i)
         for t in product(xs, repeat=V.amb - 1):
             rest = t[::-1]
-            solutions = table.get(target(rest), ())
-            if solutions and mixed is not None:
-                solutions = filter(mixed(rest), solutions)
-            for i in solutions:
-                yield (i,) + rest
+            x1s = table.get(tuple([form.c0(rest) for form in separable]))
+            if x1s and mixed:
+                x1s = _roots(ops, [form.at(rest) for form in mixed], x1s)
+            if x1s:
+                yield rest, x1s
 
-    return points()
+    return fibers()
 
 
 def iter_variety_points(ctx, V, cap=DEFAULT_CAP):
     """Points of X((O_K/n)^amb) as residue tuples, in enumeration order."""
-    points = variety_indices(ctx, V, cap)
+    fibers = variety_indices(ctx, V, cap)
     reps = power_table(ctx, 1)
-    return (tuple(reps[i] for i in indices) for indices in points)
+    return (
+        tuple(reps[j] for j in (i,) + rest) for rest, x1s in fibers for i in x1s
+    )
 
 
 def _rank(ops, rows):
@@ -684,13 +663,13 @@ def _rank(ops, rows):
     by row <- r[c] * row - row[c] * r.  Over a field this keeps the row space
     and clears column c; a row left nonzero adds a pivot.
     """
-    zero, sub, mul, reduce = ops.zero, ops.sub, ops.mul, ops.reduce
+    zero, add, neg, mul, reduce = ops.zero, ops.add, ops.neg, ops.mul, ops.reduce
     pivots = []
     for row in rows:
         for r, c in pivots:
             a, b = r[c], row[c]
             if b != zero:
-                row = [reduce(sub(mul(a, x), mul(b, y))) for x, y in zip(row, r)]
+                row = [reduce(add(mul(a, x), neg(mul(b, y)))) for x, y in zip(row, r)]
         col = next((j for j, x in enumerate(row) if x != zero), None)
         if col is not None:
             pivots.append((row, col))
@@ -707,48 +686,39 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     raises BadReduction with ``ctx.prime`` and that point as witness.  The
     cap is checked when this is called; the points come lazily.
 
-    Every Jacobian entry is compiled once per prime as a ``_fiber_form``.  At
-    each fiber the columns free of x1 are evaluated first: when they already
-    have rank m, the number of equations, the rank is m on the whole fiber.
-    Only otherwise are the other entries evaluated at the fiber, which has a
-    point, and at each point through ``_x1_value``; the rank is taken with no
-    field inversion.
-    ``jacobian_rank_at`` is the reference this agrees with.
+    The points are read off the fibers of ``variety_indices``, and every
+    Jacobian entry is compiled once per prime as a ``_fiber_form``.  At each
+    fiber the columns free of x1 are evaluated once: when they already have
+    rank m, the number of equations, the rank is m at every point of the
+    fiber.  Only otherwise are the other entries evaluated at the fiber, and
+    at each point through ``_x1_value``; the rank is taken with no field
+    inversion.  ``jacobian_rank_at`` is the reference this agrees with.
     """
-    points = variety_indices(ctx, V, cap)
+    fibers = variety_indices(ctx, V, cap)
     ops = arithmetic(ctx)
-    rows = jacobian(ctx.ring, V).rows
-    m = len(rows)
-    free = [
-        j for j in range(V.amb) if not any(exps[0] for r in rows for exps in r[j].terms)
+    forms = [
+        [_fiber_form(ctx, entry) for entry in row] for row in jacobian(ctx.ring, V).rows
     ]
-    forms = [[_fiber_form(ctx, entry) for entry in row] for row in rows]
-    free_forms = [[row[j] for j in free] for row in forms]
-    x1_forms = [[at for j, at in enumerate(row) if j not in free] for row in forms]
+    m = len(forms)
+    free = [j for j in range(V.amb) if not any(row[j].cs for row in forms)]
+    x1_cols = [j for j in range(V.amb) if j not in free]
 
     def checked():
-        rest = None
-        for indices in points:
-            if indices[1:] != rest:
-                rest = indices[1:]
-                values = [[at(rest)[0] for at in row] for row in free_forms]
-                fibers = None  # rank m on the whole fiber
-                if _rank(ops, values) != m:
-                    fibers = [[at(rest) for at in row] for row in x1_forms]
-            rank = m
-            if fibers is not None:
-                i1 = indices[0]
-                rank = _rank(
-                    ops,
-                    [
-                        row + [_x1_value(ops, fiber, i1) for fiber in entries]
-                        for row, entries in zip(values, fibers)
-                    ],
+        for rest, x1s in fibers:
+            values = [[row[j].c0(rest) for j in free] for row in forms]
+            ranks = repeat(m)  # when the x1-free columns have rank m already
+            if _rank(ops, values) < m:
+                entries = [[row[j].at(rest) for j in x1_cols] for row in forms]
+                ranks = (
+                    _rank(ops, [v + [_x1_value(ops, e, i) for e in es]
+                                for v, es in zip(values, entries)])
+                    for i in x1s
                 )
-            if rank != V.codim:
-                reps = power_table(ctx, 1)
-                raise BadReduction(ctx.prime, tuple(reps[i] for i in indices))
-            yield indices
+            for i, rank in zip(x1s, ranks):
+                if rank != V.codim:
+                    reps = power_table(ctx, 1)
+                    raise BadReduction(ctx.prime, tuple(reps[j] for j in (i,) + rest))
+                yield (i,) + rest
 
     return checked()
 

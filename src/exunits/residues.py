@@ -27,7 +27,7 @@ from .errors import (
     ZeroIdeal,
 )
 from .ideals import _small_prime_factors, hnf_from_generators, ideal_norm
-from .number_ring import elem_add, elem_mul, elem_sub, is_zero
+from .number_ring import elem_add, elem_mul, elem_neg, elem_sub, is_zero
 
 
 @dataclass(frozen=True)
@@ -255,12 +255,12 @@ def arithmetic(ctx):
     * at a prime context (``ctx.prime`` set) an element is the residue's
       index in the order of ``residues``, and arithmetic goes through the
       tables of ``field_tables``, so every result is canonical;
-    * otherwise it is a ring element tuple: ``add``, ``sub`` and ``mul`` are
+    * otherwise it is a ring element tuple: ``add``, ``neg`` and ``mul`` are
       ring arithmetic, and ``reduce`` (``reduce_mod``) makes a result
       canonical once at the end, as for any tuple in this module.
 
     Either object has ``zero``; ``encode(a)``, the canonical element of a
-    ring element a; ``add``, ``sub``, ``mul`` and ``reduce``; and, for
+    ring element a; ``add``, ``neg``, ``mul`` and ``reduce``; and, for
     e >= 1, ``power(e)`` and ``term(c, e)``, functions from a residue index
     i to the canonical element of r_i^e and of c * r_i^e, where r_i is the
     i-th residue.  Two canonical elements are equal iff their residues are.
@@ -281,7 +281,7 @@ class _RingArithmetic:
         self.zero = ring.zero
         self.encode = self.reduce = partial(reduce_mod, ctx)
         self.add = partial(elem_add, ring)
-        self.sub = partial(elem_sub, ring)
+        self.neg = partial(elem_neg, ring)
         self.mul = partial(elem_mul, ring)
 
     def power(self, e):
@@ -298,9 +298,10 @@ class _FieldArithmetic:
     """O/P as residue indices, 0 the zero residue and i = g^log[i] otherwise.
 
     A product adds logs mod q - 1, a sum a + b = a * (1 + b/a) adds the Zech
-    logarithm of b/a to log a, and x^e multiplies log x by e, so no table is
-    built per exponent.  Sums of two logs are not reduced: for 0 <= k < 2m,
-    Python's negative indices read exp[k - m] as exp[k mod m].
+    logarithm of b/a to log a, -a adds log(-1) to log a, and x^e multiplies
+    log x by e, so no table is built per exponent.  Sums of two logs are not
+    reduced: for 0 <= k < 2m, Python's negative indices read exp[k - m] as
+    exp[k mod m].
     """
 
     zero = 0
@@ -320,14 +321,14 @@ class _FieldArithmetic:
             z = zech[log[b] - la]
             return exp[la + z - m] if z >= 0 else 0
 
-        def sub(a, b):
-            return add(a, exp[(log[b] + log_minus_one) % m]) if b else a
+        def neg(a):
+            return exp[log[a] + log_minus_one - m] if a else 0
 
         def mul(a, b):
             return exp[log[a] + log[b] - m] if a and b else 0
 
         self.encode = lambda a: residue_index(ctx, reduce_mod(ctx, a))
-        self.add, self.sub, self.mul = add, sub, mul
+        self.add, self.neg, self.mul = add, neg, mul
         self.log, self.exp, self.m = log, exp, m
 
     def power(self, e):

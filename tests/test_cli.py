@@ -526,6 +526,28 @@ class TestAsympt:
     def test_max_norm_cap(self, circle_config, capsys):
         assert main(["asympt", "--config", circle_config(), "--max-norm", "20000"]) == 1
 
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    @pytest.mark.parametrize("max_norm", [0, 1, 2])
+    def test_max_norm_below_two(self, circle_config, capsys, flag, max_norm):
+        """No prime ideal has norm below 2: 0 and 1 are refused with one
+        error line, from the flag (over options.max_norm 20) or the config;
+        2 gives the header alone, the prime above 2 being bad."""
+        if flag:
+            path = circle_config(options={"max_norm": 20})
+            argv = ["asympt", "--config", path, "--max-norm", str(max_norm)]
+        else:
+            argv = ["asympt", "--config", circle_config(options={"max_norm": max_norm})]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        if max_norm < 2:
+            assert rc == 1 and captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        else:
+            assert rc == 0 and captured.err == ""
+            header = "modulus,N,count,ratio,omega,sum_inv_sqrt,sum_inv,max_local_dev\n"
+            assert captured.out == header
+
 
 class TestExample25:
     @pytest.mark.parametrize(

@@ -172,6 +172,24 @@ class TestBruteForce:
         with pytest.raises(CapExceeded):
             brute_force_count(q5, circle, f_x_minus_2, n, cap=1000)
 
+    def test_ring_products_linear_in_norm(self, q5, circle, f_x_minus_2, monkeypatch):
+        """Mod (21), of norm 441, the circle costs one squaring per residue and
+        the unit walk at most one product per residue: no table is built for
+        a negated copy of an equation."""
+        residues_module = import_module("exunits.residues")
+        mul_mod = residues_module.mul_mod
+        calls = 0
+
+        def counted(ctx, a, b):
+            nonlocal calls
+            calls += 1
+            return mul_mod(ctx, a, b)
+
+        monkeypatch.setattr(residues_module, "mul_mod", counted)
+        n = principal_ideal(q5, (21, 0))
+        assert brute_force_count(q5, circle, f_x_minus_2, n) == 100
+        assert calls <= 2 * 441
+
     def test_unit_ideal_rejected(self, q5, circle, f_x_minus_2):
         from exunits import unit_ideal
 
@@ -348,15 +366,15 @@ class TestTheorem1:
             theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (3, 0)))
 
     def test_one_sweep_per_prime(self, q5, circle, f_x_minus_2, monkeypatch):
-        # every enumeration compiles the equations once, so this counts sweeps
+        # every sweep enumerates its fibers once, so this counts sweeps
         calls = []
-        compile_equations = polys.compile_equations
+        variety_indices = polys.variety_indices
 
         def counted(*args):
             calls.append(args[0].prime)
-            return compile_equations(*args)
+            return variety_indices(*args)
 
-        monkeypatch.setattr(polys, "compile_equations", counted)
+        monkeypatch.setattr(polys, "variety_indices", counted)
         n21 = principal_ideal(q5, (21, 0))
         rep = theorem1_count(q5, circle, f_x_minus_2, n21)
         primes = [ld.prime for ld in rep.locals]

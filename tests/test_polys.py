@@ -431,6 +431,11 @@ def _equation(draw, ring, amb):
     return MultiPoly(amb=amb, terms=terms)
 
 
+def _points(fibers):
+    """The points of the fibers that ``variety_indices`` yields, in order."""
+    return [(i,) + rest for rest, x1s in fibers for i in x1s]
+
+
 def _reference_indices(ctx, V, digits):
     """The definition: every digit tuple, coordinate 1 fastest, kept if on X."""
     reps = list(residues(ctx))
@@ -486,7 +491,13 @@ class TestVarietyIndices:
             digits = [i for i, k in enumerate(keep) if k]
             expected = _reference_indices(ctx, V, digits)
             digits = iter(digits)
-        assert list(variety_indices(ctx, V, DEFAULT_CAP, digits)) == expected
+        fibers = list(variety_indices(ctx, V, DEFAULT_CAP, digits))
+        assert _points(fibers) == expected
+        # one pair per fiber with a point, in enumeration order, x1 ascending
+        rests = [rest for rest, _ in fibers]
+        assert rests == list(dict.fromkeys(point[1:] for point in expected))
+        for _, x1s in fibers:
+            assert x1s and all(a < b for a, b in zip(x1s, x1s[1:]))
 
     def test_evaluations_linear_in_q(self, q5, circle_variety, monkeypatch):
         """Each fiber of the circle is one evaluation and one lookup, not q."""
@@ -503,7 +514,7 @@ class TestVarietyIndices:
         # every residue operation, in polys or in residues, ends in reduce_mod
         for module in (polys, sys.modules["exunits.residues"]):
             monkeypatch.setattr(module, "reduce_mod", counted)
-        assert len(list(variety_indices(ctx, circle_variety, DEFAULT_CAP))) == 168
+        assert len(_points(variety_indices(ctx, circle_variety, DEFAULT_CAP))) == 168
         assert calls <= 20 * ctx.norm
 
     def test_affine_line_memory(self, rat):
@@ -512,7 +523,7 @@ class TestVarietyIndices:
         ctx = residue_ctx(rat, principal_ideal(rat, (100003,)))
         tracemalloc.start()
         try:
-            count = sum(1 for _ in variety_indices(ctx, A1, DEFAULT_CAP))
+            count = sum(len(x1s) for _, x1s in variety_indices(ctx, A1, DEFAULT_CAP))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -527,7 +538,7 @@ def _reference_smooth(ring, V, prime_factor):
     J = jacobian(ring, V)
     reps = list(residues(ctx))
     points = []
-    for indices in variety_indices(ctx, V, DEFAULT_CAP):
+    for indices in _points(variety_indices(ctx, V, DEFAULT_CAP)):
         point = tuple(reps[i] for i in indices)
         if jacobian_rank_at(J, point, ctx) != V.codim:
             return points, point
@@ -637,7 +648,7 @@ class TestSmoothPoints:
         for module in (polys, sys.modules["exunits.residues"]):
             monkeypatch.setattr(module, "reduce_mod", counted)
         ctx = prime_ctx(rat, prime_factor)
-        assert len(list(variety_indices(ctx, V, DEFAULT_CAP))) == 2
+        assert len(_points(variety_indices(ctx, V, DEFAULT_CAP))) == 2
         enumeration, calls = calls, 0
         # a context of its own, so the sweep builds its tables again
         assert len(list(smooth_points(prime_ctx(rat, prime_factor), V))) == 2

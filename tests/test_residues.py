@@ -320,7 +320,7 @@ class TestFieldArithmetic:
         c = tuple(data.draw(coords) for _ in range(ring.deg))
         x, y = reps[a], reps[b]
         assert reps[ops.add(a, b)] == add_mod(ctx, x, y)
-        assert reps[ops.sub(a, b)] == sub_mod(ctx, x, y)
+        assert reps[ops.add(a, ops.neg(b))] == sub_mod(ctx, x, y)
         assert reps[ops.mul(a, b)] == mul_mod(ctx, x, y)
         assert reps[ops.power(e)(a)] == pow_mod(ctx, x, e)
         assert reps[ops.term(c, e)(a)] == mul_mod(ctx, c, pow_mod(ctx, x, e))
@@ -359,7 +359,7 @@ class TestFieldArithmetic:
             for b in range(q):
                 x, y = reps[a], reps[b]
                 assert reps[ops.add(a, b)] == add_mod(ctx, x, y)
-                assert reps[ops.sub(a, b)] == sub_mod(ctx, x, y)
+                assert reps[ops.add(a, ops.neg(b))] == sub_mod(ctx, x, y)
                 assert reps[ops.mul(a, b)] == mul_mod(ctx, x, y)
 
     @pytest.mark.parametrize(
@@ -367,14 +367,13 @@ class TestFieldArithmetic:
     )
     def test_characteristic_two(self, min_poly, q):
         """q = 2 has q - 1 = 1; in every characteristic-2 field -1 = 1, so
-        a difference is a sum and a + a = 0."""
+        -a = a and a + a = 0."""
         ring, ctx, reps = _field(min_poly, 2)
         assert ctx.norm == q
         ops = arithmetic(ctx)
         for a in range(q):
             assert ops.add(a, a) == 0
-            for b in range(q):
-                assert ops.sub(a, b) == ops.add(a, b)
+            assert ops.neg(a) == a
         one = reduce_mod(ctx, ring.one)
         assert [reps[ops.power(q - 1)(a)] for a in range(1, q)] == [one] * (q - 1)
 
@@ -397,7 +396,7 @@ class TestFieldArithmetic:
         for x in reps[:12]:
             for y in reps[::5]:
                 assert ops.reduce(ops.add(x, y)) == add_mod(ctx, x, y)
-                assert ops.reduce(ops.sub(x, y)) == sub_mod(ctx, x, y)
+                assert ops.reduce(ops.add(x, ops.neg(y))) == sub_mod(ctx, x, y)
                 assert ops.reduce(ops.mul(x, y)) == mul_mod(ctx, x, y)
         assert [ops.power(3)(i) for i in range(ctx.norm)] == [
             pow_mod(ctx, x, 3) for x in reps

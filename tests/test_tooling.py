@@ -139,6 +139,23 @@ def test_cap_has_one_owner():
     assert _owners(compares_cap) == ["polys.variety_indices"]
 
 
+def test_one_compile_path():
+    """Polynomials are compiled in one place: only ``polys._fiber_form``, for
+    the equations and the Jacobian, and ``counting._exunit_flags``, for f,
+    call ``_evaluator``."""
+
+    def calls_evaluator(node):
+        return isinstance(node, ast.Call) and "_evaluator" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert sorted(set(_owners(calls_evaluator))) == [
+        "counting._exunit_flags",
+        "polys._fiber_form",
+    ]
+
+
 def test_splitting_of_p_has_one_owner():
     """Only ``ideals.prime_ideals_above`` factors g mod p."""
 
