@@ -11,7 +11,6 @@ order is Z[theta] (index 1).
 """
 
 from dataclasses import dataclass, replace
-from math import gcd
 
 from .errors import (
     ExunitsError,
@@ -107,6 +106,15 @@ def _reduce_off_diagonal(rows):
     return rows
 
 
+def _lattice_hnf(ring, vectors):
+    """HNF of the Z-span of vectors, which must be a full-rank lattice."""
+    rows = _span_rows(ring, vectors)
+    if any(r is None for r in rows):
+        raise NotFullRank("generated lattice is not full rank")
+    rows = _reduce_off_diagonal(rows)
+    return IdealHNF(basis=tuple(tuple(r) for r in rows))
+
+
 def hnf_from_generators(ring, gens):
     """HNF of the ideal generated by gens: span of theta^j * gen over Z."""
     gens = [tuple(g) for g in gens]
@@ -119,11 +127,7 @@ def hnf_from_generators(ring, gens):
         for _ in range(ring.deg):
             vectors.append(cur)
             cur = elem_mul(ring, cur, theta)
-    rows = _span_rows(ring, vectors)
-    if any(r is None for r in rows):
-        raise NotFullRank("generated lattice is not full rank")
-    rows = _reduce_off_diagonal(rows)
-    return IdealHNF(basis=tuple(tuple(r) for r in rows))
+    return _lattice_hnf(ring, vectors)
 
 
 def unit_ideal(ring):
@@ -159,8 +163,13 @@ def ideal_contains(I, a):
 
 
 def ideal_mul(ring, I, J):
-    """HNF of the product ideal, spanned by pairwise basis-row products."""
-    return hnf_from_generators(
+    """HNF of the product ideal IJ.
+
+    The Z-span of the d^2 pairwise products of basis rows already is IJ (a
+    product of sums is a sum of these products), so they are reduced to HNF
+    as they are, without first multiplying each by the powers of theta.
+    """
+    return _lattice_hnf(
         ring, [elem_mul(ring, r, s) for r in I.basis for s in J.basis]
     )
 
@@ -250,6 +259,25 @@ def factor_poly_mod_p(poly, p):
     return sorted(factors.items())
 
 
+def _multiplicity(n, p):
+    """(k, n / p^k) for the largest k with p^k dividing the nonzero n.
+
+    Divides by p^(2^i) for i from the top down, so that k costs O(log k)
+    divisions, not one per unit of k.
+    """
+    squares = []
+    square = p
+    while n % square == 0:
+        squares.append(square)
+        square *= square
+    k = 0
+    for i in range(len(squares) - 1, -1, -1):
+        if n % squares[i] == 0:
+            n //= squares[i]
+            k += 1 << i
+    return k, n
+
+
 def _small_prime_factors(n):
     """Distinct prime factors of n by trial division up to the bound.
 
@@ -263,8 +291,7 @@ def _small_prime_factors(n):
     while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         if n % d == 0:
             primes.append(d)
-            while n % d == 0:
-                n //= d
+            _, n = _multiplicity(n, d)
         d += 1 if d == 2 else 2
     if n > 1:
         if n > COFACTOR_CAP:
@@ -315,28 +342,49 @@ def valuation(ring, I, pf):
 
     For P = (p, h(theta)) let beta = c(theta), with c = g / h mod p.  Then
     beta*P lies in pO and beta does not, so P^-1 = O + (beta/p)O (Cohen,
-    GTM 138, 4.8): v_P(x) is the number of times x <- x*beta/p stays
-    integral, and v_P(I) the least of these over the HNF rows of I, which
-    costs O(k) element products.  P = (p) gives beta = 1.
+    GTM 138, 4.8): v_P(beta/p) = -1 and v_Q(beta/p) >= 0 at every other Q.
+    Hence I lies in P^k iff every HNF row of I times beta^k is 0 mod p^k, a
+    test monotone in k.  P = (p) gives beta = 1.
 
-    The count stops at v_p(N(I)) / f, since N(P)^k divides N(I).  Where g
-    breaks Dedekind-Kummer at p the count may be wrong, and factor_ideal's
+    k is at most v_p(N(I)) / f, since N(P)^k divides N(I).  The test at 1
+    decides whether P divides I at all, the test at that bound whether I is
+    a power of P, and otherwise bisection between the two finds k.  Each
+    test raises beta to the k-th power mod p^k by squaring, so the whole
+    costs O(log(k)^2) element products.  Where g breaks Dedekind-Kummer at
+    p the test need not be monotone and k may be wrong; factor_ideal's
     reassembly check rejects it.
     """
     p = pf.p
     cofactor, _ = _poly_divmod_mod_p(ring.min_poly, pf.h_coeffs, p)
     beta = tuple(cofactor) + (0,) * (ring.deg - len(cofactor))
-    n, v_p = ideal_norm(I), 0
-    while n % p == 0:
-        n //= p
-        v_p += 1
-    rows = I.basis
-    for count in range(v_p // pf.f_res):
-        rows = [elem_mul(ring, row, beta) for row in rows]
-        if any(c % p for row in rows for c in row):
-            return count
-        rows = [tuple(c // p for c in row) for row in rows]
-    return v_p // pf.f_res
+
+    def contained(k):
+        modulus = p ** k
+        power = beta
+        for bit in bin(k)[3:]:
+            power = elem_mul(ring, power, power)
+            if bit == "1":
+                power = elem_mul(ring, power, beta)
+            power = tuple(c % modulus for c in power)
+        return all(
+            c % modulus == 0
+            for row in I.basis
+            for c in elem_mul(ring, row, power)
+        )
+
+    bound = _multiplicity(ideal_norm(I), p)[0] // pf.f_res
+    if bound == 0 or not contained(1):
+        return 0
+    if bound == 1 or contained(bound):
+        return bound
+    lo, hi = 1, bound  # I lies in P^lo and not in P^hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if contained(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def factor_ideal(ring, I):

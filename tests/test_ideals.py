@@ -10,6 +10,7 @@ from exunits import (
     NotFullRank,
     UnitIdeal,
     ZeroIdeal,
+    elem_mul,
     factor_ideal,
     factor_poly_mod_p,
     hnf_from_generators,
@@ -23,7 +24,7 @@ from exunits import (
     unit_ideal,
 )
 from exunits import ideals
-from exunits.ideals import ideal_eq, valuation
+from exunits.ideals import _multiplicity, ideal_eq, valuation
 
 
 @pytest.fixture
@@ -92,8 +93,6 @@ class TestPolyFactorModP:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_product_reconstructs(self, q5, p):
-        from exunits.ideals import _poly_divmod_mod_p
-
         g = [c % p for c in q5.min_poly]
         acc = [1]
         for h, mult in factor_poly_mod_p(q5.min_poly, p):
@@ -183,8 +182,6 @@ class TestProperties:
             assert ideal_eq(product, I)
 
     def test_hnf_rows_closed_under_theta(self, q5):
-        from exunits.number_ring import elem_mul
-
         rng = random.Random(13)
         for _ in range(10):
             I = _random_ideal(rng, q5)
@@ -214,6 +211,47 @@ VALUATION_CASES = [
 ]
 
 
+@pytest.mark.parametrize(
+    "min_poly", [mp for mp, _ in VALUATION_CASES] + [[1, 0, 0, 0, 1]]
+)
+def test_ideal_mul_matches_reference(min_poly):
+    """ideal_mul equals the ideal generated by the pairwise row products."""
+    ring = make_number_ring(min_poly)
+    rng = random.Random(17)
+
+    def random_ideal():
+        while True:
+            gens = [
+                tuple(rng.randint(-9, 9) for _ in range(ring.deg))
+                for _ in range(rng.randint(1, 2))
+            ]
+            try:
+                return hnf_from_generators(ring, gens)
+            except ZeroIdeal:
+                continue
+
+    for _ in range(20):
+        I, J = random_ideal(), random_ideal()
+        products = [elem_mul(ring, r, s) for r in I.basis for s in J.basis]
+        assert ideal_mul(ring, I, J) == hnf_from_generators(ring, products)
+
+
+def _multiplicity_reference(n, p):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k, n
+
+
+def test_multiplicity_matches_division_loop():
+    for p in (2, 3, 7, 101):
+        for m in (1, 13, 10 ** 30 + 3):  # each prime to every p here
+            for k in (0, 1, 2, 3, 5, 64, 127, 1000, 1999, 2000):
+                n = p ** k * m
+                assert _multiplicity(n, p) == _multiplicity_reference(n, p) == (k, m)
+
+
 class TestValuation:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -227,6 +265,39 @@ class TestValuation:
             I = ideal_mul(ring, I, ideal_pow(ring, pf.hnf, e))
         pf = data.draw(st.sampled_from(primes))
         assert valuation(ring, I, pf) == _valuation_reference(ring, I, pf)
+
+    # P^a * Q^b for two primes above one p, so that the norm bound at the
+    # prime with the smaller exponent exceeds it and bisection runs: above 3
+    # in Z[sqrt(-5)], and above 5 in Z[2^(1/3)], of norms 5 and 25
+    @pytest.mark.parametrize("min_poly, p", [([5, 0, 1], 3), ([-2, 0, 0, 1], 5)])
+    @pytest.mark.parametrize("a, b", [(3, 40), (40, 3)])
+    def test_bisection_matches_reference(self, min_poly, p, a, b):
+        ring = make_number_ring(min_poly)
+        P, Q = prime_ideals_above(ring, p)
+        I = ideal_mul(ring, ideal_pow(ring, P.hnf, a), ideal_pow(ring, Q.hnf, b))
+        smaller = P if a < b else Q
+        bound = _multiplicity(ideal_norm(I), p)[0] // smaller.f_res
+        assert bound > min(a, b)
+        for pf, e in ((P, a), (Q, b)):
+            assert valuation(ring, I, pf) == _valuation_reference(ring, I, pf) == e
+
+    def test_element_products_logarithmic_in_exponent(self, q5, monkeypatch):
+        P, Q = prime_ideals_above(q5, 3)[1], prime_ideals_above(q5, 3)[0]
+        I = ideal_pow(q5, P.hnf, 1600)
+        calls = []
+        elem_mul_ = ideals.elem_mul
+
+        def counted(*args):
+            calls.append(1)
+            return elem_mul_(*args)
+
+        monkeypatch.setattr(ideals, "elem_mul", counted)
+        assert valuation(q5, I, P) == 1600
+        assert len(calls) <= math.log2(1600) ** 2
+        calls.clear()
+        # one test, at k = 1, decides that Q does not divide I
+        assert valuation(q5, I, Q) == 0
+        assert len(calls) <= q5.deg
 
     def test_work_logarithmic_in_exponent(self, q5, monkeypatch):
         p3 = prime_ideals_above(q5, 3)[1]

@@ -10,7 +10,6 @@ from exunits import (
     elem_add,
     elem_mul,
     elem_norm,
-    elem_sub,
     make_number_ring,
 )
 from exunits.errors import DimensionMismatch

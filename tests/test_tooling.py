@@ -28,6 +28,48 @@ def test_library_has_no_assert():
     assert offenders == []
 
 
+def _unread_imports(tree):
+    """``name:line`` of each name an import binds but its scope never reads.
+
+    A function's imports must be read in that function; the module's
+    anywhere in the file.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unread = []
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, functions)]:
+        reads = {
+            node.id
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, functions):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "*" and name not in reads:
+                        unread.append(f"{name}:{node.lineno}")
+    return unread
+
+
+def test_no_unread_imports():
+    """No module of ``src/exunits`` or ``tests`` imports a name it never
+    reads; ``exunits/__init__.py`` is exempt, as its imports are re-exports."""
+    package = Path(exunits.__file__).parent
+    paths = sorted(package.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    offenders = [
+        f"{path.parent.name}/{path.name}:{name}"
+        for path in paths
+        if path != package / "__init__.py"
+        for name in _unread_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == []
+
+
 def test_one_enumeration_kernel():
     """Points are enumerated in one place: only ``polys.variety_indices``
     calls ``itertools.product``."""
