@@ -10,10 +10,10 @@ from dataclasses import replace
 from exunits import (
     VarietySpec,
     asympt_series,
-    good_reduction_primes,
     make_number_ring,
     parse_poly,
 )
+from exunits.ideals import prime_ideals_up_to
 
 
 def main():
@@ -25,9 +25,8 @@ def main():
         declared_degree=2,
     )
     f = parse_poly("x1 - 2", ring, 1)
-    family = [
-        [replace(pf, exponent=1)] for pf in good_reduction_primes(ring, circle, 100)
-    ]
+    # asympt_series skips the primes of bad reduction
+    family = [[replace(pf, exponent=1)] for pf in prime_ideals_up_to(ring, 100)]
     print(f"{'modulus':<14}{'N':>5}{'count':>7}{'ratio':>10}{'|dev|':>10}")
     for rec in asympt_series(ring, circle, f, family):
         print(

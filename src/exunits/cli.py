@@ -32,12 +32,11 @@ from .ideals import (
     _small_prime_factors,
     factor_ideal,
     hnf_from_generators,
-    ideal_mul,
     ideal_norm,
+    ideal_of_factors,
     ideal_pow,
     prime_ideals_above,
     prime_ideals_up_to,
-    unit_ideal,
 )
 from .number_ring import make_number_ring
 from .polys import VarietySpec, check_good_reduction, parse_poly
@@ -100,7 +99,7 @@ def parse_modulus(ring, literal):
         gens = [_parse_element(ring, g) for g in _field(literal, "generators", list)]
         return hnf_from_generators(ring, gens)
     if "primes" in literal:
-        ideal = unit_ideal(ring)
+        factors = []
         for spec in _field(literal, "primes", list):
             _checked(spec, dict, "each entry of 'primes'")
             p = _field(spec, "p", int)
@@ -116,7 +115,8 @@ def parse_modulus(ring, literal):
                     f"h={spec['h']} is not an irreducible factor of g mod {p}; "
                     f"valid factors: {valid}"
                 )
-            ideal = ideal_mul(ring, ideal, ideal_pow(ring, matches[0].hnf, exponent))
+            factors.append(replace(matches[0], exponent=exponent))
+        ideal = ideal_of_factors(ring, factors)
         if ideal_norm(ideal) < 2:
             raise UnitIdeal("modulus must be a proper ideal")
         return ideal

@@ -149,10 +149,12 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
 
 
 def prime_power_count(ring, V, f, prime_factor, e, cap=DEFAULT_CAP):
-    """Exact count modulo p^e: q^((amb-d)(e-1)) times the local count."""
+    """Exact count modulo p^e: q^((amb-d)(e-1)) times the local count.
+
+    The product formula at the one prime p, with its guards.
+    """
     ld = local_counts(ring, V, f, prime_factor, cap=cap)
-    q = prime_factor.norm
-    return q ** ((V.amb - V.codim) * (e - 1)) * (ld.count_X - ld.count_N)
+    return _product_formula(V, prime_factor.norm ** e, [ld])
 
 
 def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):

@@ -11,6 +11,7 @@ order is Z[theta] (index 1).
 """
 
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 
 from .errors import (
     ExunitsError,
@@ -19,7 +20,7 @@ from .errors import (
     UnitIdeal,
     ZeroIdeal,
 )
-from .number_ring import elem_mul, is_zero
+from .number_ring import elem_mul, is_zero, square_and_multiply
 
 TRIAL_DIVISION_BOUND = 10 ** 6
 COFACTOR_CAP = 10 ** 12
@@ -175,20 +176,29 @@ def ideal_mul(ring, I, J):
 
 
 def ideal_pow(ring, I, e):
+    """I^e for e >= 0, by ``square_and_multiply`` with ``ideal_mul``.
+
+    Built left to right from I itself, so for e >= 1 no product has the
+    unit ideal as a factor.
+    """
     if e < 0:
         raise ValueError("negative ideal power")
-    result = unit_ideal(ring)
-    base = I
-    while e:
-        if e & 1:
-            result = ideal_mul(ring, result, base)
-        base = ideal_mul(ring, base, base)
-        e >>= 1
-    return result
+    if not e:
+        return unit_ideal(ring)
+    return square_and_multiply(I, e, partial(ideal_mul, ring))
 
 
-def ideal_eq(I, J):
-    return I.basis == J.basis
+def ideal_of_factors(ring, factors):
+    """The product of pf^exponent over factors, as factor_ideal returns them.
+
+    The unit ideal for no factors; otherwise the powers are multiplied
+    together, and a factor of exponent 0 is left out, so no product has the
+    unit ideal as a factor.
+    """
+    powers = [ideal_pow(ring, pf.hnf, pf.exponent) for pf in factors if pf.exponent]
+    if not powers:
+        return unit_ideal(ring)
+    return reduce(partial(ideal_mul, ring), powers)
 
 
 # --- polynomials mod p (coefficient lists, constant first, trimmed) ---
@@ -349,10 +359,10 @@ def valuation(ring, I, pf):
     k is at most v_p(N(I)) / f, since N(P)^k divides N(I).  The test at 1
     decides whether P divides I at all, the test at that bound whether I is
     a power of P, and otherwise bisection between the two finds k.  Each
-    test raises beta to the k-th power mod p^k by squaring, so the whole
-    costs O(log(k)^2) element products.  Where g breaks Dedekind-Kummer at
-    p the test need not be monotone and k may be wrong; factor_ideal's
-    reassembly check rejects it.
+    test raises beta to the k-th power mod p^k by ``square_and_multiply``,
+    reducing each product mod p^k, so the whole costs O(log(k)^2) element
+    products.  Where g breaks Dedekind-Kummer at p the test need not be
+    monotone and k may be wrong; factor_ideal's reassembly check rejects it.
     """
     p = pf.p
     cofactor, _ = _poly_divmod_mod_p(ring.min_poly, pf.h_coeffs, p)
@@ -360,12 +370,11 @@ def valuation(ring, I, pf):
 
     def contained(k):
         modulus = p ** k
-        power = beta
-        for bit in bin(k)[3:]:
-            power = elem_mul(ring, power, power)
-            if bit == "1":
-                power = elem_mul(ring, power, beta)
-            power = tuple(c % modulus for c in power)
+
+        def mul(a, b):
+            return tuple(c % modulus for c in elem_mul(ring, a, b))
+
+        power = square_and_multiply(beta, k, mul)
         return all(
             c % modulus == 0
             for row in I.basis
@@ -398,10 +407,7 @@ def factor_ideal(ring, I):
             e = valuation(ring, I, pf)
             if e > 0:
                 result.append(replace(pf, exponent=e))
-    product = unit_ideal(ring)
-    for pf in result:
-        product = ideal_mul(ring, product, ideal_pow(ring, pf.hnf, pf.exponent))
-    if not ideal_eq(product, I):
+    if ideal_of_factors(ring, result) != I:
         raise NotFullRank(
             "prime factorization does not reassemble the ideal; "
             "the defining polynomial is likely reducible or the order non-maximal"

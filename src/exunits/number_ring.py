@@ -158,6 +158,21 @@ def elem_mul(ring, a, b):
     return tuple(conv[:d])
 
 
+def square_and_multiply(x, e, mul):
+    """x^e for e >= 1 under the associative product mul.
+
+    Left-to-right binary powering (Cohen, GTM 138, Algorithm 1.2.3): one
+    product per bit of e past the leading one, to square, and one more per
+    such bit that is set, so e.bit_length() - 1 + popcount(e) - 1 in all.
+    """
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
+
+
 def _det_bareiss(mat):
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     m = [row[:] for row in mat]

@@ -14,6 +14,7 @@ Polynomials are sparse term maps: exponent vector -> nonzero coefficient
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product, repeat
 from math import comb
 
@@ -31,6 +32,7 @@ from .number_ring import (
     elem_neg,
     elem_scale,
     is_zero,
+    square_and_multiply,
 )
 from .residues import (
     arithmetic,
@@ -174,14 +176,10 @@ def poly_mul(ring, p, q):
 
 
 def poly_pow(ring, p, e):
-    result = const_poly(ring, p.amb, ring.one)
-    base = p
-    while e:
-        if e & 1:
-            result = poly_mul(ring, result, base)
-        base = poly_mul(ring, base, base) if e > 1 else base
-        e >>= 1
-    return result
+    """p^e for e >= 0, by ``square_and_multiply`` with ``poly_mul``."""
+    if not e:
+        return const_poly(ring, p.amb, ring.one)
+    return square_and_multiply(p, e, partial(poly_mul, ring))
 
 
 # --- parser ---
@@ -512,11 +510,12 @@ def _evaluator(ctx, terms):
     """The value of sum(coeff * x^exps) over ``terms`` at residue indices.
 
     Compiled against ``arithmetic(ctx)``: each monomial is the ``term`` of
-    its coefficient and first variable, times the ``power`` of each further
-    variable, and the monomials are summed onto the constant term and
-    reduced once.
+    its coefficient and first variable, times the ``term`` of 1 and each
+    further variable, and the monomials are summed onto the constant term
+    and reduced once.
     """
     ops = arithmetic(ctx)
+    one = ctx.ring.one
     const = ops.zero
     monomials = []
     for exps, coeff in terms.items():
@@ -526,7 +525,7 @@ def _evaluator(ctx, terms):
             continue
         (i0, e0), *others = vars_
         monomials.append(
-            (i0, ops.term(coeff, e0), [(i, ops.power(e)) for i, e in others])
+            (i0, ops.term(coeff, e0), [(i, ops.term(one, e)) for i, e in others])
         )
     add, mul, reduce = ops.add, ops.mul, ops.reduce
 
@@ -547,7 +546,7 @@ class _FiberForm:
 
     ``c0`` and every c_e are compiled with ``_evaluator`` on the residue
     indices rest = (i2, ..., i_amb).  ``cs`` pairs each c_e with x1 -> x1^e
-    (``power(e)``) and is empty when poly is free of x1.  ``separable`` is
+    (``term(1, e)``) and is empty when poly is free of x1.  ``separable`` is
     True when every c_e is a constant, that is when no monomial mixes x1
     with another variable.
     """
@@ -569,7 +568,8 @@ def _fiber_form(ctx, poly):
     for exps, coeff in poly.terms.items():
         by_power.setdefault(exps[0], {})[exps[1:]] = coeff
     c0 = _evaluator(ctx, by_power.pop(0, {}))
-    cs = [(_evaluator(ctx, c), ops.power(e)) for e, c in by_power.items()]
+    one = ctx.ring.one
+    cs = [(_evaluator(ctx, c), ops.term(one, e)) for e, c in by_power.items()]
     separable = not any(any(exps) for c in by_power.values() for exps in c)
     return _FiberForm(c0, cs, separable)
 

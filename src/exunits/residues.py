@@ -27,7 +27,14 @@ from .errors import (
     ZeroIdeal,
 )
 from .ideals import _small_prime_factors, hnf_from_generators, ideal_norm
-from .number_ring import elem_add, elem_mul, elem_neg, elem_sub, is_zero
+from .number_ring import (
+    elem_add,
+    elem_mul,
+    elem_neg,
+    elem_sub,
+    is_zero,
+    square_and_multiply,
+)
 
 
 @dataclass(frozen=True)
@@ -171,16 +178,10 @@ def mul_mod(ctx, a, b):
 
 
 def pow_mod(ctx, a, e):
-    """a^e mod n for e >= 0, by left-to-right square-and-multiply."""
-    base = reduce_mod(ctx, a)
+    """a^e mod n for e >= 0, by ``square_and_multiply`` with ``mul_mod``."""
     if not e:
         return reduce_mod(ctx, ctx.ring.one)
-    result = base
-    for bit in bin(e)[3:]:
-        result = mul_mod(ctx, result, result)
-        if bit == "1":
-            result = mul_mod(ctx, result, base)
-    return result
+    return square_and_multiply(reduce_mod(ctx, a), e, partial(mul_mod, ctx))
 
 
 def field_tables(ctx):
@@ -261,9 +262,9 @@ def arithmetic(ctx):
 
     Either object has ``zero``; ``encode(a)``, the canonical element of a
     ring element a; ``add``, ``neg``, ``mul`` and ``reduce``; and, for
-    e >= 1, ``power(e)`` and ``term(c, e)``, functions from a residue index
-    i to the canonical element of r_i^e and of c * r_i^e, where r_i is the
-    i-th residue.  Two canonical elements are equal iff their residues are.
+    e >= 1, ``term(c, e)``, the function from a residue index i to the
+    canonical element of c * r_i^e, where r_i is the i-th residue.  Two
+    canonical elements are equal iff their residues are.
     """
     ops = ctx.tables.get("arithmetic")
     if ops is None:
@@ -283,9 +284,6 @@ class _RingArithmetic:
         self.add = partial(elem_add, ring)
         self.neg = partial(elem_neg, ring)
         self.mul = partial(elem_mul, ring)
-
-    def power(self, e):
-        return power_table(self.ctx, e).__getitem__
 
     def term(self, c, e):
         table = power_table(self.ctx, e)
@@ -330,10 +328,6 @@ class _FieldArithmetic:
         self.encode = lambda a: residue_index(ctx, reduce_mod(ctx, a))
         self.add, self.neg, self.mul = add, neg, mul
         self.log, self.exp, self.m = log, exp, m
-
-    def power(self, e):
-        log, exp, m = self.log, self.exp, self.m
-        return lambda i: exp[log[i] * e % m] if i else 0
 
     def term(self, c, e):
         c = self.encode(c)

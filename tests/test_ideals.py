@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from exunits import (
     unit_ideal,
 )
 from exunits import ideals
-from exunits.ideals import _multiplicity, ideal_eq, valuation
+from exunits.ideals import _multiplicity, ideal_of_factors, valuation
 
 
 @pytest.fixture
@@ -179,7 +180,7 @@ class TestProperties:
             product = unit_ideal(q5)
             for pf in fs:
                 product = ideal_mul(q5, product, ideal_pow(q5, pf.hnf, pf.exponent))
-            assert ideal_eq(product, I)
+            assert product == I
 
     def test_hnf_rows_closed_under_theta(self, q5):
         rng = random.Random(13)
@@ -322,3 +323,45 @@ class TestValuation:
         for e in (1, 5):
             with pytest.raises(NotFullRank):
                 factor_ideal(ring, principal_ideal(ring, (2 ** e, 0)))
+
+
+def _counted_ideal_mul(monkeypatch):
+    """The argument pairs of every ``ideals.ideal_mul`` call from now on."""
+    calls = []
+    ideal_mul_ = ideals.ideal_mul
+
+    def counted(ring, I, J):
+        calls.append((I, J))
+        return ideal_mul_(ring, I, J)
+
+    monkeypatch.setattr(ideals, "ideal_mul", counted)
+    return calls
+
+
+class TestIdealPow:
+    @pytest.mark.parametrize("e", [1, 2, 300, 800, 1600])
+    def test_left_to_right_products(self, q5, e, monkeypatch):
+        P = prime_ideals_above(q5, 3)[1].hnf
+        calls = _counted_ideal_mul(monkeypatch)
+        ideal_pow(q5, P, e)
+        assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1)
+        one = unit_ideal(q5)
+        assert all(one not in pair for pair in calls)
+
+    def test_reassembly_builds_one_power(self, q5, monkeypatch):
+        P = prime_ideals_above(q5, 3)[1]
+        I = ideal_pow(q5, P.hnf, 1600)
+        calls = _counted_ideal_mul(monkeypatch)
+        assert [pf.exponent for pf in factor_ideal(q5, I)] == [1600]
+        assert len(calls) == 12
+
+    def test_ideal_of_factors(self, q5, monkeypatch):
+        P, Q = prime_ideals_above(q5, 3)
+        assert ideal_of_factors(q5, []) == unit_ideal(q5)
+        I = ideal_mul(q5, ideal_pow(q5, P.hnf, 3), ideal_pow(q5, Q.hnf, 2))
+        factors = [
+            replace(P, exponent=3), replace(Q, exponent=0), replace(Q, exponent=2)
+        ]
+        calls = _counted_ideal_mul(monkeypatch)
+        assert ideal_of_factors(q5, factors) == I
+        assert all(unit_ideal(q5) not in pair for pair in calls)

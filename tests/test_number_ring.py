@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,12 @@ from exunits import (
     make_number_ring,
 )
 from exunits.errors import DimensionMismatch
-from exunits.number_ring import MAX_COEFF, MAX_DEGREE, is_zero
+from exunits.number_ring import (
+    MAX_COEFF,
+    MAX_DEGREE,
+    is_zero,
+    square_and_multiply,
+)
 
 
 @pytest.fixture
@@ -146,3 +153,16 @@ class TestProperties:
             acc = elem_add(ring, acc, tuple(c * x for x in power))
             power = elem_mul(ring, power, ring.theta)
         assert is_zero(acc)
+
+
+@given(st.integers(-50, 50), st.integers(1, 200))
+def test_square_and_multiply_is_binary_powering(x, e):
+    """x^e with one product per bit past the leading one, plus one per set bit."""
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return operator.mul(a, b)
+
+    assert square_and_multiply(x, e, mul) == x ** e
+    assert len(calls) == (e.bit_length() - 1) + (bin(e).count("1") - 1)

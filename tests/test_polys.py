@@ -37,9 +37,11 @@ from exunits.errors import DimensionMismatch
 from exunits.polys import (
     DEFAULT_CAP,
     MultiPoly,
+    const_poly,
     partial_derivative,
     poly_add,
     poly_mul,
+    poly_pow,
     smooth_points,
     variety_indices,
     zero_poly,
@@ -218,6 +220,32 @@ def _random_poly(rng, ring, amb, n_terms, max_exp=4, max_coord=9):
         if any(coeff):
             terms[exps] = coeff
     return MultiPoly(amb=amb, terms=terms)
+
+
+class TestPolyPow:
+    def test_matches_repeated_products(self, q5, rat, monkeypatch):
+        """p^e is the product of e copies of p, by binary powering: one
+        ``poly_mul`` per bit of e past the leading one, plus one per set bit."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return poly_mul(*args)
+
+        monkeypatch.setattr(polys, "poly_mul", counted)
+        rng = random.Random(23)
+        for ring in (q5, rat):
+            for _ in range(6):
+                poly = _random_poly(
+                    rng, ring, rng.randint(1, 2), rng.randint(1, 3), max_exp=2
+                )
+                expected = const_poly(ring, poly.amb, ring.one)
+                for e in range(13):
+                    calls.clear()
+                    assert poly_pow(ring, poly, e).terms == expected.terms, e
+                    products = max(e.bit_length() + bin(e).count("1") - 2, 0)
+                    assert len(calls) == products, e
+                    expected = poly_mul(ring, expected, poly)
 
 
 class TestRoundTrip:

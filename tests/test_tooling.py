@@ -181,6 +181,21 @@ def test_cap_has_one_owner():
     assert _owners(compares_cap) == ["polys.variety_indices"]
 
 
+def test_one_square_and_multiply():
+    """Only ``number_ring.square_and_multiply`` walks the bits of an
+    exponent: nothing else calls ``bin`` or shifts a name right in place."""
+
+    def walks_bits(node):
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "bin"
+            or isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.RShift)
+        )
+
+    assert _owners(walks_bits) == ["number_ring.square_and_multiply"]
+
+
 def test_one_compile_path():
     """Polynomials are compiled in one place: only ``polys._fiber_form``, for
     the equations and the Jacobian, and ``counting._exunit_flags``, for f,
