@@ -26,7 +26,6 @@ from .errors import (
     CapExceeded,
     ConstantPolynomial,
     DimensionMismatch,
-    EnumerationCapExceeded,
     EvenCharacteristic,
     ExponentTooLarge,
     ExunitsError,
@@ -62,18 +61,15 @@ from .number_ring import (
     NumberRing,
     elem_add,
     elem_mul,
-    elem_norm,
     elem_sub,
     make_number_ring,
 )
 from .polys import (
     GoodReductionReport,
-    JacobianMatrix,
     MultiPoly,
     VarietySpec,
     check_good_reduction,
     eval_poly,
-    iter_variety_points,
     jacobian,
     jacobian_rank_at,
     parse_poly,

@@ -296,12 +296,10 @@ def cmd_asympt(args):
     products = args.products if args.products is not None else cfg["options"].get(
         "products", 0
     )
+    if products not in (0, 1, 2):
+        raise ConfigError(f"products must be 0, 1 or 2, not {products}")
     ring, V, f = cfg["ring"], cfg["variety"], cfg["f"]
-    # prime_ideals_above labels each prime with exponent e_ram; as a modulus
-    # on its own, or in a product of distinct primes, it has exponent 1.
-    # asympt_series sweeps each prime once and skips the moduli of a prime
-    # with bad reduction or over the cap.
-    primes = [replace(pf, exponent=1) for pf in prime_ideals_up_to(ring, max_norm)]
+    primes = list(prime_ideals_up_to(ring, max_norm))
     family = [[pf] for pf in primes]
     if products >= 2:
         family += [list(pair) for pair in combinations(primes, 2)]
@@ -390,7 +388,7 @@ def build_parser():
     p_asympt = sub.add_parser("asympt", help="per-prime asymptotics table (CSV)")
     p_asympt.add_argument("--config", required=True)
     p_asympt.add_argument("--max-norm", type=int, default=None)
-    p_asympt.add_argument("--products", type=int, choices=[0, 1, 2], default=None)
+    p_asympt.add_argument("--products", type=int, default=None, help="0, 1 or 2")
     p_asympt.add_argument("--out", default=None)
     p_asympt.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_asympt.set_defaults(func=cmd_asympt)
@@ -420,7 +418,7 @@ def main(argv=None):
             }
         )
         return 2
-    except (ExunitsError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ExunitsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,6 @@ Lang-Weil style deviation report, and an asymptotics series used to probe
 error-term behaviour empirically.
 """
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,6 @@ from .polys import (
     DEFAULT_CAP,
     _evaluator,
     check_good_reduction,
-    iter_variety_points,
     smooth_points,
     variety_indices,
 )
@@ -49,8 +47,6 @@ from .residues import (
     residue_index,
     unit_flags,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -72,7 +68,6 @@ class CountReport:
     exponent: int  # amb - codim
     locals: list
     total: int
-    method: str  # formula | brute | both
 
 
 @dataclass
@@ -175,7 +170,6 @@ def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
         exponent=V.amb - V.codim,
         locals=locals_,
         total=_product_formula(V, n_norm, locals_),
-        method="formula",
     )
 
 
@@ -206,18 +200,23 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     Then X mod p is swept as the guard, which raises BadReduction at the
     first singular point.  The residues mod p^(k+1) are listed only after
     the guard passes, so a bad prime costs that one sweep.
+
+    Points are keyed by residue index: ``down[i]`` is the index mod p^k of
+    residue i of O/p^(k+1), so each point mod p^(k+1) is reduced by lookups.
     """
     ctx_k1 = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k + 1))
     upper = variety_indices(ctx_k1, V, cap)  # checks the cap, builds nothing
     for _ in smooth_points(prime_ctx(ring, prime_factor), V, cap):
         pass  # raises BadReduction at the first singular point
     ctx_k = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k))
-    lifts = dict.fromkeys(iter_variety_points(ctx_k, V, cap), 0)
-    reps = power_table(ctx_k1, 1)
+    lifts = {
+        (i,) + rest: 0 for rest, x1s in variety_indices(ctx_k, V, cap) for i in x1s
+    }
+    down = [residue_index(ctx_k, reduce_mod(ctx_k, r)) for r in power_table(ctx_k1, 1)]
     for rest, x1s in upper:
-        below = tuple(reduce_mod(ctx_k, reps[i]) for i in rest)
+        below = tuple([down[i] for i in rest])
         for i in x1s:
-            lifts[(reduce_mod(ctx_k, reps[i]),) + below] += 1
+            lifts[(down[i],) + below] += 1
     return dict(Counter(lifts.values()))
 
 
@@ -307,7 +306,6 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
         exponent=1,
         locals=locals_,
         total=total,
-        method="formula",
     )
 
 
@@ -371,9 +369,7 @@ def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
                 except (BadReduction, CapExceeded) as exc:
                     swept[key] = exc
             locals_.append(swept[key])
-        skip = next((ld for ld in locals_ if isinstance(ld, ExunitsError)), None)
-        if skip is not None:
-            log.info("skipping modulus: %s", skip)
+        if any(isinstance(ld, ExunitsError) for ld in locals_):
             continue
         n_norm = prod(pf.norm ** pf.exponent for pf in factors)
         count = _product_formula(V, n_norm, locals_)
@@ -402,5 +398,5 @@ def good_reduction_primes(ring, V, max_norm, cap=DEFAULT_CAP):
             if check_good_reduction(ring, V, pf, cap=cap).ok:
                 out.append(pf)
         except CapExceeded:
-            log.info("skipping prime of norm %s: cap", pf.norm)
+            pass  # a prime over the cap is left out
     return out

@@ -83,10 +83,6 @@ class CapExceeded(ExunitsError):
     pass
 
 
-class EnumerationCapExceeded(CapExceeded):
-    pass
-
-
 class ConstantPolynomial(ExunitsError):
     pass
 

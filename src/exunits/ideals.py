@@ -25,6 +25,11 @@ from .number_ring import elem_mul, is_zero, square_and_multiply
 TRIAL_DIVISION_BOUND = 10 ** 6
 COFACTOR_CAP = 10 ** 12
 
+# bound on the monic candidates that factor_poly_mod_p may try: twice the
+# 1.0015e8 of x^4 + 1 mod 10007, so more than a quartic g needs at any prime
+# below asympt's norm bound of 10^4
+MAX_FACTOR_CANDIDATES = 2 * 10 ** 8
+
 
 @dataclass(frozen=True)
 class IdealHNF:
@@ -232,11 +237,19 @@ def factor_poly_mod_p(poly, p):
 
     Deterministic trial division over all monic candidates of degree up to
     half the remaining degree, so only suitable for small p and small degree
-    (the supported envelope).  Factors are returned as (monic lift constant
-    first, multiplicity), sorted lexicographically by coefficient sequence.
+    (the supported envelope): when poly has more than MAX_FACTOR_CANDIDATES
+    of them, FactorCapExceeded is raised before any division.  Factors are
+    returned as (monic lift constant first, multiplicity), sorted
+    lexicographically by coefficient sequence.
     """
     work = [c % p for c in poly]
     _trim(work)
+    candidates = sum(p ** d for d in range(1, (len(work) - 1) // 2 + 1))
+    if candidates > MAX_FACTOR_CANDIDATES:
+        raise FactorCapExceeded(
+            f"factoring mod {p} may try {candidates} candidates, "
+            f"over the cap {MAX_FACTOR_CANDIDATES}"
+        )
     factors = {}
 
     def smallest_factor(f):
@@ -339,12 +352,15 @@ def prime_ideals_above(ring, p):
 
 
 def prime_ideals_up_to(ring, max_norm):
-    """Every prime ideal of norm <= max_norm, by p and then as above p."""
+    """Every prime ideal of norm <= max_norm, by p and then as above p.
+
+    Each is yielded as a modulus of its own, with exponent 1.
+    """
     for p in range(2, max_norm + 1):
         if _small_prime_factors(p) == [p]:
             for pf in prime_ideals_above(ring, p):
                 if pf.norm <= max_norm:
-                    yield pf
+                    yield replace(pf, exponent=1)
 
 
 def valuation(ring, I, pf):

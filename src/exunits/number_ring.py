@@ -20,8 +20,6 @@ from .errors import (
     ZeroDegree,
 )
 
-Element = tuple
-
 # bounds on g, checked first: its degree, and the absolute value of each of its
 # coefficients; the rational root test lists the divisors of the constant term
 # by trial division up to its square root, 10^6 divisions at the bound
@@ -171,42 +169,6 @@ def square_and_multiply(x, e, mul):
         if bit == "1":
             result = mul(result, x)
     return result
-
-
-def _det_bareiss(mat):
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def elem_norm(ring, a):
-    """Field norm of a: determinant of multiplication-by-a in the power basis."""
-    _check_dims(ring, a)
-    rows = []
-    cur = a
-    theta = ring.theta
-    for i in range(ring.deg):
-        rows.append(list(cur))
-        if i + 1 < ring.deg:
-            cur = elem_mul(ring, cur, theta)
-    return _det_bareiss(rows)
 
 
 def is_zero(a):

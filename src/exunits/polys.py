@@ -20,8 +20,8 @@ from math import comb
 
 from .errors import (
     BadReduction,
+    CapExceeded,
     DimensionMismatch,
-    EnumerationCapExceeded,
     ExponentTooLarge,
     PolySyntaxError,
     UnknownVariable,
@@ -60,6 +60,10 @@ MAX_COEFF_BITS = 2 ** 16
 # default bound on the norm^amb candidate tuples of one enumeration
 DEFAULT_CAP = 10 ** 8
 
+# bound on the number of variables: every norm is at least 2, so a larger amb
+# means at least 2^65 candidate tuples, which no enumeration can finish
+MAX_AMB = 64
+
 
 @dataclass
 class MultiPoly:
@@ -92,8 +96,7 @@ class VarietySpec:
     declared_degree: int
 
     def __post_init__(self):
-        if self.amb < 1:
-            raise ValueError(f"amb must be at least 1, not {self.amb}")
+        _check_amb(self.amb)
         if self.equations:
             if not 1 <= self.codim <= self.amb:
                 raise ValueError("codim must satisfy 1 <= codim <= amb")
@@ -105,16 +108,14 @@ class VarietySpec:
 
 
 @dataclass
-class JacobianMatrix:
-    """Formal partial derivatives: rows = equations, columns = variables."""
-
-    rows: tuple  # tuple of tuples of MultiPoly
-
-
-@dataclass
 class GoodReductionReport:
     ok: bool
     witness: object = None  # first offending point, in enumeration order
+
+
+def _check_amb(amb):
+    if not 1 <= amb <= MAX_AMB:
+        raise ValueError(f"amb must be from 1 to {MAX_AMB}, not {amb}")
 
 
 # --- construction helpers ---
@@ -368,6 +369,7 @@ def _coeff_bits(poly):
 
 def parse_poly(src, ring, amb):
     """Parse source text into a MultiPoly; errors carry a source offset."""
+    _check_amb(amb)
     parser = _Parser(_tokenize(src), ring, amb)
     poly = parser.parse_expr()
     end = parser.advance()
@@ -462,11 +464,11 @@ def partial_derivative(ring, poly, j):
 
 
 def jacobian(ring, V):
-    rows = tuple(
+    """Formal partial derivatives: a row per equation, a column per variable."""
+    return tuple(
         tuple(partial_derivative(ring, eq, j + 1) for j in range(V.amb))
         for eq in V.equations
     )
-    return JacobianMatrix(rows=rows)
 
 
 def jacobian_rank_at(J, point, ctx):
@@ -477,11 +479,9 @@ def jacobian_rank_at(J, point, ctx):
     literal reference: ``smooth_points`` compiles the Jacobian once per prime
     instead, and its tests compare it with this.
     """
-    if not J.rows:
+    if not J:
         return 0
-    mat = [
-        [eval_poly(entry, point, ctx) for entry in row] for row in J.rows
-    ]
+    mat = [[eval_poly(entry, point, ctx) for entry in row] for row in J]
     ncols = len(mat[0])
     zero = ctx.ring.zero
     rank = 0
@@ -610,7 +610,7 @@ def variety_indices(ctx, V, cap, digits=None):
     there is one fiber, (), scanned with no table.
     """
     if ctx.norm ** V.amb > cap:
-        raise EnumerationCapExceeded(
+        raise CapExceeded(
             f"{ctx.norm}^{V.amb} candidate points exceed the cap {cap}"
         )
 
@@ -645,15 +645,6 @@ def variety_indices(ctx, V, cap, digits=None):
                 yield rest, x1s
 
     return fibers()
-
-
-def iter_variety_points(ctx, V, cap=DEFAULT_CAP):
-    """Points of X((O_K/n)^amb) as residue tuples, in enumeration order."""
-    fibers = variety_indices(ctx, V, cap)
-    reps = power_table(ctx, 1)
-    return (
-        tuple(reps[j] for j in (i,) + rest) for rest, x1s in fibers for i in x1s
-    )
 
 
 def _rank(ops, rows):
@@ -697,7 +688,7 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     fibers = variety_indices(ctx, V, cap)
     ops = arithmetic(ctx)
     forms = [
-        [_fiber_form(ctx, entry) for entry in row] for row in jacobian(ctx.ring, V).rows
+        [_fiber_form(ctx, entry) for entry in row] for row in jacobian(ctx.ring, V)
     ]
     m = len(forms)
     free = [j for j in range(V.amb) if not any(row[j].cs for row in forms)]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 
 import pytest
 from hypothesis import event, given, settings
@@ -33,6 +34,22 @@ def circle_config(tmp_path):
         return str(path)
 
     return write
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail the test, rather than wait for it, once the block has run for seconds."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCount:
@@ -206,6 +223,37 @@ def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "excess, message", [(0, "exceed the cap"), (1, "amb"), (10 ** 7, "amb")]
+)
+def test_amb_bounded(circle_config, capsys, excess, message):
+    """amb past MAX_AMB is refused before anything of its length is built; at
+    the bound the enumeration cap refuses the count."""
+    amb = polys.MAX_AMB + excess
+    for equations in ([], ["x1^2 + x2^2 - 1"]):
+        variety = _variety(amb=amb, codim=len(equations), equations=equations)
+        with _within(1):
+            rc = main(["count", "--config", circle_config(variety=variety)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert message in lines[0]
+
+
+def test_factoring_bounded(circle_config, capsys):
+    """g = x^2 + 5 mod the prime 999999999989 would take about 10^12 trial
+    divisions: the modulus is refused before the first."""
+    modulus = {"primes": [{"p": 999999999989, "h": [1, 1]}]}
+    with _within(1):
+        rc = main(["count", "--config", circle_config(modulus=modulus)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "candidates" in lines[0]
 
 
 def test_g_at_the_coefficient_bound(circle_config, capsys):
@@ -547,6 +595,24 @@ class TestAsympt:
             assert rc == 0 and captured.err == ""
             header = "modulus,N,count,ratio,omega,sum_inv_sqrt,sum_inv,max_local_dev\n"
             assert captured.out == header
+
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    @pytest.mark.parametrize("products", [-1, 3, 7])
+    def test_products_out_of_range(self, circle_config, capsys, flag, products):
+        """products takes 0, 1 or 2; others are refused with one error line,
+        from the flag (over options.products 2) or the config."""
+        if flag:
+            path = circle_config(options={"max_norm": 10, "products": 2})
+            argv = ["asympt", "--config", path, "--products", str(products)]
+        else:
+            options = {"max_norm": 10, "products": products}
+            argv = ["asympt", "--config", circle_config(options=options)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "products" in lines[0]
 
 
 class TestExample25:

@@ -92,6 +92,14 @@ class TestPolyFactorModP:
         # x^4 + 1 mod 2 = (x + 1)^4
         assert factor_poly_mod_p((1, 0, 0, 0, 1), 2) == [((1, 1), 4)]
 
+    def test_candidate_bound(self, monkeypatch):
+        # x^4 + 1 mod 7 may try the 7 + 7^2 monic candidates of degree 1 and 2
+        monkeypatch.setattr(ideals, "MAX_FACTOR_CANDIDATES", 56)
+        assert factor_poly_mod_p((1, 0, 0, 0, 1), 7) == [((1, 3, 1), 1), ((1, 4, 1), 1)]
+        monkeypatch.setattr(ideals, "MAX_FACTOR_CANDIDATES", 55)
+        with pytest.raises(FactorCapExceeded, match="56 candidates"):
+            factor_poly_mod_p((1, 0, 0, 0, 1), 7)
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_product_reconstructs(self, q5, p):
         g = [c % p for c in q5.min_poly]

@@ -297,19 +297,19 @@ class TestEval:
 class TestJacobian:
     def test_circle(self, q5, circle_variety):
         J = jacobian(q5, circle_variety)
-        assert J.rows[0][0].terms == {(1, 0): (2, 0)}
-        assert J.rows[0][1].terms == {(0, 1): (2, 0)}
+        assert J[0][0].terms == {(1, 0): (2, 0)}
+        assert J[0][1].terms == {(0, 1): (2, 0)}
 
     def test_linear(self, q5):
         line = parse_poly("x1 + x2 - 1", q5, 2)
         V = VarietySpec(amb=2, codim=1, equations=(line,), declared_degree=1)
         J = jacobian(q5, V)
-        assert J.rows[0][0].terms == {(0, 0): (1, 0)}
-        assert J.rows[0][1].terms == {(0, 0): (1, 0)}
+        assert J[0][0].terms == {(0, 0): (1, 0)}
+        assert J[0][1].terms == {(0, 0): (1, 0)}
 
     def test_empty_variety(self, q5):
         V = VarietySpec(amb=2, codim=0, equations=(), declared_degree=1)
-        assert jacobian(q5, V).rows == ()
+        assert jacobian(q5, V) == ()
 
     def test_rank_at_points(self, q5, circle_variety, p3):
         ctx = prime_ctx(q5, p3)
@@ -435,6 +435,15 @@ class TestGoodReduction:
             VarietySpec(
                 amb=2, codim=1, equations=(zero_poly(2),), declared_degree=1
             )
+
+    def test_amb_bound(self, q5):
+        bound = polys.MAX_AMB
+        x = parse_poly(f"x{bound}", q5, bound)
+        VarietySpec(amb=bound, codim=1, equations=(x,), declared_degree=1)
+        with pytest.raises(ValueError, match="amb"):
+            parse_poly("x1", q5, bound + 1)
+        with pytest.raises(ValueError, match="amb"):
+            VarietySpec(amb=bound + 1, codim=0, equations=(), declared_degree=1)
 
 
 # Q, Q(i), Q(sqrt(-5)) and Q(2^(1/3)); each ring of integers is Z[theta]

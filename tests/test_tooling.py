@@ -376,6 +376,20 @@ def test_traced_functions_exist():
     assert missing == []
 
 
+def test_cli_import_leaves_logging_out():
+    """Nothing that ``import exunits.cli`` loads imports ``logging``."""
+    src = str(Path(exunits.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import exunits.cli; "
+        "print('logging' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_acceptance_without_asserts():
     """The acceptance criteria hold under ``python -O``, which strips ``assert``."""
     result = subprocess.run(
