@@ -65,7 +65,6 @@ from .number_ring import (
     make_number_ring,
 )
 from .polys import (
-    GoodReductionReport,
     MultiPoly,
     VarietySpec,
     check_good_reduction,
@@ -73,7 +72,6 @@ from .polys import (
     jacobian,
     jacobian_rank_at,
     parse_poly,
-    poly_to_str,
 )
 from .residues import (
     ResidueCtx,

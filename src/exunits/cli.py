@@ -154,31 +154,21 @@ def load_config(path):
     }
 
 
-def _fraction_json(fr):
-    return {"num": fr.numerator, "den": fr.denominator}
-
-
 def _locals_json(locals_):
-    out = []
-    for ld in locals_:
-        pf = ld.prime
-        count_n = ld.count_N
-        if not isinstance(count_n, int):  # strict-paper half-integer case
-            count_n = _fraction_json(count_n)
-        out.append(
-            {
-                "p": pf.p,
-                "h": list(pf.h_coeffs),
-                "f_res": pf.f_res,
-                "e_ram": pf.e_ram,
-                "exponent": pf.exponent,
-                "norm": pf.norm,
-                "count_X": ld.count_X,
-                "count_N": count_n,
-                "factor": _fraction_json(ld.factor),
-            }
-        )
-    return out
+    return [
+        {
+            "p": ld.prime.p,
+            "h": list(ld.prime.h_coeffs),
+            "f_res": ld.prime.f_res,
+            "e_ram": ld.prime.e_ram,
+            "exponent": ld.prime.exponent,
+            "norm": ld.prime.norm,
+            "count_X": ld.count_X,
+            "count_N": ld.count_N,
+            "factor": {"num": ld.factor.numerator, "den": ld.factor.denominator},
+        }
+        for ld in locals_
+    ]
 
 
 def _emit(obj):
@@ -233,7 +223,7 @@ def cmd_verify(args):
         except BadReduction as exc:
             witness = exc.witness
         except CapExceeded:
-            witness = check_good_reduction(ring, V, pf, cap=cap).witness
+            witness = check_good_reduction(ring, V, pf, cap=cap)
         check = {
             "name": f"good_reduction p={pf.p} h={list(pf.h_coeffs)}",
             "pass": witness is None,
@@ -388,7 +378,13 @@ def build_parser():
     p_asympt = sub.add_parser("asympt", help="per-prime asymptotics table (CSV)")
     p_asympt.add_argument("--config", required=True)
     p_asympt.add_argument("--max-norm", type=int, default=None)
-    p_asympt.add_argument("--products", type=int, default=None, help="0, 1 or 2")
+    p_asympt.add_argument(
+        "--products",
+        type=int,
+        default=None,
+        help="0, 1 or 2: 0 and 1 both list the prime ideals alone; "
+        "2 adds the products of two distinct primes",
+    )
     p_asympt.add_argument("--out", default=None)
     p_asympt.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p_asympt.set_defaults(func=cmd_asympt)
@@ -404,9 +400,12 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()  # built once: main parses every call with it
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except BadReduction as exc:
         _emit(

@@ -45,6 +45,7 @@ from .residues import (
     reduce_mod,
     residue_ctx,
     residue_index,
+    square_class,
     unit_flags,
 )
 
@@ -225,15 +226,6 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
 _QSQRT5_POLY = (5, 0, 1)
 
 
-def _legendre(n, p):
-    """Legendre symbol (n/p) for an odd prime p."""
-    n %= p
-    if n == 0:
-        return 0
-    r = pow(n, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def _m_of_p(p, a, c):
     if (c - a * a) % p == 0:
         return 2
@@ -287,8 +279,9 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
             factor = 1 - Fraction(1 + m, q)
         else:
             q = p
-            chi_minus1 = _legendre(-1, p)
-            chi = _legendre(c - a * a, p)
+            ctx = prime_ctx(ring, pf)
+            chi_minus1 = square_class(ctx, ring.from_int(-1))
+            chi = square_class(ctx, ring.from_int(c - a * a))
             if mode == "corrected":
                 gate = Fraction(1) if chi >= 0 else Fraction(0)
             else:
@@ -395,8 +388,9 @@ def good_reduction_primes(ring, V, max_norm, cap=DEFAULT_CAP):
     out = []
     for pf in prime_ideals_up_to(ring, max_norm):
         try:
-            if check_good_reduction(ring, V, pf, cap=cap).ok:
-                out.append(pf)
+            witness = check_good_reduction(ring, V, pf, cap=cap)
         except CapExceeded:
-            pass  # a prime over the cap is left out
+            continue  # a prime over the cap is left out
+        if witness is None:
+            out.append(pf)
     return out

@@ -107,12 +107,6 @@ class VarietySpec:
                 raise ValueError("every equation must be nonzero")
 
 
-@dataclass
-class GoodReductionReport:
-    ok: bool
-    witness: object = None  # first offending point, in enumeration order
-
-
 def _check_amb(amb):
     if not 1 <= amb <= MAX_AMB:
         raise ValueError(f"amb must be from 1 to {MAX_AMB}, not {amb}")
@@ -376,45 +370,6 @@ def parse_poly(src, ring, amb):
     if end[0] != "end":
         raise PolySyntaxError(f"trailing input {end[1]!r}", end[2])
     return poly
-
-
-def _coeff_str(coeff):
-    if all(c == 0 for c in coeff[1:]):
-        return str(coeff[0])
-    return "[" + ",".join(str(c) for c in coeff) + "]"
-
-
-def poly_to_str(poly):
-    """Render a polynomial in the input grammar (round-trips exactly)."""
-    if not poly.terms:
-        return "0"
-    parts = []
-    for exps in sorted(poly.terms, reverse=True):
-        coeff = poly.terms[exps]
-        monomial = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                monomial.append(f"x{i + 1}")
-            elif e > 1:
-                monomial.append(f"x{i + 1}^{e}")
-        cstr = _coeff_str(coeff)
-        rational = all(c == 0 for c in coeff[1:])
-        sign = "+"
-        if rational and coeff[0] < 0:
-            sign = "-"
-            cstr = str(-coeff[0])
-        if monomial and rational and cstr == "1":
-            body = "*".join(monomial)
-        elif monomial:
-            body = cstr + "*" + "*".join(monomial)
-        else:
-            body = cstr
-        parts.append((sign, body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
 
 
 # --- evaluation ---
@@ -715,15 +670,15 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
 
 
 def check_good_reduction(ring, V, prime_factor, cap=DEFAULT_CAP):
-    """Smoothness of the mod-p fiber at every residue point of X.
+    """The first singular point of X(O_K/p), or None under good reduction.
 
-    ok iff the Jacobian has rank equal to the declared codimension at each
-    point of X(O_K/p); vacuously true for an empty fiber.  The witness is
-    the first failing point in enumeration order.
+    A point is singular when the Jacobian's rank there is not the declared
+    codimension; an empty fiber has none.  Points are tried in enumeration
+    order.
     """
     try:
         for _ in smooth_points(prime_ctx(ring, prime_factor), V, cap):
             pass
     except BadReduction as exc:
-        return GoodReductionReport(ok=False, witness=exc.witness)
-    return GoodReductionReport(ok=True)
+        return exc.witness
+    return None

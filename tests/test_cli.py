@@ -132,6 +132,23 @@ class TestCount:
         assert outputs[0] == outputs[1] == outputs[2]
         assert json.loads(outputs[0])["agreement"] is True
 
+    def test_one_parse_tree(self, circle_config, capsys, monkeypatch):
+        """main parses every call with the tree built at import, and one
+        call's options do not carry over to the next."""
+
+        def rebuilt():
+            raise RuntimeError("main rebuilt the parse tree")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        path = circle_config()
+        for argv, method in (
+            (["count", "--config", path, "--method", "brute"], "brute"),
+            (["count", "--config", path], "formula"),
+        ):
+            assert main(argv) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert (out["method"], out["total"]) == (method, "4")
+
 
 @pytest.mark.parametrize(
     "argv",

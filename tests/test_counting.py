@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 from importlib import import_module
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import event, given, settings
@@ -238,7 +239,7 @@ class TestLocalCounts:
 
     def test_bad_reduction_raises(self, q5, circle, f_x_minus_2):
         p2 = factor_ideal(q5, principal_ideal(q5, (2, 0)))[0]
-        witness = check_good_reduction(q5, circle, p2).witness
+        witness = check_good_reduction(q5, circle, p2)
         assert witness == ((1, 0), (0, 0))
         with pytest.raises(BadReduction) as exc:
             local_counts(q5, circle, f_x_minus_2, p2)
@@ -398,11 +399,11 @@ class TestTheorem1:
         )
         f = data.draw(_polys(ring, 1, nonconstant=True))
         assert not f.is_constant()
-        reports = [
+        witnesses = [
             (pf, check_good_reduction(ring, V, pf))
             for pf in factor_ideal(ring, n_ideal)
         ]
-        bad = [(pf, rep.witness) for pf, rep in reports if not rep.ok]
+        bad = [(pf, witness) for pf, witness in witnesses if witness is not None]
         event("bad reduction" if bad else "good reduction")
         if bad:
             with pytest.raises(BadReduction) as exc:
@@ -467,6 +468,34 @@ class TestExample25:
             formula = theorem1_count(q5, V, f, n_ideal).total
             brute = brute_force_count(q5, V, f, n_ideal)
             assert closed == formula == brute, (a, c, n)
+
+    def test_matches_theorem_on_a_grid(self, q5):
+        """The corrected mode is Theorem 1 at split, inert and ramified
+        primes; the strict mode agrees wherever c - a^2 is nonzero at every
+        split or ramified prime, where chi is -1 or 1 rather than 0."""
+        strict_checked = strict_skipped = 0
+        for n in (3, 5, 7, 11, 13, 17, 19, 21, 23, 35):
+            n_ideal = principal_ideal(q5, (n, 0))
+            degree_one = [pf.p for pf in factor_ideal(q5, n_ideal) if pf.f_res == 1]
+            for c in (1, -1, 7, -7):
+                if gcd(n * n, 2 * c) != 1:
+                    continue
+                eq = parse_poly(f"x1^2 + x2^2 - ({c})", q5, 2)
+                V = VarietySpec(amb=2, codim=1, equations=(eq,), declared_degree=2)
+                for a in range(-3, 6):
+                    f = parse_poly(f"x1 - ({a})", q5, 1)
+                    formula = theorem1_count(q5, V, f, n_ideal).total
+                    closed = example25_count(q5, a, c, n_ideal).total
+                    assert closed == formula, (n, a, c)
+                    if all((c - a * a) % p for p in degree_one):
+                        strict = example25_count(
+                            q5, a, c, n_ideal, mode="strict_paper"
+                        ).total
+                        assert strict == formula, (n, a, c)
+                        strict_checked += 1
+                    else:
+                        strict_skipped += 1
+        assert strict_checked and strict_skipped
 
     def test_wrong_ring(self, rat):
         with pytest.raises(NotQSqrtMinus5):

@@ -25,7 +25,6 @@ from exunits import (
     local_counts,
     make_number_ring,
     parse_poly,
-    poly_to_str,
     polys,
     prime_ctx,
     principal_ideal,
@@ -198,6 +197,10 @@ class TestParser:
         poly = parse_poly("[2,-3]*x1", q5, 1)
         assert poly.terms == {(1,): (2, -3)}
 
+    def test_negative_coefficients_in_products(self, q5):
+        poly = parse_poly("-3*x1^2*x2 + [-2,5]*x1*x2^3 - 7", q5, 2)
+        assert poly.terms == {(2, 1): (-3, 0), (1, 3): (-2, 5), (0, 0): (-7, 0)}
+
     def test_parentheses_and_unary_minus(self, q5):
         poly = parse_poly("-(x1 - 1)^2", q5, 1)
         assert poly.terms == {(2,): (-1, 0), (1,): (2, 0), (0,): (-1, 0)}
@@ -246,22 +249,6 @@ class TestPolyPow:
                     products = max(e.bit_length() + bin(e).count("1") - 2, 0)
                     assert len(calls) == products, e
                     expected = poly_mul(ring, expected, poly)
-
-
-class TestRoundTrip:
-    def test_corpus(self, q5):
-        rng = random.Random(17)
-        for _ in range(60):
-            poly = _random_poly(rng, q5, rng.randint(1, 3), rng.randint(1, 5))
-            text = poly_to_str(poly)
-            reparsed = parse_poly(text, q5, poly.amb)
-            assert reparsed.terms == poly.terms, text
-
-    def test_rational_field_corpus(self, rat):
-        rng = random.Random(19)
-        for _ in range(20):
-            poly = _random_poly(rng, rat, 2, rng.randint(1, 4))
-            assert parse_poly(poly_to_str(poly), rat, 2).terms == poly.terms
 
 
 class TestEval:
@@ -410,17 +397,16 @@ class TestFiniteDifference:
 
 class TestGoodReduction:
     def test_circle_good_at_three(self, q5, circle_variety, p3):
-        assert check_good_reduction(q5, circle_variety, p3).ok
+        assert check_good_reduction(q5, circle_variety, p3) is None
 
     def test_circle_bad_at_two(self, q5, circle_variety):
         p2 = factor_ideal(q5, principal_ideal(q5, (2, 0)))[0]
-        rep = check_good_reduction(q5, circle_variety, p2)
-        assert not rep.ok
-        assert rep.witness == ((1, 0), (0, 0))
+        witness = check_good_reduction(q5, circle_variety, p2)
+        assert witness == ((1, 0), (0, 0))
 
     def test_circle_good_at_five(self, q5, circle_variety):
         p5 = factor_ideal(q5, principal_ideal(q5, (5, 0)))[0]
-        assert check_good_reduction(q5, circle_variety, p5).ok
+        assert check_good_reduction(q5, circle_variety, p5) is None
 
     def test_variety_validation(self, q5, circle):
         with pytest.raises(ValueError):
