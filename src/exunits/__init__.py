@@ -17,7 +17,6 @@ from .counting import (
     langweil_deviation,
     lifting_census,
     local_counts,
-    prime_power_count,
     theorem1_count,
 )
 from .errors import (

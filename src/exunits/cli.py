@@ -19,7 +19,6 @@ out the brute-force total.
 """
 
 import argparse
-import io
 import json
 import sys
 from dataclasses import replace
@@ -39,7 +38,7 @@ from .ideals import (
     prime_ideals_up_to,
 )
 from .number_ring import make_number_ring
-from .polys import VarietySpec, check_good_reduction, parse_poly
+from .polys import DEFAULT_CAP, VarietySpec, check_good_reduction, parse_poly
 
 
 class ConfigError(ExunitsError):
@@ -124,6 +123,8 @@ def parse_modulus(ring, literal):
 
 
 def load_config(path):
+    """The parsed config; its options are cap, max_norm and products, each
+    checked and, when absent, set to its default."""
     with open(path) as fh:
         raw = _checked(json.load(fh), dict, "the config")
     min_poly = _field(_field(raw, "field", dict), "min_poly", list)
@@ -142,15 +143,15 @@ def load_config(path):
     f = parse_poly(_field(raw, "f", str), ring, 1)
     modulus = parse_modulus(ring, raw["modulus"]) if "modulus" in raw else None
     options = _field(raw, "options", dict, {})
-    # the options the commands read; options.workers is accepted and ignored
-    for key in ("cap", "max_norm", "products"):
-        _field(options, key, int, None)
+    # the options the commands read, with their defaults; options.workers is
+    # accepted and ignored
+    defaults = {"cap": DEFAULT_CAP, "max_norm": None, "products": 0}
     return {
         "ring": ring,
         "variety": variety,
         "f": f,
         "modulus": modulus,
-        "options": options,
+        "options": {key: _field(options, key, int, d) for key, d in defaults.items()},
     }
 
 
@@ -176,15 +177,18 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def cmd_count(args):
+def _modulus_config(args):
+    """ring, variety, f, modulus and cap of a config that must name a modulus."""
     cfg = load_config(args.config)
     if cfg["modulus"] is None:
-        raise ConfigError("count requires a modulus")
-    cap = cfg["options"].get("cap", counting.DEFAULT_CAP)
+        raise ConfigError(f"{args.command} requires a modulus")
+    return cfg["ring"], cfg["variety"], cfg["f"], cfg["modulus"], cfg["options"]["cap"]
+
+
+def cmd_count(args):
+    ring, V, f, n_ideal, cap = _modulus_config(args)
     method = args.method
-    ring, V, f, n_ideal = cfg["ring"], cfg["variety"], cfg["f"], cfg["modulus"]
-    report = None
-    brute_total = None
+    report = brute_total = None
     if method in ("formula", "both"):
         report = counting.theorem1_count(ring, V, f, n_ideal, cap=cap)
     if method in ("brute", "both"):
@@ -203,11 +207,7 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
-    cfg = load_config(args.config)
-    if cfg["modulus"] is None:
-        raise ConfigError("verify requires a modulus")
-    cap = cfg["options"].get("cap", counting.DEFAULT_CAP)
-    ring, V, f, n_ideal = cfg["ring"], cfg["variety"], cfg["f"], cfg["modulus"]
+    ring, V, f, n_ideal, cap = _modulus_config(args)
     # f is checked here, before any sweep: the multiplicativity check, the
     # only one that counts with f, does not run at every modulus
     counting._check_f(f)
@@ -274,18 +274,13 @@ def _fmt_float(x):
 
 def cmd_asympt(args):
     cfg = load_config(args.config)
-    cap = cfg["options"].get("cap", counting.DEFAULT_CAP)
-    max_norm = args.max_norm if args.max_norm is not None else cfg["options"].get(
-        "max_norm"
-    )
+    max_norm = cfg["options"]["max_norm"] if args.max_norm is None else args.max_norm
     if max_norm is None:
         raise ConfigError("asympt requires --max-norm")
     # no prime ideal has norm below 2: a smaller bound names an empty family
     if not 2 <= max_norm <= 10 ** 4:
         raise ConfigError(f"max-norm must be from 2 to 10^4, not {max_norm}")
-    products = args.products if args.products is not None else cfg["options"].get(
-        "products", 0
-    )
+    products = cfg["options"]["products"] if args.products is None else args.products
     if products not in (0, 1, 2):
         raise ConfigError(f"products must be 0, 1 or 2, not {products}")
     ring, V, f = cfg["ring"], cfg["variety"], cfg["f"]
@@ -293,27 +288,14 @@ def cmd_asympt(args):
     family = [[pf] for pf in primes]
     if products >= 2:
         family += [list(pair) for pair in combinations(primes, 2)]
-    records = counting.asympt_series(ring, V, f, family, cap=cap)
+    records = counting.asympt_series(ring, V, f, family, cap=cfg["options"]["cap"])
     records.sort(key=lambda r: (r.N, r.description))
-    buf = io.StringIO()
-    buf.write("modulus,N,count,ratio,omega,sum_inv_sqrt,sum_inv,max_local_dev\n")
-    for r in records:
-        buf.write(
-            ",".join(
-                [
-                    r.description,
-                    str(r.N),
-                    str(r.count),
-                    _fmt_float(float(r.ratio)),
-                    str(r.omega),
-                    _fmt_float(r.sum_inv_sqrt),
-                    _fmt_float(r.sum_inv),
-                    _fmt_float(r.max_local_dev),
-                ]
-            )
-            + "\n"
-        )
-    text = buf.getvalue()
+    text = "modulus,N,count,ratio,omega,sum_inv_sqrt,sum_inv,max_local_dev\n" + "".join(
+        f"{r.description},{r.N},{r.count},{_fmt_float(float(r.ratio))},{r.omega},"
+        f"{_fmt_float(r.sum_inv_sqrt)},{_fmt_float(r.sum_inv)},"
+        f"{_fmt_float(r.max_local_dev)}\n"
+        for r in records
+    )
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -66,7 +66,6 @@ class LocalData:
 @dataclass
 class CountReport:
     modulus_norm: int
-    exponent: int  # amb - codim
     locals: list
     total: int
 
@@ -144,15 +143,6 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
     )
 
 
-def prime_power_count(ring, V, f, prime_factor, e, cap=DEFAULT_CAP):
-    """Exact count modulo p^e: q^((amb-d)(e-1)) times the local count.
-
-    The product formula at the one prime p, with its guards.
-    """
-    ld = local_counts(ring, V, f, prime_factor, cap=cap)
-    return _product_formula(V, prime_factor.norm ** e, [ld])
-
-
 def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
     """The product formula: norm(n)^(amb-d) times the local factors.
 
@@ -167,10 +157,7 @@ def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
         local_counts(ring, V, f, pf, cap=cap) for pf in factor_ideal(ring, n_ideal)
     ]
     return CountReport(
-        modulus_norm=n_norm,
-        exponent=V.amb - V.codim,
-        locals=locals_,
-        total=_product_formula(V, n_norm, locals_),
+        modulus_norm=n_norm, locals=locals_, total=_product_formula(V, n_norm, locals_)
     )
 
 
@@ -241,10 +228,13 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
     square (including 0) in the residue field, which is what the direct count
     of the intersection set gives.  mode='strict_paper' keeps the printed
     (chi + 1)/2 gate, which diverges when chi = 0; the divergence is the
-    point of exposing both modes.
+    point of exposing both modes.  chi = 0 forces m(p) = 2, so the gated
+    count is an int in both modes.
 
     The splitting of p is read off each prime that factor_ideal gives: inert
-    when f = 2, ramified when e = 2, split otherwise.
+    when f = 2, ramified when e = 2, split otherwise.  The counts and the
+    total are ints; only each local factor (count_X - count_N)/q is a
+    Fraction.
     """
     if ring.min_poly != _QSQRT5_POLY:
         raise NotQSqrtMinus5("the closed form is specific to g = x^2 + 5")
@@ -259,47 +249,31 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
         raise BadModulus(f"norm {n_norm} must be coprime to 2c = {2 * c}")
     classes = {"split": (1, 3, 7, 9), "inert": (11, 13, 17, 19), "ramified": (5,)}
     locals_ = []
-    total = Fraction(n_norm)
+    total = 1
     for pf in factor_ideal(ring, n_ideal):
         p = pf.p
-        if pf.f_res == 2:
-            splitting = "inert"
-        elif pf.e_ram == 2:
-            splitting = "ramified"
-        else:
-            splitting = "split"
+        splitting = (
+            "inert" if pf.f_res == 2 else "ramified" if pf.e_ram == 2 else "split"
+        )
         # cross-check against the p mod 20 classification
         if p % 20 not in classes[splitting]:
             raise ExunitsError(f"{p} is {splitting}, against its class mod 20")
         m = _m_of_p(p, a, c)
+        q = pf.norm
         if splitting == "inert":
-            q = p * p
-            count_x = q - 1  # -1 is always a square in F_{p^2}
-            count_n = Fraction(m)  # c - a^2 is always a square in F_{p^2}
-            factor = 1 - Fraction(1 + m, q)
+            # -1 and c - a^2 are always squares in F_{p^2}
+            count_x, count_n = q - 1, m
         else:
-            q = p
             ctx = prime_ctx(ring, pf)
-            chi_minus1 = square_class(ctx, ring.from_int(-1))
+            count_x = q - square_class(ctx, ring.from_int(-1))
             chi = square_class(ctx, ring.from_int(c - a * a))
-            if mode == "corrected":
-                gate = Fraction(1) if chi >= 0 else Fraction(0)
-            else:
-                gate = Fraction(chi + 1, 2)
-            count_x = q - chi_minus1
-            count_n = gate * m
-            factor = 1 - Fraction(chi_minus1 + gate * m, q)
-        cn = int(count_n) if count_n.denominator == 1 else count_n
-        locals_.append(LocalData(prime=pf, count_X=count_x, count_N=cn, factor=factor))
-        total *= factor
-    if total.denominator == 1:
-        total = int(total)
-    return CountReport(
-        modulus_norm=n_norm,
-        exponent=1,
-        locals=locals_,
-        total=total,
-    )
+            count_n = m * (chi >= 0) if mode == "corrected" else m * (chi + 1) // 2
+        factor = Fraction(count_x - count_n, q)
+        locals_.append(
+            LocalData(prime=pf, count_X=count_x, count_N=count_n, factor=factor)
+        )
+        total *= q ** (pf.exponent - 1) * (count_x - count_n)
+    return CountReport(modulus_norm=n_norm, locals=locals_, total=total)
 
 
 # --- asymptotics diagnostics ---

@@ -243,6 +243,23 @@ def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        ("count", "count requires a modulus"),
+        ("verify", "verify requires a modulus"),
+        ("asympt", "asympt requires --max-norm"),
+    ],
+)
+def test_missing_input_exits_one(tmp_path, capsys, command, message):
+    """A config with no modulus, and no --max-norm for asympt: one exact line."""
+    config = {key: value for key, value in CIRCLE_CONFIG.items() if key != "modulus"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "excess, message", [(0, "exceed the cap"), (1, "amb"), (10 ** 7, "amb")]
 )
 def test_amb_bounded(circle_config, capsys, excess, message):

@@ -42,7 +42,6 @@ from exunits import (
     polys,
     prime_ctx,
     prime_ideals_above,
-    prime_power_count,
     principal_ideal,
     residue_ctx,
     theorem1_count,
@@ -309,12 +308,17 @@ class TestLocalCounts:
         assert ld.count_X - ld.count_N == brute_force_count(ring, V, f, pf.hnf)
 
 
+def _prime_power_count(ring, V, f, pf, e):
+    """The product formula modulo pf^e."""
+    return theorem1_count(ring, V, f, ideal_pow(ring, pf.hnf, e)).total
+
+
 class TestPrimePower:
     def test_e1_matches_local(self, q5, circle, f_x_minus_2, p3):
-        assert prime_power_count(q5, circle, f_x_minus_2, p3, 1) == 2
+        assert _prime_power_count(q5, circle, f_x_minus_2, p3, 1) == 2
 
     def test_e2(self, q5, circle, f_x_minus_2, p3):
-        assert prime_power_count(q5, circle, f_x_minus_2, p3, 2) == 6
+        assert _prime_power_count(q5, circle, f_x_minus_2, p3, 2) == 6
         sq = ideal_pow(q5, p3.hnf, 2)
         assert brute_force_count(q5, circle, f_x_minus_2, sq) == 6
 
@@ -322,14 +326,14 @@ class TestPrimePower:
         f = parse_poly("x1 - 0", q5, 1)
         pf = factor_ideal(q5, principal_ideal(q5, (5, 0)))[0]
         for e in (1, 2, 3):
-            assert prime_power_count(q5, circle, f, pf, e) == 0
+            assert _prime_power_count(q5, circle, f, pf, e) == 0
 
     def test_recursion_property(self, q5, circle, f_x_minus_2, p3):
-        base = prime_power_count(q5, circle, f_x_minus_2, p3, 1)
+        base = _prime_power_count(q5, circle, f_x_minus_2, p3, 1)
         q = p3.norm
         for e in (2, 3):
             expected = q ** (e - 1) * base
-            assert prime_power_count(q5, circle, f_x_minus_2, p3, e) == expected
+            assert _prime_power_count(q5, circle, f_x_minus_2, p3, e) == expected
             assert (
                 brute_force_count(
                     q5, circle, f_x_minus_2, ideal_pow(q5, p3.hnf, e)
@@ -471,8 +475,17 @@ class TestExample25:
 
     def test_matches_theorem_on_a_grid(self, q5):
         """The corrected mode is Theorem 1 at split, inert and ramified
-        primes; the strict mode agrees wherever c - a^2 is nonzero at every
-        split or ramified prime, where chi is -1 or 1 rather than 0."""
+        primes, prime by prime, with int counts; the strict mode agrees
+        wherever c - a^2 is nonzero at every split or ramified prime, where
+        chi is -1 or 1 rather than 0."""
+
+        def local_data(report):
+            return [
+                (ld.prime.p, ld.prime.h_coeffs, ld.prime.exponent)
+                + (ld.count_X, ld.count_N, ld.factor)
+                for ld in report.locals
+            ]
+
         strict_checked = strict_skipped = 0
         for n in (3, 5, 7, 11, 13, 17, 19, 21, 23, 35):
             n_ideal = principal_ideal(q5, (n, 0))
@@ -484,9 +497,12 @@ class TestExample25:
                 V = VarietySpec(amb=2, codim=1, equations=(eq,), declared_degree=2)
                 for a in range(-3, 6):
                     f = parse_poly(f"x1 - ({a})", q5, 1)
-                    formula = theorem1_count(q5, V, f, n_ideal).total
-                    closed = example25_count(q5, a, c, n_ideal).total
-                    assert closed == formula, (n, a, c)
+                    theorem = theorem1_count(q5, V, f, n_ideal)
+                    formula = theorem.total
+                    closed = example25_count(q5, a, c, n_ideal)
+                    assert closed.total == formula, (n, a, c)
+                    assert local_data(closed) == local_data(theorem), (n, a, c)
+                    assert all(type(ld.count_N) is int for ld in closed.locals)
                     if all((c - a * a) % p for p in degree_one):
                         strict = example25_count(
                             q5, a, c, n_ideal, mode="strict_paper"

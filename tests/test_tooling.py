@@ -181,6 +181,20 @@ def test_cap_has_one_owner():
     assert _owners(compares_cap) == ["polys.variety_indices"]
 
 
+def test_option_defaults_have_one_owner():
+    """Only ``cli.load_config`` names ``DEFAULT_CAP`` in the CLI: the config's
+    option defaults are filled in once, and every command reads them there."""
+    path = Path(exunits.__file__).parent / "cli.py"
+    owners = [
+        f"cli.{getattr(top, 'name', '<module>')}"
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if getattr(node, "id", None) == "DEFAULT_CAP"
+        or getattr(node, "attr", None) == "DEFAULT_CAP"
+    ]
+    assert owners == ["cli.load_config"]
+
+
 def test_one_square_and_multiply():
     """Only ``number_ring.square_and_multiply`` walks the bits of an
     exponent: nothing else calls ``bin`` or shifts a name right in place."""
