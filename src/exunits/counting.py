@@ -98,14 +98,15 @@ def _exunit_flags(ctx, f):
     first value, so that nothing is built before then.
     """
     value = _evaluator(ctx, f.terms)
+    ops = arithmetic(ctx)
     if ctx.prime is not None:
-        zero = arithmetic(ctx).zero
+        zero = ops.zero
         for i in range(ctx.norm):
             yield value((i,)) != zero
         return
     units = unit_flags(ctx)
     for i in range(ctx.norm):
-        yield units[residue_index(ctx, value((i,)))] == 1
+        yield units[ops.index(value((i,)))] == 1
 
 
 def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):

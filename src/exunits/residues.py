@@ -6,8 +6,12 @@ arithmetic followed by reduction.  The only tables are the powers of all
 residues, built on first use and kept with their context (``power_table``);
 the units of O/n, decided by walking powers (``unit_flags``); and, at a
 prime, the log, antilog and Zech tables of the residue field
-(``field_tables``), through which ``arithmetic`` adds and multiplies
-residue indices as integers.
+(``field_tables``).
+
+``arithmetic`` gives the point kernel one of three forms of O/n: at a prime,
+residue indices added and multiplied through the field tables; when every
+HNF diagonal entry after the first is 1, so that O/n is Z/N, residue
+indices as ints mod N; otherwise coordinate tuples.
 
 Enumeration is fixed in lexicographic order of (c_{d-1}, ..., c_0), i.e.
 the highest power-basis coordinate varies slowest.
@@ -16,7 +20,7 @@ the highest power-basis coordinate varies slowest.
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from operator import index, mul
+from operator import add, index, mul, neg
 
 from .errors import (
     EvenCharacteristic,
@@ -126,11 +130,11 @@ def residue_index(ctx, r):
 def unit_flags(ctx):
     """Which residues are units of O/n: a bytearray in index order, 1 or 0.
 
-    Decided by walking powers with ring products mod n alone, so no
-    factorization, CRT or Hensel lifting is involved.  From each residue a
-    with no verdict the walk takes a, a^2, a^3, ... until it reaches a
-    residue that has one, or closes a cycle, and every residue on the walk
-    takes one verdict:
+    Decided by walking powers with the products of ``arithmetic(ctx)``
+    alone, so no gcd, factorization, CRT or Hensel lifting is involved.
+    From each residue a with no verdict the walk takes a, a^2, a^3, ...
+    until it reaches a residue that has one, or closes a cycle, and every
+    residue on the walk takes one verdict:
 
     * unit, if it reached a unit (1 is seeded as one), since a power of a
       is a unit only when a is;
@@ -142,19 +146,21 @@ def unit_flags(ctx):
     norm products where ``is_unit_mod`` costs one HNF per residue.
     """
     unknown, on_walk = 2, 3
-    reps = power_table(ctx, 1)
+    ops = arithmetic(ctx)
+    element = ops.term(ctx.ring.one, 1)  # residue index -> its element
+    mul, reduce, index_of = ops.mul, ops.reduce, ops.index
     flags = bytearray([unknown]) * ctx.norm
     flags[0] = 0
-    flags[residue_index(ctx, reduce_mod(ctx, ctx.ring.one))] = 1
+    flags[index_of(ops.encode(ctx.ring.one))] = 1
     for start in range(ctx.norm):
         if flags[start] != unknown:
             continue
-        a = x = reps[start]
+        a = x = element(start)
         walk = [start]
         flags[start] = on_walk
         while True:
-            x = mul_mod(ctx, x, a)
-            j = residue_index(ctx, x)
+            x = reduce(mul(x, a))
+            j = index_of(x)
             if flags[j] != unknown:
                 break
             flags[j] = on_walk
@@ -256,19 +262,30 @@ def arithmetic(ctx):
     * at a prime context (``ctx.prime`` set) an element is the residue's
       index in the order of ``residues``, and arithmetic goes through the
       tables of ``field_tables``, so every result is canonical;
+    * otherwise, when every HNF diagonal entry after the first is 1, the
+      first is N and the residue of index i is (i, 0, ..., 0): O/n is Z/N,
+      an element is an int, ``add``, ``neg`` and ``mul`` are integer
+      arithmetic, and ``reduce`` takes it mod N once at the end;
     * otherwise it is a ring element tuple: ``add``, ``neg`` and ``mul`` are
       ring arithmetic, and ``reduce`` (``reduce_mod``) makes a result
       canonical once at the end, as for any tuple in this module.
 
-    Either object has ``zero``; ``encode(a)``, the canonical element of a
-    ring element a; ``add``, ``neg``, ``mul`` and ``reduce``; and, for
-    e >= 1, ``term(c, e)``, the function from a residue index i to the
-    canonical element of c * r_i^e, where r_i is the i-th residue.  Two
-    canonical elements are equal iff their residues are.
+    Each object has ``zero``; ``encode(a)``, the canonical element of a
+    ring element a; ``add``, ``neg``, ``mul`` and ``reduce``; and, for e >= 1,
+    ``term(c, e)``, the function from a residue index i to the canonical
+    element of c * r_i^e, where r_i is the i-th residue.  Two canonical
+    elements are equal iff their residues are.  The two composite forms
+    also have ``index(x)``, the residue index of a canonical element x, for
+    ``unit_flags``.  Only this function names the three classes.
     """
     ops = ctx.tables.get("arithmetic")
     if ops is None:
-        kind = _FieldArithmetic if ctx.prime is not None else _RingArithmetic
+        if ctx.prime is not None:
+            kind = _FieldArithmetic
+        elif all(row[i] == 1 for i, row in enumerate(ctx.modulus.basis) if i):
+            kind = _CyclicArithmetic
+        else:
+            kind = _RingArithmetic
         ops = ctx.tables["arithmetic"] = kind(ctx)
     return ops
 
@@ -281,15 +298,36 @@ class _RingArithmetic:
         self.ctx = ctx
         self.zero = ring.zero
         self.encode = self.reduce = partial(reduce_mod, ctx)
+        self.index = partial(residue_index, ctx)
         self.add = partial(elem_add, ring)
         self.neg = partial(elem_neg, ring)
         self.mul = partial(elem_mul, ring)
 
     def term(self, c, e):
-        table = power_table(self.ctx, e)
-        if c != self.ctx.ring.one:
-            table = [mul_mod(self.ctx, c, x) for x in table]
+        ctx = self.ctx
+        table = power_table(ctx, e)
+        if c == ctx.ring.from_int(-1):
+            table = [reduce_mod(ctx, elem_neg(ctx.ring, x)) for x in table]
+        elif c != ctx.ring.one:
+            table = [mul_mod(ctx, c, x) for x in table]
         return table.__getitem__
+
+
+class _CyclicArithmetic:
+    """O/n = Z/N as residue indices, the residue of index i being the int i."""
+
+    zero = 0
+    index = staticmethod(index)  # a canonical element is its own index
+    add, neg, mul = staticmethod(add), staticmethod(neg), staticmethod(mul)
+
+    def __init__(self, ctx):
+        self.n = ctx.norm
+        self.reduce = ctx.norm.__rmod__  # x -> x % N
+        self.encode = lambda a: residue_index(ctx, reduce_mod(ctx, a))
+
+    def term(self, c, e):
+        c, n = self.encode(c), self.n
+        return [c * pow(i, e, n) % n for i in range(n)].__getitem__
 
 
 class _FieldArithmetic:

@@ -1,11 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exunits import (
     EvenCharacteristic,
+    VarietySpec,
+    brute_force_count,
     ExunitsError,
     NotAUnit,
     NotPrime,
@@ -16,8 +18,10 @@ from exunits import (
     ideal_contains,
     ideal_mul,
     ideal_norm,
+    ideal_pow,
     is_unit_mod,
     make_number_ring,
+    parse_poly,
     prime_ctx,
     principal_ideal,
     reduce_mod,
@@ -26,14 +30,18 @@ from exunits import (
     unit_ideal,
 )
 from exunits.ideals import prime_ideals_above
-from exunits.number_ring import elem_sub, is_zero
+from exunits.number_ring import elem_mul, elem_sub, is_zero
 from exunits.residues import (
     ResidueCtx,
+    _CyclicArithmetic,
+    _FieldArithmetic,
+    _RingArithmetic,
     add_mod,
     arithmetic,
     field_tables,
     mul_mod,
     pow_mod,
+    power_table,
     residues,
     sub_mod,
     unit_flags,
@@ -402,3 +410,137 @@ class TestFieldArithmetic:
         assert [ops.term(q5.one, 3)(i) for i in range(ctx.norm)] == [
             pow_mod(ctx, x, 3) for x in reps
         ]
+
+
+class TestRingArithmetic:
+    def test_minus_one_term_makes_no_product(self, q5, monkeypatch):
+        """term(-1, e) negates the power table: no ring product, the same
+        table as c * x^e."""
+        ctx = residue_ctx(q5, principal_ideal(q5, (13, 0)))  # inert: F_169
+        ops = arithmetic(ctx)
+        assert isinstance(ops, _RingArithmetic)
+        minus_one = q5.from_int(-1)
+        expected = [mul_mod(ctx, minus_one, x) for x in power_table(ctx, 3)]
+        products = []
+
+        def counted(*args):
+            products.append(args)
+            return elem_mul(*args)
+
+        monkeypatch.setattr("exunits.residues.elem_mul", counted)
+        table = ops.term(minus_one, 3)
+        assert [table(i) for i in range(ctx.norm)] == expected
+        assert products == []
+
+
+def _split_product(ring, primes):
+    """The product of the primes of ``primes``, each ``(p, index, e)`` the
+    e-th power of ``prime_ideals_above(ring, p)[index]``."""
+    n = principal_ideal(ring, ring.one)
+    for p, i, e in primes:
+        n = ideal_mul(ring, n, ideal_pow(ring, prime_ideals_above(ring, p)[i].hnf, e))
+    return residue_ctx(ring, n)
+
+
+# Q, Q(sqrt(-5)) and Z[2^(1/3)]
+CYCLIC_RINGS = [[0, 1], [5, 0, 1], [-2, 0, 0, 1]]
+CYCLIC_NORM = 400
+
+
+def _cyclic_moduli(draw):
+    """A ring of CYCLIC_RINGS and a modulus of norm 2 to CYCLIC_NORM with O/n
+    cyclic: a product of powers of primes of degree 1 above distinct p, the
+    first power alone where p ramifies."""
+    ring = make_number_ring(draw(st.sampled_from(CYCLIC_RINGS)))
+    ps = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 23, 29]), min_size=1,
+                       max_size=3, unique=True))
+    n, norm = principal_ideal(ring, ring.one), 1
+    for p in ps:
+        pfs = [pf for pf in prime_ideals_above(ring, p) if pf.f_res == 1]
+        if not pfs or norm * p > CYCLIC_NORM:
+            continue
+        pf = draw(st.sampled_from(pfs))
+        e = 1 if pf.e_ram > 1 else draw(st.integers(1, 3))
+        while norm * p ** e > CYCLIC_NORM:
+            e -= 1
+        n, norm = ideal_mul(ring, n, ideal_pow(ring, pf.hnf, e)), norm * p ** e
+    assume(norm > 1)  # no p drawn has a prime of degree 1
+    return ring, residue_ctx(ring, n)
+
+
+class TestCyclicArithmetic:
+    """When O/n is Z/N, ``arithmetic`` works on residue indices as ints mod
+    N; the tuple form, and ``is_unit_mod`` for the units, are the
+    reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_arithmetic(self, data):
+        ring, ctx = _cyclic_moduli(data.draw)
+        ops, tuples = arithmetic(ctx), _RingArithmetic(ctx)
+        assert isinstance(ops, _CyclicArithmetic)
+        reps = list(residues(ctx))
+        b = data.draw(st.integers(0, ctx.norm - 1))
+        e = data.draw(st.integers(1, 2 * ctx.norm))
+        coords = st.integers(-3 * ctx.norm, 3 * ctx.norm)
+        c = data.draw(
+            st.sampled_from([ring.one, ring.from_int(-1)])
+            | st.tuples(*[coords] * ring.deg)
+        )
+        term, tuple_term = ops.term(c, e), tuples.term(c, e)
+
+        def same(x, y):
+            return ops.index(ops.reduce(x)) == tuples.index(tuples.reduce(y))
+
+        for a in range(ctx.norm):
+            x, y = reps[a], reps[b]
+            assert same(ops.add(a, b), tuples.add(x, y))
+            assert same(ops.mul(a, b), tuples.mul(x, y))
+            assert same(ops.neg(a), tuples.neg(x))
+            assert same(term(a), tuple_term(a))
+        assert ops.index(ops.encode(c)) == tuples.index(tuples.encode(c))
+        assert list(unit_flags(ctx)) == [int(is_unit_mod(ctx, a)) for a in reps]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_oracle_matches_tuple_form(self, data):
+        ring, ctx = _cyclic_moduli(data.draw)
+        amb, src = data.draw(st.sampled_from(
+            [(2, "x1^2 + x2^2 - 1"), (1, "x1^3 - x1 - 1"), (2, "x1^2 - 2*x2^3 + 1")]
+        ))
+        V = VarietySpec(amb=amb, codim=1, equations=(parse_poly(src, ring, amb),),
+                        declared_degree=3)
+        f = parse_poly(data.draw(st.sampled_from(["x1 - 2", "x1^2 + 1"])), ring, 1)
+        count = brute_force_count(ring, V, f, ctx.modulus)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("exunits.residues._CyclicArithmetic", _RingArithmetic)
+            assert brute_force_count(ring, V, f, ctx.modulus) == count
+
+    @pytest.mark.parametrize(
+        "min_poly, primes, form",
+        [
+            ([0, 1], [(2, 0, 6)], _CyclicArithmetic),  # (64)
+            ([0, 1], [(2, 0, 2), (3, 0, 1), (7, 0, 2)], _CyclicArithmetic),  # (588)
+            ([5, 0, 1], [(3, 0, 1)], _CyclicArithmetic),  # split P3
+            ([5, 0, 1], [(3, 1, 3)], _CyclicArithmetic),  # P3'^3
+            ([5, 0, 1], [(3, 0, 1), (7, 1, 1), (23, 0, 1)], _CyclicArithmetic),
+            ([5, 0, 1], [(2, 0, 1), (3, 0, 2)], _CyclicArithmetic),  # N = 18
+            ([-2, 0, 0, 1], [(5, 0, 2), (3, 0, 1)], _CyclicArithmetic),
+            ([5, 0, 1], [(13, 0, 1)], _RingArithmetic),  # inert (13)
+            ([5, 0, 1], [(5, 0, 2)], _RingArithmetic),  # (5) = P5^2
+            ([5, 0, 1], [(3, 0, 1), (3, 1, 1)], _RingArithmetic),  # (3)
+            ([-2, 0, 0, 1], [(3, 0, 2)], _RingArithmetic),  # ramified P3^2
+        ],
+    )
+    def test_picks_its_form(self, min_poly, primes, form):
+        ring = make_number_ring(min_poly)
+        assert type(arithmetic(_split_product(ring, primes))) is form
+
+    def test_every_modulus_over_q_is_cyclic(self):
+        rat = make_number_ring([0, 1])
+        for m in range(2, 200):
+            ctx = residue_ctx(rat, principal_ideal(rat, (m,)))
+            assert type(arithmetic(ctx)) is _CyclicArithmetic
+
+    def test_prime_context_gets_the_field(self, p3, q5):
+        assert type(arithmetic(prime_ctx(q5, p3))) is _FieldArithmetic

@@ -277,6 +277,17 @@ def test_field_tables_have_one_owner():
     assert _owners(calls_field_tables) == ["residues._FieldArithmetic"]
 
 
+def test_arithmetic_forms_have_one_owner():
+    """Only ``residues.arithmetic`` names the classes of the forms of O/n,
+    so nothing else dispatches on them."""
+
+    def names_form(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        return isinstance(name, str) and name.endswith("Arithmetic")
+
+    assert sorted(set(_owners(names_form))) == ["residues.arithmetic"]
+
+
 def _count_field_tables(monkeypatch):
     """Patch the builder of the field tables; returns the list of its calls."""
     builds = []
