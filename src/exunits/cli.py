@@ -91,12 +91,33 @@ def _parse_element(ring, literal):
     return ring.from_int(_checked(literal, int, "an element literal"))
 
 
+# Python's default bound on the digits of an int turned into text: the
+# largest modulus norm that a report can print
+MAX_NORM_DIGITS = 4300
+_NORM_BOUND = 10 ** MAX_NORM_DIGITS
+
+
+def _check_norm(powers):
+    """Refuse a modulus whose norm, the product of p^k over powers, has more
+    than MAX_NORM_DIGITS digits.  The norm is at least 2^s, s the sum of
+    k * (bits(p) - 1), so no p^k is computed once s alone is past the bound.
+    """
+    s = sum(k * (p.bit_length() - 1) for p, k in powers)
+    if s >= _NORM_BOUND.bit_length() or prod(p ** k for p, k in powers) >= _NORM_BOUND:
+        raise ConfigError(f"modulus norm has more than {MAX_NORM_DIGITS} digits")
+
+
 def parse_modulus(ring, literal):
-    """Ideal literal: {"generators": [...]} or {"primes": [{p, h, exponent}]}."""
+    """Ideal literal: {"generators": [...]} or {"primes": [{p, h, exponent}]}.
+
+    Either is refused when its norm has more than MAX_NORM_DIGITS digits.
+    """
     _checked(literal, dict, "modulus")
     if "generators" in literal:
         gens = [_parse_element(ring, g) for g in _field(literal, "generators", list)]
-        return hnf_from_generators(ring, gens)
+        ideal = hnf_from_generators(ring, gens)
+        _check_norm([(ideal_norm(ideal), 1)])
+        return ideal
     if "primes" in literal:
         factors = []
         for spec in _field(literal, "primes", list):
@@ -115,6 +136,8 @@ def parse_modulus(ring, literal):
                     f"valid factors: {valid}"
                 )
             factors.append(replace(matches[0], exponent=exponent))
+        # a negative exponent counts as 0 here; ideal_pow refuses it below
+        _check_norm([(pf.p, pf.f_res * max(pf.exponent, 0)) for pf in factors])
         ideal = ideal_of_factors(ring, factors)
         if ideal_norm(ideal) < 2:
             raise UnitIdeal("modulus must be a proper ideal")

@@ -92,21 +92,15 @@ def _check_f(f):
 def _exunit_flags(ctx, f):
     """Lazily, for each residue index i: is f(residue_i) a unit mod the ideal?
 
-    In a residue field a unit is a nonzero residue.  Otherwise f(residue_i)
-    is looked up in ``unit_flags``, which decides every unit of O/n by
-    walking powers, with no factorization.  f and the flags are built on the
-    first value, so that nothing is built before then.
+    f(residue_i) is looked up in ``unit_flags``, which decides the units of
+    O/n with no factorization.  f and the flags are built on the first
+    value, so that nothing is built before then.
     """
     value = _evaluator(ctx, f.terms)
-    ops = arithmetic(ctx)
-    if ctx.prime is not None:
-        zero = ops.zero
-        for i in range(ctx.norm):
-            yield value((i,)) != zero
-        return
+    index = arithmetic(ctx).index
     units = unit_flags(ctx)
     for i in range(ctx.norm):
-        yield units[ops.index(value((i,)))] == 1
+        yield units[index(value((i,)))] == 1
 
 
 def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
@@ -123,7 +117,7 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
 
     Requires good reduction at p: each point's Jacobian rank is checked as it
     is counted, and the first singular point raises BadReduction.  The sweep
-    and f share one residue context, so the field tables of O_K/p are built
+    and f share one residue context, so the arithmetic of O_K/p is built
     once.
     """
     _check_f(f)

@@ -47,6 +47,10 @@ from .residues import (
 
 MAX_EXPONENT = 2 ** 31 - 1
 
+# bound on the digits of one number in a polynomial: Python's default bound on
+# the digits of a text that ``int`` turns into an int
+MAX_DIGITS = 4300
+
 # bound on the terms that one '^' or '*' may expand to, checked before expanding
 MAX_EXPANDED_TERMS = 500
 
@@ -182,6 +186,21 @@ def poly_pow(ring, p, e):
 _TOKEN_CHARS = set("+-*^()[],")
 
 
+def _digit_run(src, i):
+    """The end of the run of decimal digits that starts at offset i.
+
+    Digits are ``str.isdecimal``, which ``int`` takes, not ``isdigit``, which
+    also holds for superscripts such as '²'.  A run of more than MAX_DIGITS
+    digits is refused at its offset.
+    """
+    j = i
+    while j < len(src) and src[j].isdecimal():
+        j += 1
+    if j - i > MAX_DIGITS:
+        raise PolySyntaxError(f"number of more than {MAX_DIGITS} digits", i)
+    return j
+
+
 def _tokenize(src):
     tokens = []
     i = 0
@@ -194,16 +213,12 @@ def _tokenize(src):
         if ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
+        elif ch.isdecimal():
+            j = _digit_run(src, i)
             tokens.append(("int", int(src[i:j]), i))
             i = j
         elif ch == "x":
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
+            j = _digit_run(src, i + 1)
             if j == i + 1:
                 raise PolySyntaxError("'x' must be followed by a variable index", i)
             tokens.append(("var", int(src[i + 1 : j]), i))
@@ -408,13 +423,8 @@ def partial_derivative(ring, poly, j):
         new_exps = tuple(
             v - 1 if i == j - 1 else v for i, v in enumerate(exps)
         )
-        c = elem_scale(ring, e, coeff)
-        if new_exps in terms:
-            c = elem_add(ring, terms[new_exps], c)
-        if not is_zero(c):
-            terms[new_exps] = c
-        else:
-            terms.pop(new_exps, None)
+        # distinct exponent vectors stay distinct, and e * coeff is nonzero
+        terms[new_exps] = elem_scale(ring, e, coeff)
     return MultiPoly(amb=poly.amb, terms=terms)
 
 
@@ -626,9 +636,9 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     """Residue-index tuples of X(O_K/p) in enumeration order, checked smooth.
 
     ``ctx`` is the prime's context (``prime_ctx``): whatever else is compiled
-    against it, such as f in ``local_counts``, shares its arithmetic, and so
-    one build of the field tables.  A point is yielded once the Jacobian has
-    the declared codimension as rank there; the first point where it has not
+    against it, such as f in ``local_counts``, shares its arithmetic, built
+    once.  A point is yielded once the Jacobian has the declared codimension
+    as rank there; the first point where it has not
     raises BadReduction with ``ctx.prime`` and that point as witness.  The
     cap is checked when this is called; the points come lazily.
 

@@ -4,14 +4,15 @@ Residues are canonical coordinate tuples: coordinate i lies in
 [0, basis[i][i]) for the modulus HNF basis.  Arithmetic is exact ring
 arithmetic followed by reduction.  The only tables are the powers of all
 residues, built on first use and kept with their context (``power_table``);
-the units of O/n, decided by walking powers (``unit_flags``); and, at a
-prime, the log, antilog and Zech tables of the residue field
+the units of O/n (``unit_flags``); and, at a prime of residue degree
+f >= 2, the log, antilog and Zech tables of the residue field
 (``field_tables``).
 
-``arithmetic`` gives the point kernel one of three forms of O/n: at a prime,
-residue indices added and multiplied through the field tables; when every
-HNF diagonal entry after the first is 1, so that O/n is Z/N, residue
-indices as ints mod N; otherwise coordinate tuples.
+``arithmetic`` gives the point kernel one of three forms of O/n, by the
+shape of the modulus: when every HNF diagonal entry after the first is 1,
+so that O/n is Z/N (as at every prime of degree 1), residue indices as ints
+mod N; at a prime of degree f >= 2, residue indices through the field
+tables; otherwise coordinate tuples.
 
 Enumeration is fixed in lexicographic order of (c_{d-1}, ..., c_0), i.e.
 the highest power-basis coordinate varies slowest.
@@ -130,7 +131,8 @@ def residue_index(ctx, r):
 def unit_flags(ctx):
     """Which residues are units of O/n: a bytearray in index order, 1 or 0.
 
-    Decided by walking powers with the products of ``arithmetic(ctx)``
+    At a prime context the units are the nonzero residues.  Otherwise they
+    are decided by walking powers with the products of ``arithmetic(ctx)``
     alone, so no gcd, factorization, CRT or Hensel lifting is involved.
     From each residue a with no verdict the walk takes a, a^2, a^3, ...
     until it reaches a residue that has one, or closes a cycle, and every
@@ -145,6 +147,8 @@ def unit_flags(ctx):
     A walk costs one product per residue it decides, so O/n costs at most
     norm products where ``is_unit_mod`` costs one HNF per residue.
     """
+    if ctx.prime is not None:
+        return bytearray([0]) + bytearray([1]) * (ctx.norm - 1)
     unknown, on_walk = 2, 3
     ops = arithmetic(ctx)
     element = ops.term(ctx.ring.one, 1)  # residue index -> its element
@@ -194,9 +198,9 @@ def field_tables(ctx):
     """Log, antilog and Zech tables of the residue field O/P, by residue index.
 
     g is the first primitive element in index order, found by testing
-    g^((q-1)/r) != 1 for each prime r dividing q - 1; when q > p the search
-    starts past the subfield F_p, whose indices come first.  Then, with
-    m = q - 1:
+    g^((q-1)/r) != 1 for each prime r dividing q - 1; P has degree f >= 2,
+    so q > p and the search starts past the subfield F_p, whose indices
+    come first.  Then, with m = q - 1:
 
     * ``exp[k]`` is the index of g^k, for 0 <= k < m;
     * ``log[i]`` is the k with exp[k] = i, for every nonzero index i
@@ -220,9 +224,9 @@ def field_tables(ctx):
     m = q - 1
     one = reduce_mod(ctx, ctx.ring.one)
     primes = _small_prime_factors(m)
-    # when q > p, the indices below p are the subfield F_p: none is primitive;
-    # if no element is (O/P is no field), g = 1 and the guard below raises
-    candidates = islice(residues(ctx), p if q > p else 1, None)
+    # the indices below p are the subfield F_p: none is primitive; if no
+    # element is (O/P is no field), g = 1 and the guard below raises
+    candidates = islice(residues(ctx), p, None)
     primitive = (
         a for a in candidates if all(pow_mod(ctx, a, m // r) != one for r in primes)
     )
@@ -259,13 +263,13 @@ def arithmetic(ctx):
 
     Built on first use and kept with ctx.  It hides the form of an element:
 
-    * at a prime context (``ctx.prime`` set) an element is the residue's
-      index in the order of ``residues``, and arithmetic goes through the
-      tables of ``field_tables``, so every result is canonical;
-    * otherwise, when every HNF diagonal entry after the first is 1, the
-      first is N and the residue of index i is (i, 0, ..., 0): O/n is Z/N,
-      an element is an int, ``add``, ``neg`` and ``mul`` are integer
-      arithmetic, and ``reduce`` takes it mod N once at the end;
+    * when every HNF diagonal entry after the first is 1, as at a prime of
+      residue degree 1, the first is N and the residue of index i is
+      (i, 0, ..., 0): O/n is Z/N, an element is an int, ``add``, ``neg``
+      and ``mul`` are integer arithmetic, and ``reduce`` takes it mod N;
+    * otherwise, at a prime context (``ctx.prime`` set), an element is the
+      residue's index in the order of ``residues``, and arithmetic goes
+      through the tables of ``field_tables``, so every result is canonical;
     * otherwise it is a ring element tuple: ``add``, ``neg`` and ``mul`` are
       ring arithmetic, and ``reduce`` (``reduce_mod``) makes a result
       canonical once at the end, as for any tuple in this module.
@@ -274,16 +278,16 @@ def arithmetic(ctx):
     ring element a; ``add``, ``neg``, ``mul`` and ``reduce``; and, for e >= 1,
     ``term(c, e)``, the function from a residue index i to the canonical
     element of c * r_i^e, where r_i is the i-th residue.  Two canonical
-    elements are equal iff their residues are.  The two composite forms
-    also have ``index(x)``, the residue index of a canonical element x, for
+    elements are equal iff their residues are.  Every form also has
+    ``index(x)``, the residue index of a canonical element x, for reading
     ``unit_flags``.  Only this function names the three classes.
     """
     ops = ctx.tables.get("arithmetic")
     if ops is None:
-        if ctx.prime is not None:
-            kind = _FieldArithmetic
-        elif all(row[i] == 1 for i, row in enumerate(ctx.modulus.basis) if i):
+        if all(row[i] == 1 for i, row in enumerate(ctx.modulus.basis) if i):
             kind = _CyclicArithmetic
+        elif ctx.prime is not None:
+            kind = _FieldArithmetic
         else:
             kind = _RingArithmetic
         ops = ctx.tables["arithmetic"] = kind(ctx)
@@ -341,7 +345,7 @@ class _FieldArithmetic:
     """
 
     zero = 0
-    reduce = staticmethod(index)  # every result is canonical: the int itself
+    reduce = index = staticmethod(index)  # every result is its own index
 
     def __init__(self, ctx):
         log, exp, zech = field_tables(ctx)

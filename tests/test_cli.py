@@ -230,6 +230,12 @@ def _variety(**overrides):
             ["verify"],
             id="g-coefficient-not-constant",
         ),
+        pytest.param(
+            {"variety": _variety(equations=["x1^\u00b2 + x2^2 - 1"])},
+            ["count"],
+            id="superscript-exponent",
+        ),
+        pytest.param({"f": "x1 - " + "7" * 5000}, ["count"], id="long-literal"),
     ],
 )
 def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
@@ -288,6 +294,42 @@ def test_factoring_bounded(circle_config, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "candidates" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        pytest.param({"primes": [{"p": 3, "h": [1, 1], "exponent": 10 ** 9}]},
+                     id="primes"),
+        pytest.param({"generators": [10 ** 2200]}, id="generators"),
+    ],
+)
+def test_modulus_norm_bounded(circle_config, capsys, command, modulus):
+    """A modulus whose norm has more than MAX_NORM_DIGITS digits is refused
+    before anything of its size is built: P3^(10^9) has a norm of about
+    4.8 * 10^8 digits, and (10^2200) one of 4401."""
+    with _within(1):
+        rc = main([command, "--config", circle_config(modulus=modulus)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    message = f"modulus norm has more than {cli.MAX_NORM_DIGITS} digits"
+    assert captured.err == f"error: {message}\n"
+
+
+def test_modulus_norm_at_the_bound(circle_config, capsys):
+    """P3^9012 over Q(sqrt(-5)) has a norm of 4300 digits, and still counts;
+    P3^9013, of 4301 digits, is refused."""
+    exponent = 9012
+    assert len(str(3 ** exponent)) == cli.MAX_NORM_DIGITS
+    modulus = {"primes": [{"p": 3, "h": [1, 1], "exponent": exponent}]}
+    assert main(["count", "--config", circle_config(modulus=modulus)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["modulus_norm"] == str(3 ** exponent)
+    assert out["total"] == str(2 * 3 ** (exponent - 1))
+    modulus["primes"][0]["exponent"] = exponent + 1
+    assert main(["count", "--config", circle_config(modulus=modulus)]) == 1
+    assert "4300 digits" in capsys.readouterr().err
 
 
 def test_g_at_the_coefficient_bound(circle_config, capsys):

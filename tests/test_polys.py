@@ -96,6 +96,27 @@ class TestParser:
             parse_poly("2x1", q5, 1)
         assert exc.value.pos == 1
 
+    @pytest.mark.parametrize(
+        "src, pos",
+        [
+            pytest.param("x1^\u00b2 + x2^2 - 1", 3, id="superscript-exponent"),
+            pytest.param("x\u00b9 + 1", 0, id="superscript-index"),
+            pytest.param("x1 + " + "1" * (polys.MAX_DIGITS + 1), 5, id="long-int"),
+            pytest.param("x" + "1" * (polys.MAX_DIGITS + 1), 1, id="long-index"),
+        ],
+    )
+    def test_digit_runs_at_their_offset(self, q5, src, pos):
+        """A digit that ``int`` would not take, and a run past MAX_DIGITS,
+        are syntax errors at their offset."""
+        with pytest.raises(PolySyntaxError) as exc:
+            parse_poly(src, q5, 2)
+        assert exc.value.pos == pos
+
+    def test_digit_run_at_the_bound(self, q5):
+        big = 10 ** (polys.MAX_DIGITS - 1)
+        poly = parse_poly(f"x1 + {big}", q5, 1)
+        assert poly.terms[(0,)] == (big, 0)
+
     def test_exponent_too_large(self, q5):
         with pytest.raises(ExponentTooLarge):
             parse_poly("x1^2147483648", q5, 1)

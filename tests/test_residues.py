@@ -308,8 +308,9 @@ def _field(min_poly, p, index=0):
 
 
 class TestFieldArithmetic:
-    """At a prime, ``arithmetic`` works on residue indices through log,
-    antilog and Zech tables; the tuple operations are the reference."""
+    """At a prime of residue degree 2 or more, ``arithmetic`` works on
+    residue indices through log, antilog and Zech tables; at degree 1, on
+    ints mod p.  The tuple operations are the reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -320,6 +321,11 @@ class TestFieldArithmetic:
         pf = data.draw(st.sampled_from(prime_ideals_above(ring, p)))  # q <= 2197
         ctx = prime_ctx(ring, pf)
         ops = arithmetic(ctx)
+        degree_one = pf.f_res == 1
+        assert type(ops) is (_CyclicArithmetic if degree_one else _FieldArithmetic)
+        # the int form reduces once at the end; the field form's results are
+        # canonical as they come
+        read = ops.reduce if degree_one else (lambda x: x)
         reps = list(residues(ctx))
         indices = st.integers(0, ctx.norm - 1)
         a, b = data.draw(indices), data.draw(indices)
@@ -327,9 +333,9 @@ class TestFieldArithmetic:
         coords = st.integers(-2 * p, 2 * p)
         c = tuple(data.draw(coords) for _ in range(ring.deg))
         x, y = reps[a], reps[b]
-        assert reps[ops.add(a, b)] == add_mod(ctx, x, y)
-        assert reps[ops.add(a, ops.neg(b))] == sub_mod(ctx, x, y)
-        assert reps[ops.mul(a, b)] == mul_mod(ctx, x, y)
+        assert reps[read(ops.add(a, b))] == add_mod(ctx, x, y)
+        assert reps[read(ops.add(a, ops.neg(b)))] == sub_mod(ctx, x, y)
+        assert reps[read(ops.mul(a, b))] == mul_mod(ctx, x, y)
         assert reps[ops.term(ring.one, e)(a)] == pow_mod(ctx, x, e)
         assert reps[ops.term(c, e)(a)] == mul_mod(ctx, c, pow_mod(ctx, x, e))
         assert reps[ops.encode(c)] == reduce_mod(ctx, c)
@@ -355,33 +361,41 @@ class TestFieldArithmetic:
         ],
     )
     def test_every_pair(self, min_poly, p, index, q):
-        """Every sum, difference and product, and the tables themselves."""
+        """Every sum, difference and product.  At q = p they are ints mod p,
+        read through ``reduce``; at q > p they are read as they come, and
+        the field tables themselves are checked."""
         _, ctx, reps = _field(min_poly, p, index)
         assert ctx.norm == q
         ops = arithmetic(ctx)
-        log, exp, zech = field_tables(ctx)
-        assert sorted(exp) == list(range(1, q))
-        assert log[0] == -1 and all(exp[log[i]] == i for i in range(1, q))
+        assert type(ops) is (_CyclicArithmetic if q == p else _FieldArithmetic)
+        if q > p:
+            log, exp, zech = field_tables(ctx)
+            assert sorted(exp) == list(range(1, q))
+            assert log[0] == -1 and all(exp[log[i]] == i for i in range(1, q))
+        read = ops.reduce if q == p else (lambda x: x)
         sample = range(q) if q <= 25 else random.Random(q).sample(range(q), 25)
         for a in sample:
             for b in range(q):
                 x, y = reps[a], reps[b]
-                assert reps[ops.add(a, b)] == add_mod(ctx, x, y)
-                assert reps[ops.add(a, ops.neg(b))] == sub_mod(ctx, x, y)
-                assert reps[ops.mul(a, b)] == mul_mod(ctx, x, y)
+                assert reps[read(ops.add(a, b))] == add_mod(ctx, x, y)
+                assert reps[read(ops.add(a, ops.neg(b)))] == sub_mod(ctx, x, y)
+                assert reps[read(ops.mul(a, b))] == mul_mod(ctx, x, y)
 
     @pytest.mark.parametrize(
         "min_poly, q", [([0, 1], 2), ([1, 1, 1], 4), ([3, 1, 0, 1], 8)]
     )
     def test_characteristic_two(self, min_poly, q):
         """q = 2 has q - 1 = 1; in every characteristic-2 field -1 = 1, so
-        -a = a and a + a = 0."""
+        -a = a and a + a = 0.  F_2 is ints mod 2, read through ``reduce``;
+        F_4 and F_8 are the field form, read as they come."""
         ring, ctx, reps = _field(min_poly, 2)
         assert ctx.norm == q
         ops = arithmetic(ctx)
+        assert type(ops) is (_CyclicArithmetic if q == 2 else _FieldArithmetic)
+        read = ops.reduce if q == 2 else (lambda x: x)
         for a in range(q):
-            assert ops.add(a, a) == 0
-            assert ops.neg(a) == a
+            assert read(ops.add(a, a)) == 0
+            assert read(ops.neg(a)) == a
         one = reduce_mod(ctx, ring.one)
         power = ops.term(ring.one, q - 1)
         assert [reps[power(a)] for a in range(1, q)] == [one] * (q - 1)
@@ -530,11 +544,24 @@ class TestCyclicArithmetic:
             ([5, 0, 1], [(5, 0, 2)], _RingArithmetic),  # (5) = P5^2
             ([5, 0, 1], [(3, 0, 1), (3, 1, 1)], _RingArithmetic),  # (3)
             ([-2, 0, 0, 1], [(3, 0, 2)], _RingArithmetic),  # ramified P3^2
+            # a pair (p, index) is the prime context of that prime
+            ([5, 0, 1], (3, 0), _CyclicArithmetic),  # split P3
+            ([5, 0, 1], (5, 0), _CyclicArithmetic),  # ramified P5
+            ([0, 1], (13, 0), _CyclicArithmetic),  # (13) over Q
+            ([5, 0, 1], (11, 0), _FieldArithmetic),  # inert (11)
+            ([-2, 0, 0, 1], (7, 0), _FieldArithmetic),  # inert (7)
         ],
     )
     def test_picks_its_form(self, min_poly, primes, form):
+        """The form follows the shape of the modulus, whether or not the
+        context came from a prime."""
         ring = make_number_ring(min_poly)
-        assert type(arithmetic(_split_product(ring, primes))) is form
+        if isinstance(primes, tuple):
+            p, index = primes
+            ctx = prime_ctx(ring, prime_ideals_above(ring, p)[index])
+        else:
+            ctx = _split_product(ring, primes)
+        assert type(arithmetic(ctx)) is form
 
     def test_every_modulus_over_q_is_cyclic(self):
         rat = make_number_ring([0, 1])
@@ -543,4 +570,8 @@ class TestCyclicArithmetic:
             assert type(arithmetic(ctx)) is _CyclicArithmetic
 
     def test_prime_context_gets_the_field(self, p3, q5):
-        assert type(arithmetic(prime_ctx(q5, p3))) is _FieldArithmetic
+        """Only a prime of residue degree 2 or more gets the field form: the
+        split P3 is Z/3, and the inert (11) is F_121."""
+        inert = prime_ideals_above(q5, 11)[0]
+        assert type(arithmetic(prime_ctx(q5, p3))) is _CyclicArithmetic
+        assert type(arithmetic(prime_ctx(q5, inert))) is _FieldArithmetic

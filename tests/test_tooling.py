@@ -181,6 +181,24 @@ def test_cap_has_one_owner():
     assert _owners(compares_cap) == ["polys.variety_indices"]
 
 
+def test_form_follows_the_modulus():
+    """Only functions of ``residues`` compare a ``.prime`` with ``None``: the
+    form of O/n and its units are decided there, from the modulus, and
+    nothing else branches on whether a context came from a prime."""
+
+    def compares_prime_with_none(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        sides = [node.left, *node.comparators]
+        return any(getattr(sub, "attr", None) == "prime" for sub in sides) and any(
+            isinstance(sub, ast.Constant) and sub.value is None for sub in sides
+        )
+
+    owners = _owners(compares_prime_with_none)
+    assert owners
+    assert {owner.split(".")[0] for owner in owners} == {"residues"}
+
+
 def test_option_defaults_have_one_owner():
     """Only ``cli.load_config`` names ``DEFAULT_CAP`` in the CLI: the config's
     option defaults are filled in once, and every command reads them there."""
@@ -302,7 +320,8 @@ def _count_field_tables(monkeypatch):
 
 
 def test_field_tables_once_per_local_count(monkeypatch):
-    """The sweep, its Jacobian check and f share one build of the tables."""
+    """At an inert prime the sweep, its Jacobian check and f share one build
+    of the tables; a split prime, of residue degree 1, builds none."""
     ring = exunits.make_number_ring([5, 0, 1])
     curve = tuple(
         exunits.parse_poly(src, ring, 3) for src in ("x1^2 + x2^2 - 1", "x3 - x1*x2")
@@ -310,26 +329,34 @@ def test_field_tables_once_per_local_count(monkeypatch):
     V = exunits.VarietySpec(amb=3, codim=2, equations=curve, declared_degree=2)
     f = exunits.parse_poly("x1 - 2", ring, 1)
     builds = _count_field_tables(monkeypatch)
-    prime_factor = exunits.prime_ideals_above(ring, 7)[0]
-    assert exunits.local_counts(ring, V, f, prime_factor).count_X == 8
-    assert builds == [(7, prime_factor.h_coeffs)]
+    split = exunits.prime_ideals_above(ring, 7)[0]
+    assert exunits.local_counts(ring, V, f, split).count_X == 8
+    assert builds == []
+    inert = exunits.prime_ideals_above(ring, 11)[0]
+    local = exunits.local_counts(ring, V, f, inert)
+    assert (local.count_X, local.count_N) == (120, 8)
+    assert builds == [(11, inert.h_coeffs)]
 
 
 def test_field_tables_once_per_prime_in_asympt(monkeypatch):
-    """A family builds the tables once per distinct prime, bad ones included."""
+    """A family builds the tables once per distinct inert prime, however
+    many moduli it divides, and none for its primes of residue degree 1,
+    the bad prime above 2 included."""
     ring = exunits.make_number_ring([5, 0, 1])
     circle = exunits.parse_poly("x1^2 + x2^2 - 1", ring, 2)
     V = exunits.VarietySpec(amb=2, codim=1, equations=(circle,), declared_degree=2)
     f = exunits.parse_poly("x1 - 2", ring, 1)
     family = [
         exunits.factor_ideal(ring, exunits.principal_ideal(ring, (n, 0)))
-        for n in (2, 3, 6, 9, 21, 7)
+        for n in (2, 3, 6, 9, 21, 7, 11, 13, 33, 143)
     ]
     builds = _count_field_tables(monkeypatch)
     records = exunits.asympt_series(ring, V, f, family)
-    assert [r.N for r in records] == [9, 81, 441, 49]
-    primes = [(2, (1, 1)), (3, (1, 1)), (3, (2, 1)), (7, (3, 1)), (7, (4, 1))]
-    assert sorted(builds) == primes
+    assert [(r.N, r.count) for r in records] == [
+        (9, 4), (81, 36), (441, 100), (49, 25),
+        (121, 116), (169, 164), (1089, 464), (20449, 19024),
+    ]
+    assert sorted(builds) == [(11, (5, 0, 1)), (13, (5, 0, 1))]
 
 
 def test_no_module_level_cache():
