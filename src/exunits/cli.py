@@ -21,7 +21,6 @@ out the brute-force total.
 import argparse
 import json
 import sys
-from dataclasses import replace
 from itertools import combinations
 from math import prod
 
@@ -92,7 +91,7 @@ def _parse_element(ring, literal):
 
 
 # Python's default bound on the digits of an int turned into text: the
-# largest modulus norm that a report can print
+# largest modulus norm, and the largest count total, that a report can print
 MAX_NORM_DIGITS = 4300
 _NORM_BOUND = 10 ** MAX_NORM_DIGITS
 
@@ -135,7 +134,7 @@ def parse_modulus(ring, literal):
                     f"h={spec['h']} is not an irreducible factor of g mod {p}; "
                     f"valid factors: {valid}"
                 )
-            factors.append(replace(matches[0], exponent=exponent))
+            factors.append(matches[0]._replace(exponent=exponent))
         # a negative exponent counts as 0 here; ideal_pow refuses it below
         _check_norm([(pf.p, pf.f_res * max(pf.exponent, 0)) for pf in factors])
         ideal = ideal_of_factors(ring, factors)
@@ -216,11 +215,14 @@ def cmd_count(args):
         report = counting.theorem1_count(ring, V, f, n_ideal, cap=cap)
     if method in ("brute", "both"):
         brute_total = counting.brute_force_count(ring, V, f, n_ideal, cap=cap)
+    total = report.total if report else brute_total
+    if total >= _NORM_BOUND:
+        raise ConfigError(f"total has more than {MAX_NORM_DIGITS} digits")
     out = {
         "modulus_norm": str(ideal_norm(n_ideal)),
         "exponent": V.amb - V.codim,
         "locals": _locals_json(report.locals) if report else [],
-        "total": str(report.total if report else brute_total),
+        "total": str(total),
         "method": method,
     }
     if method == "both":

@@ -16,8 +16,7 @@ Lang-Weil style deviation report, and an asymptotics series used to probe
 error-term behaviour empirically.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
@@ -50,36 +49,21 @@ from .residues import (
 )
 
 
-@dataclass
-class LocalData:
+class LocalData(namedtuple("LocalData", "prime count_X count_N factor")):
     """Per-prime fiber data feeding the product formula.
 
-    factor = (count_X - count_N) / norm(p)^(amb - codim), exact.
+    factor = (count_X - count_N) / norm(p)^(amb - codim), an exact Fraction.
     """
 
-    prime: object
-    count_X: int
-    count_N: int
-    factor: Fraction
+    __slots__ = ()
 
 
-@dataclass
-class CountReport:
-    modulus_norm: int
-    locals: list
-    total: int
+CountReport = namedtuple("CountReport", "modulus_norm locals total")
 
-
-@dataclass
-class AsymptRecord:
-    description: str
-    N: int
-    count: int
-    ratio: Fraction
-    omega: int
-    sum_inv_sqrt: float
-    sum_inv: float
-    max_local_dev: float
+AsymptRecord = namedtuple(
+    "AsymptRecord",
+    "description N count ratio omega sum_inv_sqrt sum_inv max_local_dev",
+)
 
 
 def _check_f(f):

@@ -10,7 +10,7 @@ from the factorization of g mod p, which is always valid here because the
 order is Z[theta] (index 1).
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import partial, reduce
 
 from .errors import (
@@ -31,28 +31,23 @@ COFACTOR_CAP = 10 ** 12
 MAX_FACTOR_CANDIDATES = 2 * 10 ** 8
 
 
-@dataclass(frozen=True)
-class IdealHNF:
-    """Lower-triangular HNF basis of a nonzero integral ideal."""
+class IdealHNF(namedtuple("IdealHNF", "basis")):
+    """Lower-triangular HNF basis of a nonzero integral ideal: a tuple of
+    row tuples."""
 
-    basis: tuple  # tuple of row tuples
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrimeFactor:
+class PrimeFactor(namedtuple("PrimeFactor", "p h_coeffs e_ram f_res exponent hnf")):
     """One prime ideal (p, h(theta)) above a rational prime p.
 
     h_coeffs is a monic lift (constant first, entries in [0, p)) of an
     irreducible factor of g mod p; e_ram is its multiplicity in g mod p,
-    f_res its degree, exponent the valuation of the factored ideal here.
+    f_res its degree, exponent the valuation of the factored ideal here,
+    hnf its IdealHNF.
     """
 
-    p: int
-    h_coeffs: tuple
-    e_ram: int
-    f_res: int
-    exponent: int
-    hnf: IdealHNF
+    __slots__ = ()
 
     @property
     def norm(self):
@@ -360,7 +355,7 @@ def prime_ideals_up_to(ring, max_norm):
         if _small_prime_factors(p) == [p]:
             for pf in prime_ideals_above(ring, p):
                 if pf.norm <= max_norm:
-                    yield replace(pf, exponent=1)
+                    yield pf._replace(exponent=1)
 
 
 def valuation(ring, I, pf):
@@ -422,7 +417,7 @@ def factor_ideal(ring, I):
         for pf in prime_ideals_above(ring, p):
             e = valuation(ring, I, pf)
             if e > 0:
-                result.append(replace(pf, exponent=e))
+                result.append(pf._replace(exponent=e))
     if ideal_of_factors(ring, result) != I:
         raise NotFullRank(
             "prime factorization does not reassemble the ideal; "

@@ -10,7 +10,7 @@ up to degree 3 (rational root test); for higher degrees it is user-asserted
 and a wrong assertion surfaces later as norm inconsistencies.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DimensionMismatch,
@@ -27,15 +27,13 @@ MAX_DEGREE = 12
 MAX_COEFF = 10 ** 12
 
 
-@dataclass(frozen=True)
-class NumberRing:
+class NumberRing(namedtuple("NumberRing", "min_poly deg")):
     """The order Z[theta] for theta a root of the monic polynomial min_poly.
 
     min_poly is stored constant-term first with leading coefficient 1.
     """
 
-    min_poly: tuple
-    deg: int
+    __slots__ = ()
 
     @property
     def zero(self):

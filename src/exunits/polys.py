@@ -13,7 +13,6 @@ Polynomials are sparse term maps: exponent vector -> nonzero coefficient
 't' stands for theta.  Implicit multiplication is a syntax error.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product, repeat
 from math import comb
@@ -69,12 +68,24 @@ DEFAULT_CAP = 10 ** 8
 MAX_AMB = 64
 
 
-@dataclass
 class MultiPoly:
-    """Sparse polynomial in ``amb`` variables with ring-element coefficients."""
+    """Sparse polynomial in ``amb`` variables with ring-element coefficients.
 
-    amb: int
-    terms: dict  # exponent tuple -> coefficient tuple
+    ``terms`` maps exponent tuples to coefficient tuples.  Equal when amb and
+    terms are; not hashable, since terms is a dict.
+    """
+
+    __slots__ = ("amb", "terms")
+    __hash__ = None
+
+    def __init__(self, amb, terms):
+        self.amb = amb
+        self.terms = terms
+
+    def __eq__(self, other):
+        if type(other) is not MultiPoly:
+            return NotImplemented
+        return (self.amb, self.terms) == (other.amb, other.terms)
 
     def is_zero(self):
         return not self.terms
@@ -86,7 +97,6 @@ class MultiPoly:
         return max((sum(e) for e in self.terms), default=0)
 
 
-@dataclass
 class VarietySpec:
     """Affine closed subscheme of A^amb cut out by ``equations``.
 
@@ -94,21 +104,22 @@ class VarietySpec:
     good-reduction rank check; declared_degree feeds the asymptotics mode.
     """
 
-    amb: int
-    codim: int
-    equations: tuple
-    declared_degree: int
+    __slots__ = ("amb", "codim", "equations", "declared_degree")
 
-    def __post_init__(self):
-        _check_amb(self.amb)
-        if self.equations:
-            if not 1 <= self.codim <= self.amb:
+    def __init__(self, amb, codim, equations, declared_degree):
+        _check_amb(amb)
+        if equations:
+            if not 1 <= codim <= amb:
                 raise ValueError("codim must satisfy 1 <= codim <= amb")
-        elif self.codim != 0:
+        elif codim != 0:
             raise ValueError("codim must be 0 when there are no equations")
-        for eq in self.equations:
+        for eq in equations:
             if eq.is_zero():
                 raise ValueError("every equation must be nonzero")
+        self.amb = amb
+        self.codim = codim
+        self.equations = equations
+        self.declared_degree = declared_degree
 
 
 def _check_amb(amb):

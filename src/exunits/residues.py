@@ -18,7 +18,6 @@ Enumeration is fixed in lexicographic order of (c_{d-1}, ..., c_0), i.e.
 the highest power-basis coordinate varies slowest.
 """
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from operator import add, index, mul, neg
@@ -42,7 +41,6 @@ from .number_ring import (
 )
 
 
-@dataclass(frozen=True)
 class ResidueCtx:
     """A number ring together with a proper modulus ideal.
 
@@ -52,11 +50,14 @@ class ResidueCtx:
     tables of ``power_table`` by exponent, and the ``arithmetic`` object.
     """
 
-    ring: object
-    modulus: object
-    norm: int
-    prime: object = None
-    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("ring", "modulus", "norm", "prime", "tables")
+
+    def __init__(self, ring, modulus, norm, prime=None):
+        self.ring = ring
+        self.modulus = modulus
+        self.norm = norm
+        self.prime = prime
+        self.tables = {}
 
 
 def residue_ctx(ring, modulus):
@@ -331,6 +332,8 @@ class _CyclicArithmetic:
 
     def term(self, c, e):
         c, n = self.encode(c), self.n
+        if c == 1 and e == 1:
+            return index  # the residue of index i is i itself
         return [c * pow(i, e, n) % n for i in range(n)].__getitem__
 
 

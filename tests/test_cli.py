@@ -332,6 +332,22 @@ def test_modulus_norm_at_the_bound(circle_config, capsys):
     assert "4300 digits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponent", [4507, 5000])
+def test_count_total_bounded(circle_config, capsys, exponent):
+    """The sphere over Q(sqrt(-5)) mod P3^e counts 3^(2e - 1): 4300 digits at
+    e = 4506, which still prints, and 4301 at e = 4507, whose total is refused
+    with one line, as a modulus norm past the bound is."""
+    sphere = _variety(amb=3, equations=["x1^2 + x2^2 + x3^2 - 1"])
+    modulus = {"primes": [{"p": 3, "h": [1, 1], "exponent": 4506}]}
+    assert main(["count", "--config", circle_config(variety=sphere, modulus=modulus)]) == 0
+    total = json.loads(capsys.readouterr().out)["total"]
+    assert len(total) == cli.MAX_NORM_DIGITS and total == str(3 ** 9011)
+    modulus["primes"][0]["exponent"] = exponent
+    assert main(["count", "--config", circle_config(variety=sphere, modulus=modulus)]) == 1
+    message = f"total has more than {cli.MAX_NORM_DIGITS} digits"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_g_at_the_coefficient_bound(circle_config, capsys):
     """g = x^2 + 10^12 is inside the bound: 3 is inert, as for x^2 + 1."""
     path = circle_config(field={"min_poly": [10 ** 12, 0, 1]})

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from importlib import import_module
 from itertools import product
@@ -633,7 +632,7 @@ class TestAsympt:
             unique_by=lambda t: (t[0].p, t[0].h_coeffs),
         )
         family = [
-            [replace(pf, exponent=e) for pf, e in member]
+            [pf._replace(exponent=e) for pf, e in member]
             for member in data.draw(st.lists(members, min_size=1, max_size=4))
         ]
         expected = []

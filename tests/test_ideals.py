@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +150,20 @@ class TestFactorIdeal:
                 if len(pf.h_coeffs) <= q5.deg:
                     assert ideal_contains(pf.hnf, h_elem[: q5.deg])
                 assert ideal_norm(pf.hnf) == pf.norm
+
+    def test_factors_are_values(self, q5):
+        """Two factorizations of one ideal are equal lists with equal hashes,
+        and ``_replace`` moves the exponent alone."""
+        I = principal_ideal(q5, (30, 0))
+        first, second = factor_ideal(q5, I), factor_ideal(q5, I)
+        assert first == second
+        assert [hash(pf) for pf in first] == [hash(pf) for pf in second]
+        pf = first[0]
+        moved = pf._replace(exponent=3)
+        assert pf.exponent != 3 and moved.exponent == 3
+        assert [k for k, v in moved._asdict().items() if v != getattr(pf, k)] == [
+            "exponent"
+        ]
 
     def test_cofactor_cap(self, q5):
         big = 1000003  # prime just above the trial bound; norm is its square
@@ -368,7 +381,7 @@ class TestIdealPow:
         assert ideal_of_factors(q5, []) == unit_ideal(q5)
         I = ideal_mul(q5, ideal_pow(q5, P.hnf, 3), ideal_pow(q5, Q.hnf, 2))
         factors = [
-            replace(P, exponent=3), replace(Q, exponent=0), replace(Q, exponent=2)
+            P._replace(exponent=3), Q._replace(exponent=0), Q._replace(exponent=2)
         ]
         calls = _counted_ideal_mul(monkeypatch)
         assert ideal_of_factors(q5, factors) == I

@@ -37,6 +37,12 @@ class TestConstruction:
     def test_qsqrt_minus5(self, q5):
         assert q5.deg == 2
 
+    def test_rings_are_hashable_values(self, q5):
+        again = make_number_ring([5, 0, 1])
+        assert again == q5 and hash(again) == hash(q5)
+        assert {q5: "Q(sqrt(-5))"}[again] == "Q(sqrt(-5))"
+        assert make_number_ring([1, 0, 1]) != q5
+
     def test_x_squared_minus_one_reducible(self):
         with pytest.raises(Reducible):
             make_number_ring([-1, 0, 1])

@@ -214,6 +214,16 @@ class TestParser:
             parse_poly(src, q5, 1)
         assert exc.value.pos == src.rindex("^")
 
+    def test_parses_are_equal_and_unhashable(self, q5):
+        """Two parses of one text are equal; a MultiPoly, whose terms are a
+        dict, has no hash."""
+        src = "x1^2 + t*x2 - 3"
+        assert parse_poly(src, q5, 2) == parse_poly(src, q5, 2)
+        assert parse_poly(src, q5, 2) != parse_poly("x1^2 + t*x2 - 2", q5, 2)
+        assert parse_poly("x1", q5, 1) != parse_poly("x1", q5, 2)
+        with pytest.raises(TypeError):
+            hash(parse_poly(src, q5, 2))
+
     def test_element_literal(self, q5):
         poly = parse_poly("[2,-3]*x1", q5, 1)
         assert poly.terms == {(1,): (2, -3)}

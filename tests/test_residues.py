@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -83,6 +84,13 @@ class TestReduce:
 
 
 class TestEnumeration:
+    def test_contexts_share_no_tables(self, q5):
+        """Each context builds its own tables, even for the same modulus."""
+        modulus = principal_ideal(q5, (6, 0))
+        first, second = residue_ctx(q5, modulus), residue_ctx(q5, modulus)
+        power_table(first, 2)
+        assert first.tables and second.tables == {}
+
     def test_prime_three(self, ctx3):
         assert list(residues(ctx3)) == [(0, 0), (1, 0), (2, 0)]
 
@@ -562,6 +570,22 @@ class TestCyclicArithmetic:
         else:
             ctx = _split_product(ring, primes)
         assert type(arithmetic(ctx)) is form
+
+    def test_identity_term_builds_no_table(self):
+        """term(1, 1) maps the index i to i itself: over Z/21 for every i, and
+        over Z/100003 without a list of N ints."""
+        rat = make_number_ring([0, 1])
+        ctx = residue_ctx(rat, principal_ideal(rat, (21,)))
+        term = arithmetic(ctx).term(rat.one, 1)
+        assert [term(i) for i in range(21)] == list(range(21))
+        ops = arithmetic(residue_ctx(rat, principal_ideal(rat, (100003,))))
+        tracemalloc.start()
+        try:
+            ops.term(rat.one, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_every_modulus_over_q_is_cyclic(self):
         rat = make_number_ring([0, 1])

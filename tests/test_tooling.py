@@ -428,12 +428,15 @@ def test_traced_functions_exist():
     assert missing == []
 
 
-def test_cli_import_leaves_logging_out():
-    """Nothing that ``import exunits.cli`` loads imports ``logging``."""
+@pytest.mark.parametrize("module", ["logging", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_out(module):
+    """Nothing that ``import exunits.cli`` loads imports ``logging``, or
+    ``dataclasses`` and the ``inspect`` it loads: together they cost more
+    than the rest of the import."""
     src = str(Path(exunits.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import exunits.cli; "
-        "print('logging' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
