@@ -39,11 +39,9 @@ from .polys import (
 )
 from .residues import (
     arithmetic,
-    power_table,
+    index_map,
     prime_ctx,
-    reduce_mod,
     residue_ctx,
-    residue_index,
     square_class,
     unit_flags,
 )
@@ -108,14 +106,17 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
     ctx = prime_ctx(ring, prime_factor)
     flags = None
     count_x = count_n = 0
-    for indices in smooth_points(ctx, V, cap):  # checks the cap first
+    for rest, x1s in smooth_points(ctx, V, cap):  # checks the cap first
         if flags is None:
-            # a point lies in N when some f(x_i) is not a unit, i.e. is zero
-            # mod p; f is evaluated only once X(O_K/p) is known to have a point
+            # f is evaluated only once X(O_K/p) is known to have a point
             flags = list(_exunit_flags(ctx, f))
-        count_x += 1
-        if not all(flags[i] for i in indices):
-            count_n += 1
+        count_x += len(x1s)
+        # a point lies in N when some f(x_i) is not a unit, i.e. is zero mod
+        # p: every point of the fiber if some f(x_j), j >= 2, is not
+        if all(map(flags.__getitem__, rest)):
+            count_n += len(x1s) - sum(map(flags.__getitem__, x1s))
+        else:
+            count_n += len(x1s)
     factor = Fraction(count_x - count_n, ctx.norm ** (V.amb - V.codim))
     return LocalData(
         prime=prime_factor, count_X=count_x, count_N=count_n, factor=factor
@@ -165,11 +166,12 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     The enumeration of X mod p^(k+1) is set up first, so a census over the
     cap raises CapExceeded before it sweeps anything, even at a bad prime.
     Then X mod p is swept as the guard, which raises BadReduction at the
-    first singular point.  The residues mod p^(k+1) are listed only after
-    the guard passes, so a bad prime costs that one sweep.
+    first singular point.  Nothing mod p^(k+1) is listed before the guard
+    passes, so a bad prime costs that one sweep.
 
-    Points are keyed by residue index: ``down[i]`` is the index mod p^k of
-    residue i of O/p^(k+1), so each point mod p^(k+1) is reduced by lookups.
+    Points are keyed by residue index: ``down[i]`` (``index_map``) is the
+    index mod p^k of residue i of O/p^(k+1), so each point mod p^(k+1) is
+    reduced by lookups.
     """
     ctx_k1 = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k + 1))
     upper = variety_indices(ctx_k1, V, cap)  # checks the cap, builds nothing
@@ -179,7 +181,7 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     lifts = {
         (i,) + rest: 0 for rest, x1s in variety_indices(ctx_k, V, cap) for i in x1s
     }
-    down = [residue_index(ctx_k, reduce_mod(ctx_k, r)) for r in power_table(ctx_k1, 1)]
+    down = index_map(ctx_k1, ctx_k)
     for rest, x1s in upper:
         below = tuple([down[i] for i in rest])
         for i in x1s:
@@ -265,7 +267,8 @@ def langweil_deviation(ring, V, prime_factor, cap=DEFAULT_CAP):
     empirical 3l q^(r-1) stand-in for the unspecified lower-order constant.
     """
     q = prime_factor.norm
-    count_x = sum(1 for _ in smooth_points(prime_ctx(ring, prime_factor), V, cap))
+    fibers = smooth_points(prime_ctx(ring, prime_factor), V, cap)
+    count_x = sum(len(x1s) for _, x1s in fibers)
     r = V.amb - V.codim
     ell = V.declared_degree
     deviation = abs(count_x - q ** r)

@@ -14,8 +14,9 @@ Polynomials are sparse term maps: exponent vector -> nonzero coefficient
 """
 
 from functools import partial
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from math import comb
+from operator import ne
 
 from .errors import (
     BadReduction,
@@ -520,38 +521,89 @@ def _evaluator(ctx, terms):
 class _FiberForm:
     """poly = c_0 + sum_{e>0} c_e * x1^e, each c_e a polynomial in x2, ..., x_amb.
 
-    ``c0`` and every c_e are compiled with ``_evaluator`` on the residue
-    indices rest = (i2, ..., i_amb).  ``cs`` pairs each c_e with x1 -> x1^e
-    (``term(1, e)``) and is empty when poly is free of x1.  ``separable`` is
-    True when every c_e is a constant, that is when no monomial mixes x1
-    with another variable.
+    Each c_e is held as d_0 + sum_{k>0} d_k * x2^k, every d a polynomial in
+    the tail x3, ..., x_amb compiled with ``_evaluator`` on the tail indices
+    (i3, ..., i_amb): the pair (d_0, [(d_k, k), ...]).  A row is the fibers
+    that share a tail, and ``_row`` gives a c_e at all of them at once.
+    ``c0`` is the pair of c_0; ``cs`` pairs each e > 0 with the pair of c_e
+    and is empty when poly is free of x1.  ``separable`` is True when every
+    c_e with e > 0 is a constant, that is when no monomial mixes x1 with
+    another variable.  ``exponents`` is the set of the e and k above.
     """
 
-    __slots__ = ("c0", "cs", "separable")
+    __slots__ = ("c0", "cs", "separable", "exponents")
 
-    def __init__(self, c0, cs, separable):
+    def __init__(self, c0, cs, separable, exponents):
         self.c0, self.cs, self.separable = c0, cs, separable
-
-    def at(self, rest):
-        """c_0 and the pairs (c_e, x1 -> x1^e) at one fiber, for ``_x1_value``."""
-        return self.c0(rest), [(c(rest), power) for c, power in self.cs]
+        self.exponents = exponents
 
 
 def _fiber_form(ctx, poly):
-    """Compile poly once as a ``_FiberForm``: equations and Jacobian entries alike."""
-    ops = arithmetic(ctx)
+    """Compile poly once as a ``_FiberForm``: equations and Jacobian entries alike.
+
+    Each monomial is compiled into one d only; its powers of x1 and x2 are
+    left to the sweep, which keeps one list per exponent (``_powers``).
+    """
     by_power = {}
     for exps, coeff in poly.terms.items():
-        by_power.setdefault(exps[0], {})[exps[1:]] = coeff
-    c0 = _evaluator(ctx, by_power.pop(0, {}))
-    one = ctx.ring.one
-    cs = [(_evaluator(ctx, c), ops.term(one, e)) for e, c in by_power.items()]
-    separable = not any(any(exps) for c in by_power.values() for exps in c)
-    return _FiberForm(c0, cs, separable)
+        e2 = exps[1] if poly.amb > 1 else 0
+        by_power.setdefault(exps[0], {}).setdefault(e2, {})[exps[2:]] = coeff
+
+    def compiled(by_x2):
+        d0 = _evaluator(ctx, by_x2.pop(0, {}))
+        return d0, [(_evaluator(ctx, d), k) for k, d in by_x2.items()]
+
+    c0 = compiled(by_power.pop(0, {}))
+    cs = [(e, compiled(c)) for e, c in by_power.items()]
+    separable = not any(exps[0] and any(exps[1:]) for exps in poly.terms)
+    exponents = {e for exps in poly.terms for e in exps[:2] if e}
+    return _FiberForm(c0, cs, separable, exponents)
+
+
+def _powers(ctx, forms, xs):
+    """For every exponent e of x1 or x2 in forms, x -> x^e on residue indices
+    (``term(1, e)``), and the list of x^e over xs: two dicts keyed by e."""
+    term, one = arithmetic(ctx).term, ctx.ring.one
+    functions = {e: term(one, e) for e in set().union(*[f.exponents for f in forms])}
+    return functions, {e: list(map(power, xs)) for e, power in functions.items()}
+
+
+def _sweep(ops, const, coeffs, powers, width):
+    """const + sum(c * x^k for c, k in coeffs) at each of the width x of a sweep.
+
+    ``powers[k]`` lists the x^k in order.  The result is a lazy map over
+    those lists, so the loop runs in C wherever the arithmetic does.
+    """
+    acc = repeat(const, width)
+    for c, k in coeffs:
+        acc = map(ops.add, acc, map(ops.mul, repeat(c), powers[k]))
+    return map(ops.reduce, acc)
+
+
+def _row(ops, c, tail, powers, width):
+    """c = (d_0, [(d_k, k)]) of a ``_FiberForm`` at every fiber of a row:
+    each d is evaluated once, at the row's tail."""
+    d0, ds = c
+    return _sweep(ops, d0(tail), [(d(tail), k) for d, k in ds], powers, width)
+
+
+def _fiber_rows(ops, form, tail, powers, width, functions):
+    """form at every fiber of a row, for ``_at``: the list of its c_0, and the
+    list of each c_e paired with x1 -> x1^e."""
+    return list(_row(ops, form.c0, tail, powers, width)), [
+        (list(_row(ops, c, tail, powers, width)), functions[e]) for e, c in form.cs
+    ]
+
+
+def _at(rows, pos):
+    """The c_0 and the pairs (c_e, x1 -> x1^e) of ``_fiber_rows`` at the fiber
+    in position pos of its row, for ``_x1_value``."""
+    c0, cs = rows
+    return c0[pos], [(c[pos], power) for c, power in cs]
 
 
 def _x1_value(ops, fiber, i1):
-    """The value at x1 = residue i1 of a ``_FiberForm`` evaluated at a fiber."""
+    """The value at x1 = residue i1 of a ``_FiberForm`` at a fiber (``_at``)."""
     add, mul = ops.add, ops.mul
     acc, terms = fiber
     for c, power in terms:
@@ -578,12 +630,16 @@ def variety_indices(ctx, V, cap, digits=None):
     called, and nothing else, not even the list of residues, is built before
     the first fiber is asked for.
 
-    Every equation is compiled once, as a ``_fiber_form``.  For the separable
-    ones a table is built once over ``digits`` from their constants c_e: it
-    maps minus the values of their x1 parts to the x1 that take them, and a
-    fiber looks up the values of their c_0 there.  Equations that mix x1
-    with another variable are checked on those x1 one by one.  With amb = 1
-    there is one fiber, (), scanned with no table.
+    Every equation is compiled once, as a ``_fiber_form``, and X is swept
+    one row at a time: a row is the fibers that share (i3, ..., i_amb), one
+    per x2.  For the separable equations a table is built once over
+    ``digits`` from their constants c_e: it maps minus the values of their
+    x1 parts to the x1 that take them.  Each row takes their c_0 at every x2
+    as a whole list (``_row``), and its hits are one lookup per fiber, all
+    in maps, so a fiber with no point costs one step of a loop in C.  An
+    equation that mixes x1 with another variable has its c_e taken along
+    the row as well, and is checked on the x1 of each hit one by one.  With
+    amb = 1 there is one fiber, (), scanned with no table.
     """
     if ctx.norm ** V.amb > cap:
         raise CapExceeded(
@@ -595,30 +651,46 @@ def variety_indices(ctx, V, cap, digits=None):
         forms = [_fiber_form(ctx, eq) for eq in V.equations]
         xs = range(ctx.norm) if digits is None else digits
         if V.amb == 1:
-            x1s = _roots(ops, [form.at(()) for form in forms], xs)
+            functions, _ = _powers(ctx, forms, ())
+            fiber = [
+                _at(_fiber_rows(ops, form, (), {}, 1, functions), 0) for form in forms
+            ]
+            x1s = _roots(ops, fiber, xs)
             if x1s:
                 yield (), x1s
             return
+        xs = list(xs)
+        width = len(xs)
+        functions, powers = _powers(ctx, forms, xs)
         separable = [form for form in forms if form.separable]
         mixed = [form for form in forms if not form.separable]
-        # the c_e of a separable equation are constants: any fiber gives them
-        origin = (0,) * (V.amb - 1)
+        # the c_e of a separable equation are constants: any tail gives them
+        origin = (0,) * (V.amb - 2)
         minus = [
-            (ops.zero, [(ops.neg(c), power) for c, power in form.at(origin)[1]])
+            _sweep(
+                ops,
+                ops.zero,
+                [(ops.neg(d0(origin)), e) for e, (d0, _) in form.cs],
+                powers,
+                width,
+            )
             for form in separable
         ]
-        xs = list(xs)
         table = {}
-        for i in xs:
-            key = tuple([_x1_value(ops, part, i) for part in minus])
+        for key, i in zip(zip(*minus) if minus else repeat(()), xs):
             table.setdefault(key, []).append(i)
-        for t in product(xs, repeat=V.amb - 1):
-            rest = t[::-1]
-            x1s = table.get(tuple([form.c0(rest) for form in separable]))
-            if x1s and mixed:
-                x1s = _roots(ops, [form.at(rest) for form in mixed], x1s)
-            if x1s:
-                yield rest, x1s
+        for t in product(xs, repeat=V.amb - 2):
+            tail = t[::-1]
+            rows = [_row(ops, form.c0, tail, powers, width) for form in separable]
+            hits = list(map(table.get, zip(*rows) if rows else repeat((), width)))
+            mixed_rows = [
+                _fiber_rows(ops, form, tail, powers, width, functions) for form in mixed
+            ]
+            for pos, x1s in compress(enumerate(hits), hits):
+                if mixed_rows:
+                    x1s = _roots(ops, [_at(rows, pos) for rows in mixed_rows], x1s)
+                if x1s:
+                    yield (xs[pos],) + tail, x1s
 
     return fibers()
 
@@ -644,22 +716,27 @@ def _rank(ops, rows):
 
 
 def smooth_points(ctx, V, cap=DEFAULT_CAP):
-    """Residue-index tuples of X(O_K/p) in enumeration order, checked smooth.
+    """The fibers of X(O_K/p) in enumeration order, every point checked smooth.
 
-    ``ctx`` is the prime's context (``prime_ctx``): whatever else is compiled
-    against it, such as f in ``local_counts``, shares its arithmetic, built
-    once.  A point is yielded once the Jacobian has the declared codimension
-    as rank there; the first point where it has not
-    raises BadReduction with ``ctx.prime`` and that point as witness.  The
-    cap is checked when this is called; the points come lazily.
+    Yields ``(rest, x1s)`` as ``variety_indices`` does.  ``ctx`` is the
+    prime's context (``prime_ctx``): whatever else is compiled against it,
+    such as f in ``local_counts``, shares its arithmetic, built once.  The
+    Jacobian must have the declared codimension as rank at each point; at
+    the first point where it has not, the points of its fiber before it are
+    yielded, and then BadReduction is raised with ``ctx.prime`` and that
+    point as witness.  The cap is checked when this is called; the fibers
+    come lazily.
 
-    The points are read off the fibers of ``variety_indices``, and every
-    Jacobian entry is compiled once per prime as a ``_fiber_form``.  At each
-    fiber the columns free of x1 are evaluated once: when they already have
+    Every Jacobian entry is compiled once per prime as a ``_fiber_form``.
+    The columns free of x1 are taken along each row of fibers with a point,
+    as ``variety_indices`` takes its equations.  Where they already have
     rank m, the number of equations, the rank is m at every point of the
-    fiber.  Only otherwise are the other entries evaluated at the fiber, and
-    at each point through ``_x1_value``; the rank is taken with no field
-    inversion.  ``jacobian_rank_at`` is the reference this agrees with.
+    fiber; with m = 1 that is where one of them is nonzero, found for the
+    whole row with maps, and otherwise ``_rank`` tests the fiber.  Only at
+    the other fibers are the entries that depend on x1 taken along the row,
+    and evaluated at each point through ``_x1_value``; the rank is taken
+    with no field inversion.  ``jacobian_rank_at`` is the reference this
+    agrees with.
     """
     fibers = variety_indices(ctx, V, cap)
     ops = arithmetic(ctx)
@@ -671,21 +748,54 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     x1_cols = [j for j in range(V.amb) if j not in free]
 
     def checked():
+        width = ctx.norm if V.amb > 1 else 1  # the fibers of a row
+        entries = [entry for row in forms for entry in row]
+        functions, powers = _powers(ctx, entries, range(width))
+        zero = ops.zero
+        row_tail = None
         for rest, x1s in fibers:
-            values = [[row[j].c0(rest) for j in free] for row in forms]
-            ranks = repeat(m)  # when the x1-free columns have rank m already
-            if _rank(ops, values) < m:
-                entries = [[row[j].at(rest) for j in x1_cols] for row in forms]
+            pos, tail = (rest[0], rest[1:]) if rest else (0, ())
+            if tail != row_tail:  # a new row: its x1-free columns at every fiber
+                row_tail, x1_rows = tail, None
+                values = [
+                    [list(_row(ops, row[j].c0, tail, powers, width)) for j in free]
+                    for row in forms
+                ]
+                if m == 1:  # rank 1 wherever an x1-free column is nonzero
+                    nonzero = [map(ne, column, repeat(zero)) for column in values[0]]
+                    # the repeat gives the row its width when no column is free
+                    rank1 = list(map(any, zip(repeat(False, width), *nonzero)))
+            if m == 1:
+                full = rank1[pos]
+            else:
+                here = [[column[pos] for column in row] for row in values]
+                full = _rank(ops, here) == m
+            if full:
+                if m == V.codim:
+                    yield rest, x1s
+                    continue
+                ranks = repeat(m)
+            else:
+                if x1_rows is None:  # the columns that depend on x1, once a row
+                    x1_rows = [
+                        [_fiber_rows(ops, row[j], tail, powers, width, functions)
+                         for j in x1_cols]
+                        for row in forms
+                    ]
+                here = [[column[pos] for column in row] for row in values]
+                at = [[_at(rows, pos) for rows in row] for row in x1_rows]
                 ranks = (
-                    _rank(ops, [v + [_x1_value(ops, e, i) for e in es]
-                                for v, es in zip(values, entries)])
+                    _rank(ops, [v + [_x1_value(ops, a, i) for a in es]
+                                for v, es in zip(here, at)])
                     for i in x1s
                 )
-            for i, rank in zip(x1s, ranks):
+            for k, (i, rank) in enumerate(zip(x1s, ranks)):
                 if rank != V.codim:
+                    if k:
+                        yield rest, x1s[:k]
                     reps = power_table(ctx, 1)
                     raise BadReduction(ctx.prime, tuple(reps[j] for j in (i,) + rest))
-                yield (i,) + rest
+            yield rest, x1s
 
     return checked()
 

@@ -120,6 +120,26 @@ def power_table(ctx, e):
     return tables[e]
 
 
+def _is_cyclic(ctx):
+    """True when every HNF diagonal entry after the first is 1: then the
+    first is N = Norm(n), the residue of index i is (i, 0, ..., 0), and O/n
+    is Z/N."""
+    return all(row[i] == 1 for i, row in enumerate(ctx.modulus.basis) if i)
+
+
+def index_map(ctx, coarser):
+    """For each residue index i of ctx, the index in ``coarser`` of residue i
+    reduced modulo it; the modulus of ``coarser`` must contain that of ctx.
+
+    When both rings are Z/N, residue i reduces to i mod Norm(coarser), and
+    no residue is built as a tuple; otherwise each residue of ctx is listed,
+    in the table that ``power_table(ctx, 1)`` keeps, and reduced.
+    """
+    if _is_cyclic(ctx) and _is_cyclic(coarser):
+        return list(map(coarser.norm.__rmod__, range(ctx.norm)))
+    return [residue_index(coarser, reduce_mod(coarser, r)) for r in power_table(ctx, 1)]
+
+
 def residue_index(ctx, r):
     """The index of the canonical residue r in the order of ``residues``."""
     basis = ctx.modulus.basis
@@ -278,14 +298,15 @@ def arithmetic(ctx):
     Each object has ``zero``; ``encode(a)``, the canonical element of a
     ring element a; ``add``, ``neg``, ``mul`` and ``reduce``; and, for e >= 1,
     ``term(c, e)``, the function from a residue index i to the canonical
-    element of c * r_i^e, where r_i is the i-th residue.  Two canonical
-    elements are equal iff their residues are.  Every form also has
-    ``index(x)``, the residue index of a canonical element x, for reading
-    ``unit_flags``.  Only this function names the three classes.
+    element of c * r_i^e, where r_i is the i-th residue (e < 1 raises
+    ExunitsError).  Two canonical elements are equal iff their residues
+    are.  Every form also has ``index(x)``, the residue index of a canonical
+    element x, for reading ``unit_flags``.  Only this function names the
+    three classes.
     """
     ops = ctx.tables.get("arithmetic")
     if ops is None:
-        if all(row[i] == 1 for i, row in enumerate(ctx.modulus.basis) if i):
+        if _is_cyclic(ctx):
             kind = _CyclicArithmetic
         elif ctx.prime is not None:
             kind = _FieldArithmetic
@@ -293,6 +314,13 @@ def arithmetic(ctx):
             kind = _RingArithmetic
         ops = ctx.tables["arithmetic"] = kind(ctx)
     return ops
+
+
+def _check_term_exponent(e):
+    """Refuse e < 1 in ``term(c, e)``: at e = 0 the value at index 0 is
+    c * 0^0, which the field form, reading x^e off log x, cannot give."""
+    if e < 1:
+        raise ExunitsError(f"term needs an exponent of at least 1, not {e}")
 
 
 class _RingArithmetic:
@@ -309,6 +337,7 @@ class _RingArithmetic:
         self.mul = partial(elem_mul, ring)
 
     def term(self, c, e):
+        _check_term_exponent(e)
         ctx = self.ctx
         table = power_table(ctx, e)
         if c == ctx.ring.from_int(-1):
@@ -331,6 +360,7 @@ class _CyclicArithmetic:
         self.encode = lambda a: residue_index(ctx, reduce_mod(ctx, a))
 
     def term(self, c, e):
+        _check_term_exponent(e)
         c, n = self.encode(c), self.n
         if c == 1 and e == 1:
             return index  # the residue of index i is i itself
@@ -375,6 +405,7 @@ class _FieldArithmetic:
         self.log, self.exp, self.m = log, exp, m
 
     def term(self, c, e):
+        _check_term_exponent(e)
         c = self.encode(c)
         if not c:
             return lambda i: 0

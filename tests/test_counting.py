@@ -244,6 +244,31 @@ class TestLocalCounts:
         assert exc.value.prime == p2
         assert exc.value.witness == witness
 
+    @pytest.mark.parametrize(
+        "amb, equations, p",
+        [
+            pytest.param(3, ["x1^2 + x2^2 + x3^2 - 1"], 29, id="sphere"),
+            pytest.param(3, ["x1^2 + x2^2 - 1", "x3 - x1"], 11, id="curve-inert"),
+            pytest.param(2, ["x1*x2 - 1"], 13, id="mixed-inert"),
+        ],
+    )
+    def test_per_fiber_count_matches_points(self, q5, amb, equations, p):
+        """#N counted a fiber at a time equals #N counted point by point, with
+        f evaluated term by term."""
+        eqs = tuple(parse_poly(src, q5, amb) for src in equations)
+        V = VarietySpec(amb=amb, codim=len(eqs), equations=eqs, declared_degree=2)
+        f = parse_poly("x1 - 2", q5, 1)
+        pf = factor_ideal(q5, principal_ideal(q5, (p, 0)))[0]
+        ctx = prime_ctx(q5, pf)
+        in_p = [eval_poly(f, (r,), ctx) == q5.zero for r in residues(ctx)]
+        points = [
+            (i,) + rest for rest, x1s in polys.smooth_points(ctx, V) for i in x1s
+        ]
+        count_n = sum(any(in_p[i] for i in point) for point in points)
+        assert 0 < count_n < len(points)
+        ld = local_counts(q5, V, f, pf)
+        assert (ld.count_X, ld.count_N) == (len(points), count_n)
+
     def test_no_point_evaluates_no_f(self, rat, monkeypatch):
         # 2 is not a square mod 11, so x1^2 = 2 has no point there
         calls = []

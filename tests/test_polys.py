@@ -45,7 +45,15 @@ from exunits.polys import (
     variety_indices,
     zero_poly,
 )
-from exunits.residues import add_mod, mul_mod, residues
+from exunits.residues import (
+    _CyclicArithmetic,
+    _FieldArithmetic,
+    _RingArithmetic,
+    add_mod,
+    arithmetic,
+    mul_mod,
+    residues,
+)
 
 
 @pytest.fixture
@@ -503,7 +511,73 @@ def _reference_indices(ctx, V, digits):
     ]
 
 
+def _form_ctx(form):
+    """A residue context in each form of O/n: ints mod 7 at a split prime of
+    Q(sqrt(-5)), F_9 at the inert prime 3 of Q(i), and tuples mod (3) over
+    Q(i), which is not a prime context."""
+    if form == "int":
+        q5 = make_number_ring([5, 0, 1])
+        return prime_ctx(q5, factor_ideal(q5, principal_ideal(q5, (7, 0)))[0])
+    qi = make_number_ring([1, 0, 1])
+    if form == "field":
+        return prime_ctx(qi, factor_ideal(qi, principal_ideal(qi, (3, 0)))[0])
+    return residue_ctx(qi, principal_ideal(qi, (3, 0)))
+
+
+_FORMS = {"int": _CyclicArithmetic, "field": _FieldArithmetic, "tuple": _RingArithmetic}
+
+
 class TestVarietyIndices:
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    @pytest.mark.parametrize(
+        "amb, equations",
+        [
+            pytest.param(3, ["x1^2 + x2^2 - 1", "x3 - x1"], id="two-separable"),
+            pytest.param(3, ["x1^2 + x3^2 - 1"], id="c0-free-of-x2"),
+            pytest.param(3, ["x1^2 + x2*x3 - 1"], id="cross-term-in-c0"),
+            pytest.param(2, ["x1*x2 - 1"], id="none-separable"),
+        ],
+    )
+    @pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+    def test_rows_match_reference(self, form, amb, equations, subset):
+        """The row kernel gives the literal enumeration's points in every
+        form of O/n, over all digits and over a subset of them."""
+        ctx = _form_ctx(form)
+        assert type(arithmetic(ctx)) is _FORMS[form]
+        eqs = tuple(parse_poly(src, ctx.ring, amb) for src in equations)
+        V = VarietySpec(amb=amb, codim=len(eqs), equations=eqs, declared_degree=2)
+        digits = [i for i in range(ctx.norm) if not subset or i % 3 != 1]
+        expected = _reference_indices(ctx, V, digits)
+        assert expected
+        fibers = variety_indices(ctx, V, DEFAULT_CAP, iter(digits) if subset else None)
+        assert _points(fibers) == expected
+
+    def test_sphere_costs_rows_not_fibers(self, q5, monkeypatch):
+        """At p = 29 the sphere's equation and Jacobian are evaluated a few
+        times per row of fibers, c*q compiled calls in all, not once per fiber
+        (q^2 = 841)."""
+        calls = 0
+        compile_ = polys._evaluator
+
+        def counted(ctx, terms):
+            value = compile_(ctx, terms)
+
+            def counted_value(indices):
+                nonlocal calls
+                calls += 1
+                return value(indices)
+
+            return counted_value
+
+        monkeypatch.setattr(polys, "_evaluator", counted)
+        sphere = parse_poly("x1^2 + x2^2 + x3^2 - 1", q5, 3)
+        V = VarietySpec(amb=3, codim=1, equations=(sphere,), declared_degree=2)
+        (pf, _) = factor_ideal(q5, principal_ideal(q5, (29, 0)))
+        assert pf.norm == 29
+        # q^2 + q * chi(-1) points, and -1 is a square mod 29
+        assert len(_points(smooth_points(prime_ctx(q5, pf), V))) == 29 ** 2 + 29
+        assert calls <= 8 * 29
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_reference(self, data):
@@ -604,8 +678,8 @@ def _swept(ring, V, prime_factor):
     """The points smooth_points yields, and the witness it raises (or None)."""
     points = []
     try:
-        for indices in smooth_points(prime_ctx(ring, prime_factor), V):
-            points.append(indices)
+        for rest, x1s in smooth_points(prime_ctx(ring, prime_factor), V):
+            points += [(i,) + rest for i in x1s]
     except BadReduction as exc:
         assert exc.prime == prime_factor
         return points, exc.witness
@@ -654,7 +728,7 @@ class TestSmoothPoints:
         for module in (polys, sys.modules["exunits.residues"]):
             monkeypatch.setattr(module, "reduce_mod", counted)
         ctx = prime_ctx(q5, p13[0])
-        assert len(list(smooth_points(ctx, circle_variety))) == 168
+        assert len(_points(smooth_points(ctx, circle_variety))) == 168
         assert calls <= 25 * 169
 
     @pytest.mark.parametrize(
@@ -705,5 +779,5 @@ class TestSmoothPoints:
         assert len(_points(variety_indices(ctx, V, DEFAULT_CAP))) == 2
         enumeration, calls = calls, 0
         # a context of its own, so the sweep builds its tables again
-        assert len(list(smooth_points(prime_ctx(rat, prime_factor), V))) == 2
+        assert len(_points(smooth_points(prime_ctx(rat, prime_factor), V))) == 2
         assert calls - enumeration <= 20

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -40,9 +41,11 @@ from exunits.residues import (
     add_mod,
     arithmetic,
     field_tables,
+    index_map,
     mul_mod,
     pow_mod,
     power_table,
+    residue_index,
     residues,
     sub_mod,
     unit_flags,
@@ -599,3 +602,59 @@ class TestCyclicArithmetic:
         inert = prime_ideals_above(q5, 11)[0]
         assert type(arithmetic(prime_ctx(q5, p3))) is _CyclicArithmetic
         assert type(arithmetic(prime_ctx(q5, inert))) is _FieldArithmetic
+
+
+class TestTerm:
+    @pytest.mark.parametrize(
+        "modulus, form",
+        [
+            ("P3", _CyclicArithmetic),
+            ("inert 11", _FieldArithmetic),
+            ("(5)", _RingArithmetic),
+        ],
+    )
+    def test_exponent_below_one_refused(self, q5, p3, modulus, form):
+        """Every form refuses term(c, e) for e < 1, where they would differ at
+        index 0 (0^0), and gives c * x at e = 1."""
+        if modulus == "P3":
+            ctx = prime_ctx(q5, p3)
+        elif modulus == "inert 11":
+            ctx = prime_ctx(q5, prime_ideals_above(q5, 11)[0])
+        else:
+            ctx = residue_ctx(q5, principal_ideal(q5, (5, 0)))
+        ops = arithmetic(ctx)
+        assert type(ops) is form
+        for e in (0, -1):
+            with pytest.raises(ExunitsError, match="exponent"):
+                ops.term(q5.one, e)
+        two = q5.from_int(2)
+        term = ops.term(two, 1)
+        reps = list(residues(ctx))
+        assert [term(i) for i in range(ctx.norm)] == [
+            ops.encode(mul_mod(ctx, two, r)) for r in reps
+        ]
+
+
+class TestIndexMap:
+    @pytest.mark.parametrize("p, cyclic", [(3, True), (23, True), (5, False)])
+    def test_matches_tuple_map(self, q5, monkeypatch, p, cyclic):
+        """The index mod P of each residue mod P^2 over Q(sqrt(-5)): read off
+        mod Norm(P) where both rings are Z/N (the split P3 and P23), and by
+        reducing tuples at the ramified P5, whose O/P5^2 is not cyclic."""
+        pf = prime_ideals_above(q5, p)[0]
+        fine = residue_ctx(q5, ideal_pow(q5, pf.hnf, 2))
+        coarse = residue_ctx(q5, pf.hnf)
+        assert (type(arithmetic(fine)) is _CyclicArithmetic) == cyclic
+        expected = [
+            residue_index(coarse, reduce_mod(coarse, r)) for r in residues(fine)
+        ]
+        module = sys.modules["exunits.residues"]
+        reductions = []
+
+        def counted(ctx, a):
+            reductions.append(a)
+            return reduce_mod(ctx, a)
+
+        monkeypatch.setattr(module, "reduce_mod", counted)
+        assert index_map(fine, coarse) == expected
+        assert bool(reductions) != cyclic
