@@ -8,6 +8,10 @@ Three mutually checking routes are implemented:
   walking powers (``residues.unit_flags``), not by factoring n.
 * ``theorem1_count``     -- the local-global product over primes dividing n,
   valid under good reduction; cost is independent of the exponents in n.
+  Its local counts sweep X(O/P), but for a diagonal quadric
+  sum a_i x_i^2 = c at an odd prime with every a_i nonzero mod P, which
+  they count in closed form (Lidl and Niederreiter, *Finite Fields*, Thms
+  6.26 and 6.27) when that has no more terms than the sweep has fibers.
 * ``example25_count``    -- the closed form for the circle x^2 + y^2 = c over
   Q(sqrt(-5)) with f = x - a, in two gating modes (see below).
 
@@ -30,6 +34,7 @@ from .errors import (
     UnitIdeal,
 )
 from .ideals import factor_ideal, ideal_norm, ideal_pow, prime_ideals_up_to
+from .number_ring import elem_neg, is_zero
 from .polys import (
     DEFAULT_CAP,
     _evaluator,
@@ -39,10 +44,15 @@ from .polys import (
 )
 from .residues import (
     arithmetic,
+    field_inverse,
     index_map,
+    mul_mod,
+    power_table,
     prime_ctx,
+    reduce_mod,
     residue_ctx,
     square_class,
+    sub_mod,
     unit_flags,
 )
 
@@ -95,15 +105,32 @@ def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
 
 
 def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
-    """#X(O_K/p), #N^f(p, X) and the exact local factor, in one sweep.
+    """#X(O_K/p), #N^f(p, X) and the exact local factor.
 
-    Requires good reduction at p: each point's Jacobian rank is checked as it
-    is counted, and the first singular point raises BadReduction.  The sweep
-    and f share one residue context, so the arithmetic of O_K/p is built
-    once.
+    Requires good reduction at p: a singular point raises BadReduction.
+    One equation sum a_i x_i^2 = c of codim 1, with every a_i nonzero mod p
+    and q odd, is counted in closed form (``_quadric_counts``; Lidl and
+    Niederreiter, *Finite Fields*, Thms 6.26 and 6.27) while its
+    (1 + deg f)^amb terms are no more than the q^max(amb-1, 1) fibers of a
+    sweep.  Every other input, characteristic 2 included, is swept
+    (``_swept_counts``).  Both share one residue context, so the arithmetic
+    of O_K/p is built once.  The oracle and the diagnostics never take the
+    closed form.
     """
     _check_f(f)
     ctx = prime_ctx(ring, prime_factor)
+    count_x, count_n = _quadric_counts(ctx, V, f, cap) or _swept_counts(
+        ctx, V, f, cap
+    )
+    factor = Fraction(count_x - count_n, ctx.norm ** (V.amb - V.codim))
+    return LocalData(
+        prime=prime_factor, count_X=count_x, count_N=count_n, factor=factor
+    )
+
+
+def _swept_counts(ctx, V, f, cap):
+    """#X and #N in one sweep of X(O/P): each point's Jacobian rank is checked
+    as it is counted, and the first singular point raises BadReduction."""
     flags = None
     count_x = count_n = 0
     for rest, x1s in smooth_points(ctx, V, cap):  # checks the cap first
@@ -117,10 +144,118 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
             count_n += len(x1s) - sum(map(flags.__getitem__, x1s))
         else:
             count_n += len(x1s)
-    factor = Fraction(count_x - count_n, ctx.norm ** (V.amb - V.codim))
-    return LocalData(
-        prime=prime_factor, count_X=count_x, count_N=count_n, factor=factor
-    )
+    return count_x, count_n
+
+
+def _diagonal_quadric(ctx, V):
+    """(a, c) when V is one equation sum a_i x_i^2 = c of codim 1, in which
+    every x_i has its square and no other monomial but a constant occurs;
+    else None.  c is reduced mod P."""
+    if len(V.equations) != 1 or V.codim != 1:
+        return None
+    ring = ctx.ring
+    a, c = [None] * V.amb, ring.zero
+    for exps, coeff in V.equations[0].terms.items():
+        powers = [(i, e) for i, e in enumerate(exps) if e]
+        if not powers:
+            c = elem_neg(ring, coeff)
+        elif len(powers) == 1 and powers[0][1] == 2:
+            a[powers[0][0]] = coeff
+        else:
+            return None
+    if None in a:
+        return None
+    return a, reduce_mod(ctx, c)
+
+
+def _roots_of_f(ctx, f):
+    """The residues r with f(r) = 0 mod P, or None when every residue is one.
+
+    A linear f = b x + d has the one root -d/b, or, when b = 0 mod P, none
+    or all; a higher-degree f is scanned through ``_exunit_flags``.
+    """
+    ring = ctx.ring
+    if f.total_degree() == 1:
+        b, d = f.terms[(1,)], f.terms.get((0,), ring.zero)
+        if is_zero(reduce_mod(ctx, b)):
+            return None if is_zero(reduce_mod(ctx, d)) else []
+        return [mul_mod(ctx, elem_neg(ring, d), field_inverse(ctx, b))]
+    reps = power_table(ctx, 1)
+    roots = [r for r, unit in zip(reps, _exunit_flags(ctx, f)) if not unit]
+    return None if len(roots) == ctx.norm else roots
+
+
+def _quadric_counts(ctx, V, f, cap):
+    """#X(O/P) and #N of a diagonal quadric in closed form, or None.
+
+    The route applies when V is one equation sum a_i x_i^2 = c of codim 1
+    (``_diagonal_quadric``), every a_i is nonzero mod P, q = Norm(P) is odd,
+    and its (1 + deg f)^amb terms below are no more than the
+    q^max(amb - 1, 1) fibers a sweep would visit.  Otherwise it returns None
+    and the caller sweeps.  The cap is checked as the sweep checks it.
+
+    With eta the quadratic character (``square_class``), n variables and
+    s = eta((-1)^(n//2) a_1 ... a_n), the number of solutions in F_q^n is
+    q^(n-1) + s eta(c) q^((n-1)/2) for n odd, and q^(n-1) + s v(c)
+    q^(n/2-1) for n even, where v(0) = q - 1 and v(c) = -1 otherwise (Lidl
+    and Niederreiter, *Finite Fields*, Thms 6.26 and 6.27).  The gradient
+    (2 a_i x_i) vanishes only at the origin, so X is smooth when c is a
+    unit; when c = 0 mod P BadReduction is raised at the origin, the first
+    point of the sweep.  #X - #N, the points with no f(x_i) = 0 mod P, is
+    the sum over the sets S of coordinates fixed to roots of f of (-1)^|S|
+    times the count of the quadric left in the other coordinates.
+    """
+    if ctx.norm % 2 == 0:
+        return None
+    q, amb, ring = ctx.norm, V.amb, ctx.ring
+    if (1 + f.total_degree()) ** amb > q ** max(amb - 1, 1):
+        return None
+    quadric = _diagonal_quadric(ctx, V)
+    if quadric is None:
+        return None
+    a, c = quadric
+    etas = [square_class(ctx, x) for x in a]
+    if 0 in etas:  # some a_i lies in P
+        return None
+    variety_indices(ctx, V, cap)  # the cap check alone: nothing is swept
+    if is_zero(c):
+        raise BadReduction(ctx.prime, (reduce_mod(ctx, ring.zero),) * amb)
+    minus_one = square_class(ctx, ring.from_int(-1))
+
+    def solutions(n, eta, c):
+        """Points of sum a_i x_i^2 = c over n coordinates whose a_i have the
+        product class eta."""
+        s = eta * minus_one ** (n // 2)
+        if n % 2:
+            return q ** (n - 1) + s * square_class(ctx, c) * q ** (n // 2)
+        return (q ** n + s * q ** (n // 2) * (q * is_zero(c) - 1)) // q
+
+    count_x = solutions(amb, prod(etas), c)
+    roots = _roots_of_f(ctx, f) if count_x else []
+    if roots is None:
+        count_n = count_x
+    else:
+        shifts = [[mul_mod(ctx, x, mul_mod(ctx, r, r)) for r in roots] for x in a]
+
+        def off_roots(i, n, eta, c):
+            """Points of the quadric = c in the n coordinates left free before
+            i, of product class eta, and in coordinates i and on, each of
+            those off the roots of f: coordinate i is left free, minus fixed
+            at each root."""
+            if i == amb:
+                return solutions(n, eta, c)
+            total = off_roots(i + 1, n + 1, eta * etas[i], c)
+            for shift in shifts[i]:
+                total -= off_roots(i + 1, n, eta, sub_mod(ctx, c, shift))
+            return total
+
+        count_n = count_x - off_roots(0, 0, 1, c)
+    if not 0 <= count_n <= count_x <= q ** amb:
+        raise ExunitsError(
+            f"closed form gave #N = {count_n}, #X = {count_x} outside 0 <= "
+            f"#N <= #X <= {q}^{amb}"
+        )
+    return count_x, count_n
 
 
 def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):

@@ -432,17 +432,28 @@ def is_unit_mod(ctx, a):
 
 
 def field_inverse(ctx, a):
-    """Inverse in the residue field O_K/p, as a^(q-2) by square-and-multiply."""
+    """Inverse in the residue field O_K/p.
+
+    At a prime of residue degree 1, where O/p is Z/p, it is ``pow(i, -1, p)``
+    on the residue index i; otherwise a^(q-2) by ``pow_mod``, on tuples, so
+    that no field table is built.
+    """
     if ctx.prime is None:
         raise NotPrime("field_inverse requires a prime modulus context")
     r = reduce_mod(ctx, a)
     if is_zero(r):
         raise NotAUnit("element lies in the prime ideal")
+    if _is_cyclic(ctx):
+        return (pow(r[0], -1, ctx.norm),) + r[1:]
     return pow_mod(ctx, r, ctx.norm - 2)
 
 
 def square_class(ctx, a):
-    """Euler's criterion in the residue field: 0, +1 or -1."""
+    """Euler's criterion in the residue field: 0, +1 or -1.
+
+    a^((q-1)/2) is ``pow(i, (p-1)//2, p)`` on the residue index i at a prime
+    of residue degree 1, and ``pow_mod`` on tuples otherwise.
+    """
     if ctx.prime is None:
         raise NotPrime("square_class requires a prime modulus context")
     if ctx.norm % 2 == 0:
@@ -450,9 +461,15 @@ def square_class(ctx, a):
     r = reduce_mod(ctx, a)
     if is_zero(r):
         return 0
-    val = pow_mod(ctx, r, (ctx.norm - 1) // 2)
-    if val == reduce_mod(ctx, ctx.ring.one):
+    if _is_cyclic(ctx):
+        val = pow(r[0], (ctx.norm - 1) // 2, ctx.norm)
+        one, minus_one = 1, ctx.norm - 1
+    else:
+        val = pow_mod(ctx, r, (ctx.norm - 1) // 2)
+        one = reduce_mod(ctx, ctx.ring.one)
+        minus_one = reduce_mod(ctx, ctx.ring.from_int(-1))
+    if val == one:
         return 1
-    if val != reduce_mod(ctx, ctx.ring.from_int(-1)):
+    if val != minus_one:
         raise ExunitsError("Euler's criterion gave neither 1 nor -1")
     return -1

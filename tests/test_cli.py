@@ -625,9 +625,10 @@ class TestAsympt:
         assert any(",9," in line for line in lines)  # the product (3)
 
     def test_one_local_count_per_prime(self, circle_config, capsys, monkeypatch):
-        """Each prime ideal of norm <= 45 is swept once, good or bad, whether
-        by local_counts or by check_good_reduction, and no modulus is
-        factored again."""
+        """Each prime ideal of norm <= 45 is counted once by local_counts, good
+        or bad, and no modulus is factored again.  Only the bad prime above 2
+        and the primes of norm 3, where the closed form of the circle has
+        more terms than fibers, are swept."""
         q5 = make_number_ring([5, 0, 1])
         small = [p for p in range(2, 46) if all(p % d for d in range(2, p))]
         primes = [
@@ -637,8 +638,13 @@ class TestAsympt:
             if pf.norm <= 45
         ]
         assert len(primes) == 14
-        swept, factored = [], []
-        smooth_points, factor_ideal = polys.smooth_points, ideals.factor_ideal
+        counted, swept, factored = [], [], []
+        local_counts, smooth_points = counting.local_counts, polys.smooth_points
+        factor_ideal = ideals.factor_ideal
+
+        def counted_local(ring, V, f, pf, *args, **kwargs):
+            counted.append((pf.p, pf.h_coeffs))
+            return local_counts(ring, V, f, pf, *args, **kwargs)
 
         def counted_sweep(ctx, V, *args):
             swept.append((ctx.prime.p, ctx.prime.h_coeffs))
@@ -648,6 +654,7 @@ class TestAsympt:
             factored.append(args)
             return factor_ideal(*args)
 
+        monkeypatch.setattr(counting, "local_counts", counted_local)
         for module in (counting, polys):
             monkeypatch.setattr(module, "smooth_points", counted_sweep)
         for module in (counting, cli, ideals):
@@ -657,7 +664,8 @@ class TestAsympt:
         lines = capsys.readouterr().out.strip().split("\n")[1:]
         singles = [line for line in lines if "*" not in line]
         assert len(lines) == len(singles) * (len(singles) + 1) // 2
-        assert swept == primes
+        assert counted == primes
+        assert swept == [(2, (1, 1)), (3, (1, 1)), (3, (2, 1))]
         assert factored == []
         # the ramified prime above 5 is a modulus of norm 5, not its square
         assert any(line.startswith("(5,[0,1]),5,") for line in singles)

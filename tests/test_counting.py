@@ -42,11 +42,14 @@ from exunits import (
     prime_ctx,
     prime_ideals_above,
     principal_ideal,
+    reduce_mod,
     residue_ctx,
     theorem1_count,
     unit_ideal,
 )
 from exunits.errors import BadModulus
+from exunits.ideals import prime_ideals_up_to
+from exunits.number_ring import is_zero
 from exunits.residues import residues
 
 # Q, Q(i), Q(sqrt(-5)) and Q(2^(1/3)); each ring of integers is Z[theta]
@@ -332,6 +335,117 @@ class TestLocalCounts:
         assert ld.count_X - ld.count_N == brute_force_count(ring, V, f, pf.hnf)
 
 
+@st.composite
+def _maybe_in_p(draw, ring, p):
+    """A nonzero element, or, one time in four, p times one, which lies in
+    every prime above p."""
+    x = draw(_elements(ring))
+    return tuple(p * c for c in x) if draw(st.integers(0, 3)) == 0 else x
+
+
+class TestQuadricClosedForm:
+    """``counting._quadric_counts`` against the oracle at the prime P."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, data):
+        """#X against the fibers of ``variety_indices`` and #X - #N against
+        ``brute_force_count`` mod P, over rings of degree 1 to 4 and amb 1 to
+        4: non-unit a_i and p = 2 fall back to the sweep, c = 0 mod P raises
+        the sweep's witness, and the cap refuses what the sweep refuses."""
+        quartic = [1, 0, 0, 0, 1]  # x^4 + 1
+        ring = make_number_ring(data.draw(st.sampled_from(RINGS + [quartic])))
+        amb = data.draw(st.integers(1, 4))
+        primes = [
+            pf
+            for p in (2, 3, 5, 7, 11, 13)
+            for pf in prime_ideals_above(ring, p)
+            if pf.norm ** amb <= 2500
+        ]
+        odd = [pf for pf in primes if pf.p != 2]
+        # one time in eight at p = 2; at the other odd primes when none fits
+        if odd and data.draw(st.integers(0, 7)):
+            primes = odd
+        pf = data.draw(st.sampled_from(primes))
+        p, q = pf.p, pf.norm
+        a = [data.draw(_elements(ring)) for _ in range(amb)]
+        if data.draw(st.integers(0, 4)) == 0:  # one a_i in P
+            i = data.draw(st.integers(0, amb - 1))
+            a[i] = tuple(p * x for x in a[i])
+        terms = {
+            tuple(2 * (j == i) for j in range(amb)): x for i, x in enumerate(a)
+        }
+        c = None if data.draw(st.integers(0, 5)) == 0 else data.draw(
+            _maybe_in_p(ring, p)
+        )
+        if c is not None:
+            terms[(0,) * amb] = c
+        V = VarietySpec(
+            amb=amb,
+            codim=1,
+            equations=(MultiPoly(amb=amb, terms=terms),),
+            declared_degree=2,
+        )
+        degree = data.draw(st.integers(1, 3))
+        f_terms = {(degree,): data.draw(_maybe_in_p(ring, p))}
+        for e in range(degree):
+            if data.draw(st.booleans()):
+                f_terms[(e,)] = data.draw(_maybe_in_p(ring, p))
+        f = MultiPoly(amb=1, terms=f_terms)
+        cap = q ** amb - 1 if data.draw(st.integers(0, 5)) == 0 else polys.DEFAULT_CAP
+        ctx = prime_ctx(ring, pf)
+        in_p = [is_zero(reduce_mod(ctx, x)) for x in a]
+        refused = (
+            q % 2 == 0 or any(in_p) or (1 + degree) ** amb > q ** max(amb - 1, 1)
+        )
+        try:
+            counts = counting._quadric_counts(ctx, V, f, cap)
+        except CapExceeded:
+            event("cap")
+            assert not refused and q ** amb > cap
+            with pytest.raises(CapExceeded):
+                polys.smooth_points(prime_ctx(ring, pf), V, cap)
+            return
+        except BadReduction as exc:
+            event("c = 0 mod P")
+            assert not refused and (c is None or is_zero(reduce_mod(ctx, c)))
+            with pytest.raises(BadReduction) as swept:
+                list(polys.smooth_points(prime_ctx(ring, pf), V, cap))
+            assert (exc.prime, exc.witness) == (
+                swept.value.prime,
+                swept.value.witness,
+            )
+            return
+        assert (counts is None) == refused
+        if counts is None:
+            event("p = 2" if q % 2 == 0 else "a_i in P" if any(in_p) else "costly")
+            return
+        event(f"closed form, deg f = {degree}")
+        count_x, count_n = counts
+        assert q ** amb <= cap
+        fibers = polys.variety_indices(residue_ctx(ring, pf.hnf), V, polys.DEFAULT_CAP)
+        assert count_x == sum(len(x1s) for _, x1s in fibers)
+        assert count_x - count_n == brute_force_count(ring, V, f, pf.hnf)
+        ld = local_counts(ring, V, f, pf, cap=cap)
+        assert (ld.count_X, ld.count_N) == counts
+
+    @pytest.mark.parametrize("constant, count_n", [("0", 8), ("1", 0)])
+    def test_linear_f_with_lead_in_p(self, rat, constant, count_n):
+        """f = 7 x1 + d at p = 7 is the constant d mod 7: every point is in N
+        when d = 0 mod 7, and none is otherwise."""
+        V = VarietySpec(
+            amb=2,
+            codim=1,
+            equations=(parse_poly("x1^2 + x2^2 - 1", rat, 2),),
+            declared_degree=2,
+        )
+        f = parse_poly(f"7*x1 + {constant}", rat, 1)
+        pf = factor_ideal(rat, principal_ideal(rat, (7,)))[0]
+        counts = counting._quadric_counts(prime_ctx(rat, pf), V, f, polys.DEFAULT_CAP)
+        assert counts == (8, count_n)
+        assert 8 - count_n == brute_force_count(rat, V, f, pf.hnf)
+
+
 def _prime_power_count(ring, V, f, pf, e):
     """The product formula modulo pf^e."""
     return theorem1_count(ring, V, f, ideal_pow(ring, pf.hnf, e)).total
@@ -393,8 +507,9 @@ class TestTheorem1:
         with pytest.raises(ExunitsError, match="non-integral"):
             theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (3, 0)))
 
-    def test_one_sweep_per_prime(self, q5, circle, f_x_minus_2, monkeypatch):
-        # every sweep enumerates its fibers once, so this counts sweeps
+    def test_one_sweep_per_prime(self, q5, f_x_minus_2, monkeypatch):
+        # every sweep enumerates its fibers once, so this counts sweeps; the
+        # cross term keeps the hyperbola off the closed form of quadrics
         calls = []
         variety_indices = polys.variety_indices
 
@@ -403,11 +518,55 @@ class TestTheorem1:
             return variety_indices(*args)
 
         monkeypatch.setattr(polys, "variety_indices", counted)
+        hyperbola = VarietySpec(
+            amb=2,
+            codim=1,
+            equations=(parse_poly("x1*x2 - 1", q5, 2),),
+            declared_degree=2,
+        )
         n21 = principal_ideal(q5, (21, 0))
-        rep = theorem1_count(q5, circle, f_x_minus_2, n21)
+        rep = theorem1_count(q5, hyperbola, f_x_minus_2, n21)
         primes = [ld.prime for ld in rep.locals]
         assert len(primes) == 4
         assert calls == primes
+
+    @pytest.mark.parametrize(
+        "amb, source, swept",
+        [
+            # at q = 3 the circle's (1 + 1)^2 = 4 terms exceed its 3 fibers
+            pytest.param(
+                2, "x1^2 + x2^2 - 1", [(2, (1, 1)), (3, (1, 1)), (3, (2, 1))],
+                id="circle",
+            ),
+            pytest.param(3, "x1^2 + x2^2 + x3^2 - 1", [(2, (1, 1))], id="sphere"),
+        ],
+    )
+    def test_quadrics_swept_only_where_closed_form_refuses(
+        self, q5, f_x_minus_2, monkeypatch, amb, source, swept
+    ):
+        """The converse: a diagonal quadric is swept at the prime above 2, and
+        at an odd prime only when its closed form has more terms than fibers."""
+        calls = []
+        smooth_points = polys.smooth_points
+
+        def counted(ctx, *args):
+            calls.append((ctx.prime.p, ctx.prime.h_coeffs))
+            return smooth_points(ctx, *args)
+
+        monkeypatch.setattr(counting, "smooth_points", counted)
+        V = VarietySpec(
+            amb=amb,
+            codim=1,
+            equations=(parse_poly(source, q5, amb),),
+            declared_degree=2,
+        )
+        for p in (2, 3, 5, 7, 11, 13):
+            for pf in prime_ideals_above(q5, p):
+                try:
+                    local_counts(q5, V, f_x_minus_2, pf)
+                except BadReduction:
+                    assert p == 2
+        assert calls == swept
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -573,6 +732,62 @@ class TestLangWeil:
         assert rec["count_X"] == count
         assert rec["deviation"] == 1
         assert rec["deviation"] <= rec["bound"]
+
+
+class TestDegreeTwoDichotomy:
+    """The paper's last claim: on a variety of degree 2 the deviation of #X
+    from q^r is much smaller than on one of higher degree."""
+
+    @pytest.mark.parametrize("g", [[0, 1], [5, 0, 1]])
+    @pytest.mark.parametrize(
+        "amb, source",
+        [(2, "x1^2 + x2^2 - 1"), (3, "x1^2 + x2^2 + x3^2 - 1")],
+        ids=["circle", "sphere"],
+    )
+    def test_quadrics_within_q_to_r_minus_half(self, g, amb, source):
+        ring = make_number_ring(g)
+        V = VarietySpec(
+            amb=amb,
+            codim=1,
+            equations=(parse_poly(source, ring, amb),),
+            declared_degree=2,
+        )
+        f = parse_poly("x1 - 2", ring, 1)
+        r, good = amb - 1, 0
+        for pf in prime_ideals_up_to(ring, 200):
+            try:
+                count_x = local_counts(ring, V, f, pf).count_X
+            except BadReduction:
+                assert pf.p == 2
+                continue
+            good += 1
+            q = pf.norm
+            assert abs(count_x - q ** r) <= q ** (r - 0.5)
+            # even within q^(r-1), where the cubic below is not
+            assert abs(count_x - q ** r) <= q ** (r - 1)
+        assert good >= 40
+
+    def test_cubic_curve_exceeds_q_to_r_minus_one(self, rat):
+        """x2^2 = x1^3 + x1 + 1, of discriminant -496 = -16 * 31, is good at
+        every p < 50 but 2 and 31; its deviation is |a_p| <= 2 sqrt(p)."""
+        V = VarietySpec(
+            amb=2,
+            codim=1,
+            equations=(parse_poly("x2^2 - x1^3 - x1 - 1", rat, 2),),
+            declared_degree=3,
+        )
+        f = parse_poly("x1 - 2", rat, 1)
+        deviations = {}
+        for pf in prime_ideals_up_to(rat, 49):
+            try:
+                count_x = local_counts(rat, V, f, pf).count_X
+            except BadReduction:
+                assert pf.p in (2, 31)
+                continue
+            deviations[pf.p] = abs(count_x - pf.p)
+        assert len(deviations) == 13
+        assert any(dev > 1 for dev in deviations.values())  # q^(r-1) = 1
+        assert all(dev <= 2 * p ** 0.5 + 1 for p, dev in deviations.items())
 
 
 class TestAsympt:

@@ -270,6 +270,71 @@ class TestSquareClass:
                 assert square_class(ctx, mul_mod(ctx, a, a)) == 1
 
 
+def _degree_one_primes():
+    """Every prime of residue degree 1 and norm < 50 over Q, Q(i) and
+    Q(sqrt(-5)): split and ramified ones alike."""
+    out = []
+    for coeffs in ([0, 1], [1, 0, 1], [5, 0, 1]):
+        ring = make_number_ring(coeffs)
+        for p in range(3, 50):
+            if all(p % d for d in range(2, p)):
+                out += [
+                    (ring, pf) for pf in prime_ideals_above(ring, p) if pf.f_res == 1
+                ]
+    return out
+
+
+class TestDegreeOneFieldOps:
+    """At a prime of residue degree 1, square classes and inverses are one
+    ``pow`` on the residue index; they must equal Euler's criterion and
+    a^(q-2) taken with ``pow_mod`` on tuples."""
+
+    def test_matches_tuple_path_on_every_residue(self):
+        primes = _degree_one_primes()
+        assert {pf.e_ram for _, pf in primes} == {1, 2}
+        for ring, pf in primes:
+            ctx = prime_ctx(ring, pf)
+            one = reduce_mod(ctx, ring.one)
+            minus_one = reduce_mod(ctx, ring.from_int(-1))
+            for r in list(residues(ctx))[1:]:
+                euler = pow_mod(ctx, r, (pf.norm - 1) // 2)
+                assert square_class(ctx, r) == (1 if euler == one else -1)
+                assert euler in (one, minus_one)
+                assert field_inverse(ctx, r) == pow_mod(ctx, r, pf.norm - 2)
+            assert square_class(ctx, ring.zero) == 0
+
+    def test_unreduced_input(self, q5):
+        """The residue index is read after reduction, not off the raw element."""
+        pf = factor_ideal(q5, principal_ideal(q5, (7, 0)))[0]
+        ctx = prime_ctx(q5, pf)
+        for a in ((3, 2), (-9, 6), (40, -2), (-100, 13)):
+            r = reduce_mod(ctx, a)
+            assert r != a and not is_zero(r)
+            assert square_class(ctx, a) == square_class(ctx, r)
+            assert field_inverse(ctx, a) == pow_mod(ctx, r, pf.norm - 2)
+
+    def test_errors_kept(self, ctx3):
+        with pytest.raises(NotAUnit):
+            field_inverse(ctx3, (6, 0))
+        rat = make_number_ring([0, 1])
+        with pytest.raises(NotPrime):
+            square_class(residue_ctx(rat, principal_ideal(rat, (7,))), (2,))
+        p2 = prime_ideals_above(rat, 2)[0]
+        with pytest.raises(EvenCharacteristic):
+            square_class(prime_ctx(rat, p2), (1,))
+
+    def test_guard_on_a_composite_modulus(self):
+        """A context that claims a prime but has modulus 15: 2^7 = 8 mod 15
+        is neither 1 nor -1, and the guard raises."""
+        rat = make_number_ring([0, 1])
+        p3 = prime_ideals_above(rat, 3)[0]
+        fake = ResidueCtx(
+            ring=rat, modulus=principal_ideal(rat, (15,)), norm=15, prime=p3
+        )
+        with pytest.raises(ExunitsError, match="neither 1 nor -1"):
+            square_class(fake, (2,))
+
+
 def q5_minus_one():
     return (-1, 0)
 

@@ -245,6 +245,61 @@ def test_one_compile_path():
     ]
 
 
+def _call_graph():
+    """For each name of a function or method defined in ``src/exunits``, the
+    names it calls, as ``f(...)`` or ``x.f(...)``; definitions that share a
+    name share one entry."""
+    graph = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(Path(exunits.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, functions):
+                graph.setdefault(node.name, set()).update(
+                    getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                )
+    return graph
+
+
+def _reaches(graph, start, target):
+    seen, stack = set(), [start]
+    while stack:
+        name = stack.pop()
+        if name == target:
+            return True
+        if name not in seen:
+            seen.add(name)
+            stack.extend(graph.get(name, ()))
+    return False
+
+
+def test_quadric_route_has_one_caller():
+    """Only ``counting.local_counts`` calls the closed form of diagonal
+    quadrics, and none of the oracle, the good-reduction check, the census,
+    the Lang-Weil report and the Example-2.5 closed form reaches it: the
+    routes that check the product formula stay independent of it."""
+
+    def calls_route(node):
+        return isinstance(node, ast.Call) and "_quadric_counts" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert _owners(calls_route) == ["counting.local_counts"]
+    graph = _call_graph()
+    assert _reaches(graph, "theorem1_count", "_quadric_counts")
+    independent = [
+        "brute_force_count",
+        "check_good_reduction",
+        "lifting_census",
+        "langweil_deviation",
+        "example25_count",
+    ]
+    assert [n for n in independent if _reaches(graph, n, "_quadric_counts")] == []
+
+
 def test_splitting_of_p_has_one_owner():
     """Only ``ideals.prime_ideals_above`` factors g mod p."""
 
@@ -341,7 +396,28 @@ def test_field_tables_once_per_local_count(monkeypatch):
 def test_field_tables_once_per_prime_in_asympt(monkeypatch):
     """A family builds the tables once per distinct inert prime, however
     many moduli it divides, and none for its primes of residue degree 1,
-    the bad prime above 2 included."""
+    the bad prime above 2 included.  The cross term keeps the conic off the
+    closed form of diagonal quadrics, so that every prime is swept."""
+    ring = exunits.make_number_ring([5, 0, 1])
+    conic = exunits.parse_poly("x1^2 + 2*x1*x2 + 3*x2^2 - 1", ring, 2)
+    V = exunits.VarietySpec(amb=2, codim=1, equations=(conic,), declared_degree=2)
+    f = exunits.parse_poly("x1 - 2", ring, 1)
+    family = [
+        exunits.factor_ideal(ring, exunits.principal_ideal(ring, (n, 0)))
+        for n in (2, 3, 6, 9, 21, 7, 11, 13, 33, 143)
+    ]
+    builds = _count_field_tables(monkeypatch)
+    records = exunits.asympt_series(ring, V, f, family)
+    assert [(r.N, r.count) for r in records] == [
+        (9, 1), (81, 9), (441, 25), (49, 25),
+        (121, 116), (169, 164), (1089, 116), (20449, 19024),
+    ]
+    assert sorted(builds) == [(11, (5, 0, 1)), (13, (5, 0, 1))]
+
+
+def test_circle_builds_no_field_tables_in_asympt(monkeypatch):
+    """The circle with a linear f is counted in closed form at the inert
+    primes, with no field table: the same family builds none."""
     ring = exunits.make_number_ring([5, 0, 1])
     circle = exunits.parse_poly("x1^2 + x2^2 - 1", ring, 2)
     V = exunits.VarietySpec(amb=2, codim=1, equations=(circle,), declared_degree=2)
@@ -356,7 +432,7 @@ def test_field_tables_once_per_prime_in_asympt(monkeypatch):
         (9, 4), (81, 36), (441, 100), (49, 25),
         (121, 116), (169, 164), (1089, 464), (20449, 19024),
     ]
-    assert sorted(builds) == [(11, (5, 0, 1)), (13, (5, 0, 1))]
+    assert builds == []
 
 
 def test_no_module_level_cache():
