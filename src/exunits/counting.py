@@ -11,7 +11,7 @@ Three mutually checking routes are implemented:
   Its local counts sweep X(O/P), but for a diagonal quadric
   sum a_i x_i^2 = c at an odd prime with every a_i nonzero mod P, which
   they count in closed form (Lidl and Niederreiter, *Finite Fields*, Thms
-  6.26 and 6.27) when that has no more terms than the sweep has fibers.
+  6.26 and 6.27).
 * ``example25_count``    -- the closed form for the circle x^2 + y^2 = c over
   Q(sqrt(-5)) with f = x - a, in two gating modes (see below).
 
@@ -110,9 +110,8 @@ def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
     Requires good reduction at p: a singular point raises BadReduction.
     One equation sum a_i x_i^2 = c of codim 1, with every a_i nonzero mod p
     and q odd, is counted in closed form (``_quadric_counts``; Lidl and
-    Niederreiter, *Finite Fields*, Thms 6.26 and 6.27) while its
-    (1 + deg f)^amb terms are no more than the q^max(amb-1, 1) fibers of a
-    sweep.  Every other input, characteristic 2 included, is swept
+    Niederreiter, *Finite Fields*, Thms 6.26 and 6.27).  Every other input,
+    characteristic 2 included, is swept
     (``_swept_counts``).  Both share one residue context, so the arithmetic
     of O_K/p is built once.  The oracle and the diagnostics never take the
     closed form.
@@ -189,10 +188,10 @@ def _quadric_counts(ctx, V, f, cap):
     """#X(O/P) and #N of a diagonal quadric in closed form, or None.
 
     The route applies when V is one equation sum a_i x_i^2 = c of codim 1
-    (``_diagonal_quadric``), every a_i is nonzero mod P, q = Norm(P) is odd,
-    and its (1 + deg f)^amb terms below are no more than the
-    q^max(amb - 1, 1) fibers a sweep would visit.  Otherwise it returns None
-    and the caller sweeps.  The cap is checked as the sweep checks it.
+    (``_diagonal_quadric``), every a_i is nonzero mod P and q = Norm(P) is
+    odd.  Otherwise it returns None and the caller sweeps.  The cap is
+    checked as the sweep checks it, and the inclusion-exclusion below has at
+    most (1 + #roots of f)^amb <= q^amb terms, so it stays within the cap.
 
     With eta the quadratic character (``square_class``), n variables and
     s = eta((-1)^(n//2) a_1 ... a_n), the number of solutions in F_q^n is
@@ -208,8 +207,6 @@ def _quadric_counts(ctx, V, f, cap):
     if ctx.norm % 2 == 0:
         return None
     q, amb, ring = ctx.norm, V.amb, ctx.ring
-    if (1 + f.total_degree()) ** amb > q ** max(amb - 1, 1):
-        return None
     quadric = _diagonal_quadric(ctx, V)
     if quadric is None:
         return None
@@ -237,16 +234,23 @@ def _quadric_counts(ctx, V, f, cap):
     else:
         shifts = [[mul_mod(ctx, x, mul_mod(ctx, r, r)) for r in roots] for x in a]
 
+        memo = {}  # different choices of roots often leave the same terms
+
         def off_roots(i, n, eta, c):
             """Points of the quadric = c in the n coordinates left free before
             i, of product class eta, and in coordinates i and on, each of
             those off the roots of f: coordinate i is left free, minus fixed
             at each root."""
+            key = (i, n, eta, c)
+            if key in memo:
+                return memo[key]
             if i == amb:
-                return solutions(n, eta, c)
-            total = off_roots(i + 1, n + 1, eta * etas[i], c)
-            for shift in shifts[i]:
-                total -= off_roots(i + 1, n, eta, sub_mod(ctx, c, shift))
+                total = solutions(n, eta, c)
+            else:
+                total = off_roots(i + 1, n + 1, eta * etas[i], c)
+                for shift in shifts[i]:
+                    total -= off_roots(i + 1, n, eta, sub_mod(ctx, c, shift))
+            memo[key] = total
             return total
 
         count_n = count_x - off_roots(0, 0, 1, c)

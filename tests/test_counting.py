@@ -395,9 +395,7 @@ class TestQuadricClosedForm:
         cap = q ** amb - 1 if data.draw(st.integers(0, 5)) == 0 else polys.DEFAULT_CAP
         ctx = prime_ctx(ring, pf)
         in_p = [is_zero(reduce_mod(ctx, x)) for x in a]
-        refused = (
-            q % 2 == 0 or any(in_p) or (1 + degree) ** amb > q ** max(amb - 1, 1)
-        )
+        refused = q % 2 == 0 or any(in_p)
         try:
             counts = counting._quadric_counts(ctx, V, f, cap)
         except CapExceeded:
@@ -418,7 +416,7 @@ class TestQuadricClosedForm:
             return
         assert (counts is None) == refused
         if counts is None:
-            event("p = 2" if q % 2 == 0 else "a_i in P" if any(in_p) else "costly")
+            event("p = 2" if q % 2 == 0 else "a_i in P")
             return
         event(f"closed form, deg f = {degree}")
         count_x, count_n = counts
@@ -531,21 +529,17 @@ class TestTheorem1:
         assert calls == primes
 
     @pytest.mark.parametrize(
-        "amb, source, swept",
+        "amb, source",
         [
-            # at q = 3 the circle's (1 + 1)^2 = 4 terms exceed its 3 fibers
-            pytest.param(
-                2, "x1^2 + x2^2 - 1", [(2, (1, 1)), (3, (1, 1)), (3, (2, 1))],
-                id="circle",
-            ),
-            pytest.param(3, "x1^2 + x2^2 + x3^2 - 1", [(2, (1, 1))], id="sphere"),
+            pytest.param(2, "x1^2 + x2^2 - 1", id="circle"),
+            pytest.param(3, "x1^2 + x2^2 + x3^2 - 1", id="sphere"),
         ],
     )
-    def test_quadrics_swept_only_where_closed_form_refuses(
-        self, q5, f_x_minus_2, monkeypatch, amb, source, swept
+    def test_quadrics_swept_only_above_two(
+        self, q5, f_x_minus_2, monkeypatch, amb, source
     ):
-        """The converse: a diagonal quadric is swept at the prime above 2, and
-        at an odd prime only when its closed form has more terms than fibers."""
+        """The converse: a diagonal quadric is swept only at the prime above
+        2; every odd prime takes the closed form."""
         calls = []
         smooth_points = polys.smooth_points
 
@@ -566,7 +560,7 @@ class TestTheorem1:
                     local_counts(q5, V, f_x_minus_2, pf)
                 except BadReduction:
                     assert p == 2
-        assert calls == swept
+        assert calls == [(2, (1, 1))]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
