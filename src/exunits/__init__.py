@@ -53,6 +53,7 @@ from .ideals import (
     ideal_norm,
     ideal_pow,
     prime_ideals_above,
+    prime_power,
     principal_ideal,
     unit_ideal,
 )

@@ -32,9 +32,9 @@ from .ideals import (
     hnf_from_generators,
     ideal_norm,
     ideal_of_factors,
-    ideal_pow,
     prime_ideals_above,
     prime_ideals_up_to,
+    prime_power,
 )
 from .number_ring import make_number_ring
 from .polys import DEFAULT_CAP, VarietySpec, check_good_reduction, parse_poly
@@ -135,7 +135,7 @@ def parse_modulus(ring, literal):
                     f"valid factors: {valid}"
                 )
             factors.append(matches[0]._replace(exponent=exponent))
-        # a negative exponent counts as 0 here; ideal_pow refuses it below
+        # a negative exponent counts as 0 here; prime_power refuses it below
         _check_norm([(pf.p, pf.f_res * max(pf.exponent, 0)) for pf in factors])
         ideal = ideal_of_factors(ring, factors)
         if ideal_norm(ideal) < 2:
@@ -276,7 +276,7 @@ def cmd_verify(args):
             # each prime-power part is within the cap, since n is
             parts = [
                 counting.brute_force_count(
-                    ring, V, f, ideal_pow(ring, pf.hnf, pf.exponent), cap=cap
+                    ring, V, f, prime_power(ring, pf, pf.exponent), cap=cap
                 )
                 for pf in factors
             ]

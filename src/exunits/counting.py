@@ -33,7 +33,7 @@ from .errors import (
     NotQSqrtMinus5,
     UnitIdeal,
 )
-from .ideals import factor_ideal, ideal_norm, ideal_pow, prime_ideals_up_to
+from .ideals import factor_ideal, ideal_norm, prime_ideals_up_to, prime_power
 from .number_ring import elem_neg, is_zero
 from .polys import (
     DEFAULT_CAP,
@@ -312,11 +312,11 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     index mod p^k of residue i of O/p^(k+1), so each point mod p^(k+1) is
     reduced by lookups.
     """
-    ctx_k1 = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k + 1))
+    ctx_k1 = residue_ctx(ring, prime_power(ring, prime_factor, k + 1))
     upper = variety_indices(ctx_k1, V, cap)  # checks the cap, builds nothing
     for _ in smooth_points(prime_ctx(ring, prime_factor), V, cap):
         pass  # raises BadReduction at the first singular point
-    ctx_k = residue_ctx(ring, ideal_pow(ring, prime_factor.hnf, k))
+    ctx_k = residue_ctx(ring, prime_power(ring, prime_factor, k))
     lifts = {
         (i,) + rest: 0 for rest, x1s in variety_indices(ctx_k, V, cap) for i in x1s
     }

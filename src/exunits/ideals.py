@@ -8,10 +8,16 @@ column i.  This orientation is fixed so golden values are bit-exact.
 Prime factorization goes through Dedekind-Kummer: primes above p are read off
 from the factorization of g mod p, which is always valid here because the
 order is Z[theta] (index 1).
+
+A prime (p, h(theta)) and the power (p^e, H(theta)) of an unramified prime,
+with H the Hensel lift of h to a factor of g mod p^e, are written in HNF
+directly, with no lattice reduction, so the cost of P^e barely grows with e.
+Only a ramified prime's powers are products of lattices (``ideal_pow``).
 """
 
 from collections import namedtuple
 from functools import partial, reduce
+from itertools import zip_longest
 
 from .errors import (
     ExunitsError,
@@ -191,11 +197,11 @@ def ideal_pow(ring, I, e):
 def ideal_of_factors(ring, factors):
     """The product of pf^exponent over factors, as factor_ideal returns them.
 
-    The unit ideal for no factors; otherwise the powers are multiplied
-    together, and a factor of exponent 0 is left out, so no product has the
-    unit ideal as a factor.
+    The unit ideal for no factors; otherwise the powers, each from
+    ``prime_power``, are multiplied together, and a factor of exponent 0 is
+    left out, so no product has the unit ideal as a factor.
     """
-    powers = [ideal_pow(ring, pf.hnf, pf.exponent) for pf in factors if pf.exponent]
+    powers = [prime_power(ring, pf, pf.exponent) for pf in factors if pf.exponent]
     if not powers:
         return unit_ideal(ring)
     return reduce(partial(ideal_mul, ring), powers)
@@ -211,20 +217,111 @@ def _trim(poly):
 
 
 def _poly_divmod_mod_p(num, den, p):
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    _trim(num)
-    _trim(den)
+    num = _trim([c % p for c in num])
+    den = _trim([c % p for c in den])
     inv_lead = pow(den[-1], -1, p)
-    quot = [0] * (max(len(num) - len(den) + 1, 0))
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        coef = num[-1] * inv_lead % p
+    low = len(den) - 1
+    quot = [0] * max(len(num) - low, 0)
+    for shift in range(len(num) - len(den), -1, -1):
+        coef = num.pop() * inv_lead % p
         quot[shift] = coef
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - coef * c) % p
-        _trim(num)
-    return quot, num
+        if coef:
+            for i in range(low):
+                num[shift + i] = (num[shift + i] - coef * den[i]) % p
+    return quot, _trim(num)
+
+
+def _poly_mul(a, b, m):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _poly_add(a, b, m):
+    return _trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _poly_sub(a, b, m):
+    return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _poly_mulmod(a, b, h, m):
+    """a*b mod (h, m), for h monic."""
+    return _poly_divmod_mod_p(_poly_mul(a, b, m), h, m)[1]
+
+
+def _inverse_mod_p(a, h, p):
+    """s with s*a = 1 mod (h, p), for a coprime to h mod p: the s of a Bezout
+    pair s*a + t*h = 1, by the extended Euclidean algorithm mod p."""
+    r0, r1 = list(a), list(h)
+    s0, s1 = [1], []
+    while r1:
+        q, r = _poly_divmod_mod_p(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
+    if len(r0) != 1:
+        raise ExunitsError(f"{list(a)} is not coprime to {list(h)} mod {p}")
+    return _poly_mulmod(s0, [pow(r0[0], -1, p)], h, p)
+
+
+def _hensel_lift(g, h, p, e):
+    """The monic H = h mod p that divides g mod p^e, for h a factor of g mod
+    p that is coprime to its cofactor g / h.
+
+    Quadratic Hensel steps (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Alg. 15.10) along p^k for k = 1, ..., ceil(e/2), e, each from k
+    to 2k or 2k - 1.  With s = 1/c mod h for the cofactor c = g div h, a step
+    adds s*(g mod h) mod h to h.  s comes from the extended Euclidean
+    algorithm mod p, and each step lifts it by Newton's s*(2 - s*c) mod h.
+    """
+    s = _inverse_mod_p(_poly_divmod_mod_p(g, h, p)[0], h, p)
+    h = list(h)
+    steps = [e]
+    while steps[-1] > 1:
+        steps.append((steps[-1] + 1) // 2)
+    for k in reversed(steps[:-1]):
+        m = p ** k
+        h = _poly_add(h, _poly_mulmod(s, _poly_divmod_mod_p(g, h, m)[1], h, m), m)
+        if k < e:  # s is not needed mod p^e
+            c = _poly_divmod_mod_p(g, h, m)[0]
+            s = _poly_mulmod(s, _poly_sub([2], _poly_mulmod(s, c, h, m), m), h, m)
+    return h
+
+
+def _factor_hnf(ring, modulus, h):
+    """HNF of the ideal (modulus, h(theta)), for h monic of degree f dividing g
+    mod modulus.
+
+    An element of Z[theta], a polynomial of degree below deg, lies in it iff h
+    divides it mod modulus.  So row i < f is modulus*theta^i, and row k >= f is
+    theta^k minus (theta^k mod h), the remainder negated mod modulus: already
+    reduced, with no lattice to reduce.  h = g gives modulus*O.
+    """
+    d, f = ring.deg, len(h) - 1
+    rows = [(0,) * i + (modulus,) + (0,) * (d - i - 1) for i in range(f)]
+    for k in range(f, d):
+        _, rem = _poly_divmod_mod_p([0] * k + [1], h, modulus)
+        rem += [0] * (f - len(rem))
+        low = tuple(-c % modulus for c in rem)
+        rows.append(low + (0,) * (k - f) + (1,) + (0,) * (d - k - 1))
+    return IdealHNF(basis=tuple(rows))
+
+
+def prime_power(ring, pf, e):
+    """pf^e for e >= 0.
+
+    An unramified prime P = (p, h(theta)) has P^e = (p^e, H(theta)), H the
+    Hensel lift of h to a factor of g mod p^e: over the p-adic integers
+    g = H*C with H, C coprime, so Z[theta] splits as Z_p[x]/(H) x Z_p[x]/(C),
+    where P is (p) x (1) and P^e is (p^e) x (1).  This needs no maximality.
+    A ramified prime, or e < 1, goes to ``ideal_pow``.
+    """
+    if pf.e_ram > 1 or e < 1:
+        return ideal_pow(ring, pf.hnf, e)
+    lift = _hensel_lift(ring.min_poly, pf.h_coeffs, pf.p, e)
+    return _factor_hnf(ring, pf.p ** e, lift)
 
 
 def factor_poly_mod_p(poly, p):
@@ -327,23 +424,17 @@ def prime_ideals_above(ring, p):
 
     Each PrimeFactor carries exponent = e_ram, i.e. the valuation of (p).
     """
-    out = []
-    for h, mult in factor_poly_mod_p(ring.min_poly, p):
-        gens = [ring.from_int(p)]
-        if len(h) <= ring.deg:  # h(theta) in the power basis; h = g leaves (p)
-            gens.append(tuple(h) + (0,) * (ring.deg - len(h)))
-        hnf = hnf_from_generators(ring, gens)
-        out.append(
-            PrimeFactor(
-                p=p,
-                h_coeffs=tuple(h),
-                e_ram=mult,
-                f_res=len(h) - 1,
-                exponent=mult,
-                hnf=hnf,
-            )
+    return [
+        PrimeFactor(
+            p=p,
+            h_coeffs=h,
+            e_ram=mult,
+            f_res=len(h) - 1,
+            exponent=mult,
+            hnf=_factor_hnf(ring, p, h),
         )
-    return out
+        for h, mult in factor_poly_mod_p(ring.min_poly, p)
+    ]
 
 
 def prime_ideals_up_to(ring, max_norm):
@@ -412,15 +503,40 @@ def factor_ideal(ring, I):
     n = ideal_norm(I)
     if n == 1:
         raise UnitIdeal("cannot factor the unit ideal")
+    above = {p: prime_ideals_above(ring, p) for p in _small_prime_factors(n)}
     result = []
-    for p in _small_prime_factors(n):
-        for pf in prime_ideals_above(ring, p):
+    for pfs in above.values():
+        for pf in pfs:
             e = valuation(ring, I, pf)
             if e > 0:
                 result.append(pf._replace(exponent=e))
     if ideal_of_factors(ring, result) != I:
+        bad = [p for p, pfs in above.items() if _not_maximal_at(ring, p, pfs)]
+        reason = (
+            "the order is not maximal at " + ", ".join(f"p = {p}" for p in bad)
+            if bad
+            else "the defining polynomial is likely reducible or the order non-maximal"
+        )
         raise NotFullRank(
-            "prime factorization does not reassemble the ideal; "
-            "the defining polynomial is likely reducible or the order non-maximal"
+            f"prime factorization does not reassemble the ideal; {reason}"
         )
     return result
+
+
+def _not_maximal_at(ring, p, above):
+    """Whether Z[theta] is not p-maximal, by Dedekind's criterion (Cohen, GTM
+    138, Thm 6.1.4), given the primes above p.
+
+    With g = prod h_i^e_i mod p and F = (prod h_i^e_i - g) / p, it is not
+    iff some h_i with e_i >= 2 divides F mod p.  F mod p needs the product
+    mod p^2 only.
+    """
+    square = p * p
+    lifted = [1]
+    for pf in above:
+        for _ in range(pf.e_ram):
+            lifted = _poly_mul(lifted, pf.h_coeffs, square)
+    F = [c // p for c in _poly_sub(lifted, ring.min_poly, square)]
+    return any(
+        pf.e_ram > 1 and not _poly_divmod_mod_p(F, pf.h_coeffs, p)[1] for pf in above
+    )

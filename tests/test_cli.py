@@ -297,6 +297,20 @@ def test_factoring_bounded(circle_config, capsys):
 
 
 @pytest.mark.parametrize("command", ["count", "verify"])
+def test_non_maximal_order_named(circle_config, capsys, command):
+    """Z[sqrt(-3)] is not maximal at 2: a modulus above 2 exits 1 with one
+    line that names the prime, and prints nothing to stdout."""
+    path = circle_config(field={"min_poly": [3, 0, 1]}, modulus={"generators": [2]})
+    rc = main([command, "--config", path])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        "error: prime factorization does not reassemble the ideal; "
+        "the order is not maximal at p = 2\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
 @pytest.mark.parametrize(
     "modulus",
     [

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from exunits import (
@@ -20,11 +20,18 @@ from exunits import (
     ideal_pow,
     make_number_ring,
     prime_ideals_above,
+    prime_power,
     principal_ideal,
     unit_ideal,
 )
 from exunits import ideals
-from exunits.ideals import _multiplicity, ideal_of_factors, valuation
+from exunits.ideals import (
+    _multiplicity,
+    _not_maximal_at,
+    _poly_divmod_mod_p,
+    ideal_of_factors,
+    valuation,
+)
 
 
 @pytest.fixture
@@ -75,6 +82,34 @@ class TestNormMulContains:
         assert ideal_contains(p3, (1, 1))
         assert not ideal_contains(p3, (0, 1))
         assert ideal_contains(p3, (0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=8),
+    den=st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=4),
+    lead=st.integers(-10 ** 30, 10 ** 30),
+    modulus=st.sampled_from([2, 3, 37, 2 ** 61 - 1, 23 ** 40]),
+)
+def test_poly_divmod_is_division_with_remainder(num, den, lead, modulus):
+    """num = quot*den + rem mod m, with rem trimmed and of lower degree than
+    den, for den with a unit leading coefficient mod m: mod a prime, and mod
+    a prime power, as the Hensel lift divides by a monic factor."""
+    if math.gcd(lead, modulus) != 1:
+        lead = 1
+    divisor = den + [lead]
+    quot, rem = _poly_divmod_mod_p(num, divisor, modulus)
+    diff = [0] * (len(num) + len(quot) + len(divisor))
+    for i, a in enumerate(quot):
+        for j, b in enumerate(divisor):
+            diff[i + j] += a * b
+    for i, c in enumerate(rem):
+        diff[i] += c
+    for i, c in enumerate(num):
+        diff[i] -= c
+    assert all(c % modulus == 0 for c in diff)
+    assert len(rem) < len(divisor) and (not rem or rem[-1] % modulus)
+    assert all(0 <= c < modulus for c in quot + rem)
 
 
 class TestPolyFactorModP:
@@ -258,6 +293,76 @@ def test_ideal_mul_matches_reference(min_poly):
         assert ideal_mul(ring, I, J) == hnf_from_generators(ring, products)
 
 
+# Q, Q(i), Q(sqrt(-5)), Z[2^(1/3)], Z[zeta_8], and two orders that are not
+# maximal at 2: Z[sqrt(-3)], and Z[t] with t^3 - t^2 + 8 = 0, where g mod 2 =
+# t^2 (t + 1) still has the simple factor t + 1
+EXPLICIT_RINGS = [
+    [0, 1], [1, 0, 1], [5, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1], [3, 0, 1],
+    [8, 0, -1, 1],
+]
+PRIMES_BELOW_40 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def _at_theta(ring, h):
+    """h(theta) as an element, by Horner's rule in Z[theta]."""
+    value = ring.zero
+    for c in reversed(h):
+        value = elem_mul(ring, value, ring.theta)
+        value = (value[0] + c,) + value[1:]
+    return value
+
+
+def _kind(ring, pf):
+    if pf.e_ram > 1:
+        return "ramified"
+    if pf.f_res == ring.deg:
+        return "inert"
+    return "split" if pf.f_res == 1 else "f >= 2, not inert"
+
+
+def test_explicit_cases_cover_every_kind():
+    kinds = set()
+    for min_poly in EXPLICIT_RINGS:
+        ring = make_number_ring(min_poly)
+        for p in PRIMES_BELOW_40:
+            kinds.update(_kind(ring, pf) for pf in prime_ideals_above(ring, p))
+    assert kinds == {"ramified", "inert", "split", "f >= 2, not inert"}
+
+
+@pytest.mark.parametrize("min_poly", EXPLICIT_RINGS)
+def test_prime_hnf_matches_generators(min_poly):
+    """The HNF written down for (p, h(theta)) is the one that reducing its
+    generators' lattice gives, at every prime below 40."""
+    ring = make_number_ring(min_poly)
+    for p in PRIMES_BELOW_40:
+        for pf in prime_ideals_above(ring, p):
+            gens = [ring.from_int(p), _at_theta(ring, pf.h_coeffs)]
+            assert pf.hnf == hnf_from_generators(ring, gens), (p, pf.h_coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    min_poly=st.sampled_from(EXPLICIT_RINGS),
+    p=st.sampled_from(PRIMES_BELOW_40),
+    e=st.integers(1, 60),
+    data=st.data(),
+)
+def test_prime_power_matches_ideal_pow(min_poly, p, e, data):
+    """The Hensel-built P^e is the lattice power, for ramified, inert and
+    split primes, in maximal orders and not."""
+    ring = make_number_ring(min_poly)
+    pf = data.draw(st.sampled_from(prime_ideals_above(ring, p)))
+    event(_kind(ring, pf))
+    assert prime_power(ring, pf, e) == ideal_pow(ring, pf.hnf, e)
+
+
+def test_prime_power_of_exponent_zero_and_below(q5):
+    for pf in prime_ideals_above(q5, 3) + prime_ideals_above(q5, 2):
+        assert prime_power(q5, pf, 0) == unit_ideal(q5)
+        with pytest.raises(ValueError):
+            prime_power(q5, pf, -1)
+
+
 def _multiplicity_reference(n, p):
     k = 0
     while n % p == 0:
@@ -339,11 +444,38 @@ class TestValuation:
 
     def test_non_maximal_order_rejected(self):
         # Z[sqrt(-3)] is not maximal at 2: beta/2 = (1 + sqrt(-3))/2 is a
-        # unit, so only the norm bound stops the count
-        ring = make_number_ring([3, 0, 1])
-        for e in (1, 5):
-            with pytest.raises(NotFullRank):
-                factor_ideal(ring, principal_ideal(ring, (2 ** e, 0)))
+        # unit, so only the norm bound stops the count.  Nor is Z[t] with
+        # t^3 - t^2 + 8 = 0, though t + 1 is a simple factor there.  The
+        # error names the prime, by Dedekind's criterion.
+        for min_poly in ([3, 0, 1], [8, 0, -1, 1]):
+            ring = make_number_ring(min_poly)
+            for e in (1, 5):
+                n = principal_ideal(ring, ring.from_int(2 ** e))
+                with pytest.raises(NotFullRank, match="not maximal at p = 2$"):
+                    factor_ideal(ring, n)
+
+
+# Dedekind's criterion at p: False where Z[theta] is p-maximal.  g mod p has
+# a repeated factor in most cases: x^2 + 5 = (x + 1)^2 mod 2 and x^3 - 2 = x^3
+# mod 2 (maximal), x^2 + 3 = (x + 1)^2 mod 2 and x^3 - x^2 + 8 = x^2 (x + 1)
+# mod 2 (not maximal), and x^2 + 3 = x^2 mod 3 (maximal).  x^2 + 5 mod 3 is
+# squarefree, so only a repeated factor may count, and there F = x + 2 mod 3
+# has the simple factor x + 2.
+@pytest.mark.parametrize(
+    "min_poly, p, expected",
+    [
+        ([5, 0, 1], 2, False),
+        ([5, 0, 1], 3, False),
+        ([-2, 0, 0, 1], 2, False),
+        ([3, 0, 1], 2, True),
+        ([8, 0, -1, 1], 2, True),
+        ([3, 0, 1], 3, False),
+        ([1, 0, 0, 0, 1], 2, False),
+    ],
+)
+def test_dedekind_criterion(min_poly, p, expected):
+    ring = make_number_ring(min_poly)
+    assert _not_maximal_at(ring, p, prime_ideals_above(ring, p)) is expected
 
 
 def _counted_ideal_mul(monkeypatch):
@@ -370,11 +502,19 @@ class TestIdealPow:
         assert all(one not in pair for pair in calls)
 
     def test_reassembly_builds_one_power(self, q5, monkeypatch):
+        """The reassembly check builds an unramified P^1600 with no lattice
+        product, and a ramified one by square-and-multiply."""
         P = prime_ideals_above(q5, 3)[1]
         I = ideal_pow(q5, P.hnf, 1600)
         calls = _counted_ideal_mul(monkeypatch)
         assert [pf.exponent for pf in factor_ideal(q5, I)] == [1600]
-        assert len(calls) == 12
+        assert calls == []
+        (R,) = prime_ideals_above(q5, 2)
+        assert R.e_ram == 2
+        I = ideal_pow(q5, R.hnf, 1600)
+        calls.clear()
+        assert [pf.exponent for pf in factor_ideal(q5, I)] == [1600]
+        assert len(calls) == (1600).bit_length() - 1 + bin(1600).count("1") - 1
 
     def test_ideal_of_factors(self, q5, monkeypatch):
         P, Q = prime_ideals_above(q5, 3)

@@ -312,6 +312,19 @@ def test_splitting_of_p_has_one_owner():
     assert _owners(calls_factor) == ["ideals.prime_ideals_above"]
 
 
+def test_lattice_powers_have_one_caller():
+    """Only ``ideals.prime_power`` calls ``ideal_pow``: every other power of a
+    prime goes through it, so an unramified one is built by Hensel lifting."""
+
+    def calls_ideal_pow(node):
+        return isinstance(node, ast.Call) and "ideal_pow" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert _owners(calls_ideal_pow) == ["ideals.prime_power"]
+
+
 def test_one_residue_context_per_local_count(monkeypatch):
     """The sweep and f of one local count share one residue context."""
     ring = exunits.make_number_ring([5, 0, 1])
