@@ -148,7 +148,11 @@ def load_config(path):
     """The parsed config; its options are cap, max_norm and products, each
     checked and, when absent, set to its default."""
     with open(path) as fh:
-        raw = _checked(json.load(fh), dict, "the config")
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ConfigError("the config nests too deeply") from None
+    raw = _checked(raw, dict, "the config")
     min_poly = _field(_field(raw, "field", dict), "min_poly", list)
     ring = make_number_ring(_list_of(min_poly, int, "'min_poly'"))
     vspec = _field(raw, "variety", dict)
@@ -335,6 +339,8 @@ def cmd_example25(args):
         literal = json.loads(args.modulus)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad modulus JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("the modulus JSON nests too deeply") from None
     n_ideal = parse_modulus(ring, literal)
     mode = args.mode.replace("-", "_")
     c = args.c

@@ -15,7 +15,7 @@ directly, with no lattice reduction, so the cost of P^e barely grows with e.
 Only a ramified prime's powers are products of lattices (``ideal_pow``).
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial, reduce
 from itertools import zip_longest
 
@@ -103,14 +103,18 @@ def _span_rows(ring, vectors):
     return rows
 
 
-def _reduce_off_diagonal(rows):
-    d = len(rows)
-    for i in range(d):
-        for j in range(i - 1, -1, -1):
-            q = rows[i][j] // rows[j][j]
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-    return rows
+def _reduce_by_basis(basis, a):
+    """a minus the multiples of the lower-triangular rows of basis that bring
+    each coordinate i < len(basis) into [0, basis[i][i]), by back-substitution
+    from the last row up."""
+    c = list(a)
+    for i in range(len(basis) - 1, -1, -1):
+        q = c[i] // basis[i][i]
+        if q:
+            row = basis[i]
+            for j in range(i + 1):
+                c[j] -= q * row[j]
+    return tuple(c)
 
 
 def _lattice_hnf(ring, vectors):
@@ -118,8 +122,9 @@ def _lattice_hnf(ring, vectors):
     rows = _span_rows(ring, vectors)
     if any(r is None for r in rows):
         raise NotFullRank("generated lattice is not full rank")
-    rows = _reduce_off_diagonal(rows)
-    return IdealHNF(basis=tuple(tuple(r) for r in rows))
+    for i in range(len(rows)):
+        rows[i] = _reduce_by_basis(rows[:i], rows[i])
+    return IdealHNF(basis=tuple(rows))
 
 
 def hnf_from_generators(ring, gens):
@@ -316,9 +321,10 @@ def prime_power(ring, pf, e):
     Hensel lift of h to a factor of g mod p^e: over the p-adic integers
     g = H*C with H, C coprime, so Z[theta] splits as Z_p[x]/(H) x Z_p[x]/(C),
     where P is (p) x (1) and P^e is (p^e) x (1).  This needs no maximality.
-    A ramified prime, or e < 1, goes to ``ideal_pow``.
+    A ramified prime, or e < 2, goes to ``ideal_pow``, which returns pf.hnf
+    itself at e = 1.
     """
-    if pf.e_ram > 1 or e < 1:
+    if pf.e_ram > 1 or e < 2:
         return ideal_pow(ring, pf.hnf, e)
     lift = _hensel_lift(ring.min_poly, pf.h_coeffs, pf.p, e)
     return _factor_hnf(ring, pf.p ** e, lift)
@@ -327,11 +333,14 @@ def prime_power(ring, pf, e):
 def factor_poly_mod_p(poly, p):
     """Complete factorization of a monic polynomial mod p.
 
-    Deterministic trial division over all monic candidates of degree up to
-    half the remaining degree, so only suitable for small p and small degree
-    (the supported envelope): when poly has more than MAX_FACTOR_CANDIDATES
-    of them, FactorCapExceeded is raised before any division.  Factors are
-    returned as (monic lift constant first, multiplicity), sorted
+    One pass of trial division: for d = 1, 2, ... while 2d is at most the
+    degree of what is left, each monic candidate of degree d, in
+    lexicographic order, is divided out for as long as it divides.  Every
+    factor of lower degree is gone by then, so each that divides is
+    irreducible, and so is what is left at the end.  Only suitable for
+    small p and small degree: when poly has more than MAX_FACTOR_CANDIDATES
+    candidates, FactorCapExceeded is raised before any division.  Factors
+    are returned as (monic lift constant first, multiplicity), sorted
     lexicographically by coefficient sequence.
     """
     work = [c % p for c in poly]
@@ -342,35 +351,27 @@ def factor_poly_mod_p(poly, p):
             f"factoring mod {p} may try {candidates} candidates, "
             f"over the cap {MAX_FACTOR_CANDIDATES}"
         )
-    factors = {}
-
-    def smallest_factor(f):
-        deg = len(f) - 1
-        for fdeg in range(1, deg // 2 + 1):
-            # iterate candidates in lexicographic order of (c0,...,c_{fdeg-1})
-            cand = [0] * fdeg + [1]
-            while True:
-                _, rem = _poly_divmod_mod_p(f, cand, p)
-                if not rem:
-                    return list(cand)
-                i = 0
-                while i < fdeg and cand[i] == p - 1:
-                    cand[i] = 0
-                    i += 1
-                if i == fdeg:
-                    break
-                cand[i] += 1
-        return None  # irreducible
-
-    while len(work) > 1:
-        fac = smallest_factor(work)
-        if fac is None:
-            fac = list(work)
-        key = tuple(fac)
-        factors[key] = factors.get(key, 0) + 1
-        work, rem = _poly_divmod_mod_p(work, fac, p)
-        if rem:
-            raise ExunitsError(f"factor {fac} does not divide {poly} mod {p}")
+    factors = Counter()
+    degree = 1
+    while 2 * degree <= len(work) - 1:
+        cand = [0] * degree + [1]
+        while 2 * degree <= len(work) - 1:
+            quot, rem = _poly_divmod_mod_p(work, cand, p)
+            if not rem:
+                factors[tuple(cand)] += 1
+                work = quot
+                continue
+            # next candidate in lexicographic order of (c0, ..., c_{degree-1})
+            i = 0
+            while i < degree and cand[i] == p - 1:
+                cand[i] = 0
+                i += 1
+            if i == degree:
+                break
+            cand[i] += 1
+        degree += 1
+    if len(work) > 1:
+        factors[tuple(work)] += 1
     return sorted(factors.items())
 
 

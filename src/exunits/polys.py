@@ -51,6 +51,10 @@ MAX_EXPONENT = 2 ** 31 - 1
 # the digits of a text that ``int`` turns into an int
 MAX_DIGITS = 4300
 
+# bound on the depth of nested parentheses: each level takes four parser
+# frames, so the parser stays well inside Python's default recursion limit
+MAX_NESTING = 100
+
 # bound on the terms that one '^' or '*' may expand to, checked before expanding
 MAX_EXPANDED_TERMS = 500
 
@@ -251,6 +255,7 @@ class _Parser:
         self.ring = ring
         self.amb = amb
         self.expanded = 0  # the expansion bounds charged so far
+        self.depth = 0  # the parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -350,8 +355,14 @@ class _Parser:
             return const_poly(self.ring, self.amb, self.parse_elemlit())
         if kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolySyntaxError(
+                    f"parentheses nested more than {MAX_NESTING} deep", pos
+                )
             poly = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return poly
         raise PolySyntaxError(f"unexpected token {value!r}", pos)
 

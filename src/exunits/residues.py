@@ -30,7 +30,12 @@ from .errors import (
     UnitIdeal,
     ZeroIdeal,
 )
-from .ideals import _small_prime_factors, hnf_from_generators, ideal_norm
+from .ideals import (
+    _reduce_by_basis,
+    _small_prime_factors,
+    hnf_from_generators,
+    ideal_norm,
+)
 from .number_ring import (
     elem_add,
     elem_mul,
@@ -78,15 +83,7 @@ def prime_ctx(ring, prime_factor):
 
 def reduce_mod(ctx, a):
     """Canonical representative of a modulo the context ideal."""
-    basis = ctx.modulus.basis
-    c = list(a)
-    for i in range(len(c) - 1, -1, -1):
-        q = c[i] // basis[i][i]
-        if q:
-            row = basis[i]
-            for j in range(i + 1):
-                c[j] -= q * row[j]
-    return tuple(c)
+    return _reduce_by_basis(ctx.modulus.basis, a)
 
 
 def residues(ctx):

@@ -236,6 +236,16 @@ def _variety(**overrides):
             id="superscript-exponent",
         ),
         pytest.param({"f": "x1 - " + "7" * 5000}, ["count"], id="long-literal"),
+        pytest.param(
+            {"variety": _variety(equations=["(" * 400 + "x1" + ")" * 400])},
+            ["count"],
+            id="nested-parentheses",
+        ),
+        pytest.param(
+            None,
+            ["example25", "--a", "2", "--c", "1", "--modulus", "[" * 30000],
+            id="nested-modulus",
+        ),
     ],
 )
 def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
@@ -246,6 +256,14 @@ def test_malformed_input_exits_one(circle_config, capsys, overrides, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_nested_config_exits_one(tmp_path, capsys):
+    """A config nested past the JSON decoder's recursion: one exact line."""
+    path = tmp_path / "config.json"
+    path.write_text("[" * 30000)
+    assert main(["count", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: the config nests too deeply\n")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -146,6 +147,71 @@ class TestPolyFactorModP:
                         new[i + j] = (new[i + j] + a * b) % p
                 acc = new
         assert acc == g
+
+    def test_one_pass(self, monkeypatch):
+        """x^4 + 1 mod 17 has four linear factors.  One pass tries each of
+        the 17 linear candidates at most once, plus one more division per
+        factor found, so it divides at most p + 4 times."""
+        calls = _counted(monkeypatch, "_poly_divmod_mod_p")
+        assert factor_poly_mod_p((1, 0, 0, 0, 1), 17) == [
+            ((2, 1), 1), ((8, 1), 1), ((9, 1), 1), ((15, 1), 1)
+        ]
+        assert len(calls) <= 17 + 4
+
+
+def _counted(monkeypatch, name):
+    """Record the arguments of every call to ``ideals.<name>``."""
+    calls = []
+    original = getattr(ideals, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, name, counted)
+    return calls
+
+
+def _poly_product_mod_p(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _monic_polys_mod_p(degree, p):
+    """Every monic polynomial of the degree mod p, constant first."""
+    return ([*low, 1] for low in itertools.product(range(p), repeat=degree))
+
+
+PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES_BELOW_50),
+    low=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6),
+)
+def test_factor_poly_mod_p_matches_reference(p, low):
+    """Each factor is monic and irreducible (no monic divisor of degree up to
+    half its own, tried one by one), the factors multiply back to g mod p,
+    and the output is sorted with no factor repeated."""
+    g = low + [1]
+    factors = factor_poly_mod_p(g, p)
+    product = [1]
+    for h, mult in factors:
+        h = list(h)
+        assert h[-1] == 1 and all(0 <= c < p for c in h) and mult >= 1
+        degree = len(h) - 1
+        for d in range(1, degree // 2 + 1):
+            for cand in _monic_polys_mod_p(d, p):
+                assert _poly_divmod_mod_p(h, cand, p)[1], (h, cand)
+        for _ in range(mult):
+            product = _poly_product_mod_p(product, h, p)
+    assert product == [c % p for c in g]
+    keys = [h for h, _ in factors]
+    assert keys == sorted(set(keys))
 
 
 class TestFactorIdeal:
@@ -354,6 +420,15 @@ def test_prime_power_matches_ideal_pow(min_poly, p, e, data):
     pf = data.draw(st.sampled_from(prime_ideals_above(ring, p)))
     event(_kind(ring, pf))
     assert prime_power(ring, pf, e) == ideal_pow(ring, pf.hnf, e)
+
+
+def test_prime_power_of_exponent_one_is_the_prime(q5, monkeypatch):
+    """P^1 is the prime's own HNF, with no Hensel lift and no HNF rebuilt."""
+    primes = [pf for p in (2, 3, 7, 11, 29) for pf in prime_ideals_above(q5, p)]
+    calls = _counted(monkeypatch, "_poly_divmod_mod_p")
+    for pf in primes:
+        assert prime_power(q5, pf, 1) is pf.hnf
+    assert calls == []
 
 
 def test_prime_power_of_exponent_zero_and_below(q5):

@@ -125,6 +125,20 @@ class TestParser:
         poly = parse_poly(f"x1 + {big}", q5, 1)
         assert poly.terms[(0,)] == (big, 0)
 
+    def test_nesting_at_the_bound(self, q5):
+        depth = polys.MAX_NESTING
+        poly = parse_poly("(" * depth + "x1" + ")" * depth + " + 1", q5, 1)
+        assert poly == parse_poly("x1 + 1", q5, 1)
+
+    @pytest.mark.parametrize("depth", [polys.MAX_NESTING + 1, 400, 10 ** 5])
+    def test_nesting_past_the_bound(self, q5, depth):
+        """The first '(' past MAX_NESTING is a syntax error at its offset,
+        raised before the parser nears the recursion limit."""
+        src = "x1 + " + "(" * depth + "x1" + ")" * depth
+        with pytest.raises(PolySyntaxError, match="nested more than") as exc:
+            parse_poly(src, q5, 1)
+        assert exc.value.pos == 5 + polys.MAX_NESTING
+
     def test_exponent_too_large(self, q5):
         with pytest.raises(ExponentTooLarge):
             parse_poly("x1^2147483648", q5, 1)

@@ -181,6 +181,26 @@ def test_cap_has_one_owner():
     assert _owners(compares_cap) == ["polys.variety_indices"]
 
 
+def test_back_substitution_has_one_owner():
+    """Only ``ideals._reduce_by_basis`` floor-divides by a diagonal entry
+    ``X[i][i]``: reduction modulo an HNF, of a residue or of a lattice row,
+    is written once."""
+
+    def divides_by_diagonal(node):
+        if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(
+            node.op, ast.FloorDiv
+        ):
+            div = node.right if isinstance(node, ast.BinOp) else node.value
+            return (
+                isinstance(div, ast.Subscript)
+                and isinstance(div.value, ast.Subscript)
+                and ast.dump(div.slice) == ast.dump(div.value.slice)
+            )
+        return False
+
+    assert _owners(divides_by_diagonal) == ["ideals._reduce_by_basis"]
+
+
 def test_form_follows_the_modulus():
     """Only functions of ``residues`` compare a ``.prime`` with ``None``: the
     form of O/n and its units are decided there, from the modulus, and
