@@ -109,15 +109,15 @@ def _check_norm(powers):
 def parse_modulus(ring, literal):
     """Ideal literal: {"generators": [...]} or {"primes": [{p, h, exponent}]}.
 
-    Either is refused when its norm has more than MAX_NORM_DIGITS digits.
+    Either is refused when its norm has more than MAX_NORM_DIGITS digits,
+    and when it is the unit ideal.
     """
     _checked(literal, dict, "modulus")
     if "generators" in literal:
         gens = [_parse_element(ring, g) for g in _field(literal, "generators", list)]
         ideal = hnf_from_generators(ring, gens)
         _check_norm([(ideal_norm(ideal), 1)])
-        return ideal
-    if "primes" in literal:
+    elif "primes" in literal:
         factors = []
         for spec in _field(literal, "primes", list):
             _checked(spec, dict, "each entry of 'primes'")
@@ -138,10 +138,11 @@ def parse_modulus(ring, literal):
         # a negative exponent counts as 0 here; prime_power refuses it below
         _check_norm([(pf.p, pf.f_res * max(pf.exponent, 0)) for pf in factors])
         ideal = ideal_of_factors(ring, factors)
-        if ideal_norm(ideal) < 2:
-            raise UnitIdeal("modulus must be a proper ideal")
-        return ideal
-    raise ConfigError("modulus needs a 'generators' or 'primes' key")
+    else:
+        raise ConfigError("modulus needs a 'generators' or 'primes' key")
+    if ideal_norm(ideal) < 2:
+        raise UnitIdeal("modulus must be a proper ideal")
+    return ideal
 
 
 def load_config(path):

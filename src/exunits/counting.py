@@ -283,14 +283,19 @@ def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
 def _product_formula(V, n_norm, locals_):
     """norm(n)^(amb-d) times the local factors of the primes dividing n.
 
-    Raises unless the result is a count: an integer in [0, norm(n)^amb].
+    The numerators and the denominators are multiplied as ints and divided
+    once.  Raises unless the result is a count: an integer in
+    [0, norm(n)^amb].
     """
-    total = Fraction(n_norm ** (V.amb - V.codim))
+    num, den = n_norm ** (V.amb - V.codim), 1
     for ld in locals_:
-        total *= ld.factor
-    if total.denominator != 1:
-        raise ExunitsError(f"product formula left a non-integral count {total}")
-    total = int(total)
+        num *= ld.factor.numerator
+        den *= ld.factor.denominator
+    total, rem = divmod(num, den)
+    if rem:
+        raise ExunitsError(
+            f"product formula left a non-integral count {Fraction(num, den)}"
+        )
     if not 0 <= total <= n_norm ** V.amb:
         raise ExunitsError(f"count {total} outside [0, {n_norm}^{V.amb}]")
     return total
@@ -420,13 +425,19 @@ def langweil_deviation(ring, V, prime_factor, cap=DEFAULT_CAP):
     }
 
 
+def _prime_text(pf):
+    """(p,[h]) of a prime factor, with ^exponent after it unless that is 1."""
+    base = f"({pf.p},{list(pf.h_coeffs)})".replace(" ", "")
+    return base if pf.exponent == 1 else f"{base}^{pf.exponent}"
+
+
+def _prime_order(pf):
+    return pf.p, pf.h_coeffs
+
+
 def _describe(factors):
     """Deterministic text form of a factorization, by (p, h) of its primes."""
-    parts = []
-    for pf in sorted(factors, key=lambda f: (f.p, f.h_coeffs)):
-        base = f"({pf.p},{list(pf.h_coeffs)})".replace(" ", "")
-        parts.append(base if pf.exponent == 1 else f"{base}^{pf.exponent}")
-    return "*".join(parts)
+    return "*".join(map(_prime_text, sorted(factors, key=_prime_order)))
 
 
 def describe_ideal(ring, n_ideal):
@@ -434,45 +445,66 @@ def describe_ideal(ring, n_ideal):
     return _describe(factor_ideal(ring, n_ideal))
 
 
+# one swept prime of asympt_series: its LocalData and its terms of a record
+_Swept = namedtuple("_Swept", "local inv_sqrt inv dev")
+
+
+def _swept_prime(ring, V, f, pf, cap):
+    """The _Swept of pf, or the BadReduction or CapExceeded its sweep raised."""
+    try:
+        ld = local_counts(ring, V, f, pf, cap=cap)
+    except (BadReduction, CapExceeded) as exc:
+        return exc
+    q = pf.norm
+    return _Swept(ld, q ** -0.5, 1.0 / q, float(abs(ld.factor - 1)))
+
+
 def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
     """One AsymptRecord per modulus; members with a skipped prime are skipped.
 
     Each member of family is a modulus given by its factorization: a list of
     PrimeFactor with exponents, as factor_ideal returns it.  Each distinct
-    prime is swept once per call: its LocalData serves every modulus it
-    divides, and a prime whose sweep raised BadReduction or CapExceeded
-    skips them all.  Nothing is kept when the call returns.
+    prime is swept once per call, and a prime whose sweep raised
+    BadReduction or CapExceeded skips every modulus it divides.  Its
+    LocalData is kept with its terms of a record as floats: 1/sqrt(q), 1/q
+    and |factor - 1|.  A modulus sums these in the order of its factors and
+    takes the max of the last, which is the rounded max of the exact
+    deviations, since rounding is monotone.  Each (p,[h])^e text is built
+    once.  Nothing is kept when the call returns.
     """
-    swept = {}  # (p, h_coeffs) -> LocalData, BadReduction or CapExceeded
+    swept = {}  # (p, h_coeffs) -> _Swept, BadReduction or CapExceeded
+    texts = {}  # (p, h_coeffs, exponent) -> _prime_text
+    r = V.amb - V.codim
     records = []
     for factors in family:
         if not factors:
             raise UnitIdeal("modulus must be a proper ideal")
-        locals_ = []
+        primes = []
         for pf in factors:
             key = (pf.p, pf.h_coeffs)
             if key not in swept:
-                try:
-                    swept[key] = local_counts(ring, V, f, pf, cap=cap)
-                except (BadReduction, CapExceeded) as exc:
-                    swept[key] = exc
-            locals_.append(swept[key])
-        if any(isinstance(ld, ExunitsError) for ld in locals_):
+                swept[key] = _swept_prime(ring, V, f, pf, cap)
+            primes.append(swept[key])
+        if any(isinstance(s, ExunitsError) for s in primes):
             continue
         n_norm = prod(pf.norm ** pf.exponent for pf in factors)
-        count = _product_formula(V, n_norm, locals_)
-        norms = [pf.norm for pf in factors]
-        max_dev = max(abs(ld.factor - 1) for ld in locals_)
+        count = _product_formula(V, n_norm, [s.local for s in primes])
+        description = []
+        for pf in sorted(factors, key=_prime_order):
+            key = (pf.p, pf.h_coeffs, pf.exponent)
+            if key not in texts:
+                texts[key] = _prime_text(pf)
+            description.append(texts[key])
         records.append(
             AsymptRecord(
-                description=_describe(factors),
+                description="*".join(description),
                 N=n_norm,
                 count=count,
-                ratio=Fraction(count, n_norm ** (V.amb - V.codim)),
+                ratio=Fraction(count, n_norm ** r),
                 omega=len(factors),
-                sum_inv_sqrt=sum(q ** -0.5 for q in norms),
-                sum_inv=sum(1.0 / q for q in norms),
-                max_local_dev=float(max_dev),
+                sum_inv_sqrt=sum(s.inv_sqrt for s in primes),
+                sum_inv=sum(s.inv for s in primes),
+                max_local_dev=max(s.dev for s in primes),
             )
         )
     return records

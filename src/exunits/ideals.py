@@ -26,7 +26,7 @@ from .errors import (
     UnitIdeal,
     ZeroIdeal,
 )
-from .number_ring import elem_mul, is_zero, square_and_multiply
+from .number_ring import _poly_eval_int, elem_mul, is_zero, square_and_multiply
 
 TRIAL_DIVISION_BOUND = 10 ** 6
 COFACTOR_CAP = 10 ** 12
@@ -271,28 +271,51 @@ def _inverse_mod_p(a, h, p):
     return _poly_mulmod(s0, [pow(r0[0], -1, p)], h, p)
 
 
+def _lift_exponents(e):
+    """The exponents ..., ceil(e/4), ceil(e/2), e past 1 that a quadratic
+    lift from p to p^e steps through, each step from k to 2k or 2k - 1."""
+    steps = [e]
+    while steps[-1] > 1:
+        steps.append((steps[-1] + 1) // 2)
+    return steps[-2::-1]
+
+
 def _hensel_lift(g, h, p, e):
     """The monic H = h mod p that divides g mod p^e, for h a factor of g mod
     p that is coprime to its cofactor g / h.
 
     Quadratic Hensel steps (von zur Gathen and Gerhard, Modern Computer
-    Algebra, Alg. 15.10) along p^k for k = 1, ..., ceil(e/2), e, each from k
-    to 2k or 2k - 1.  With s = 1/c mod h for the cofactor c = g div h, a step
-    adds s*(g mod h) mod h to h.  s comes from the extended Euclidean
-    algorithm mod p, and each step lifts it by Newton's s*(2 - s*c) mod h.
+    Algebra, Alg. 15.10) along ``_lift_exponents(e)``.  With s = 1/c mod h
+    for the cofactor c = g div h, a step adds s*(g mod h) mod h to h.  s
+    comes from the extended Euclidean algorithm mod p, and each step lifts
+    it by Newton's s*(2 - s*c) mod h.
     """
     s = _inverse_mod_p(_poly_divmod_mod_p(g, h, p)[0], h, p)
     h = list(h)
-    steps = [e]
-    while steps[-1] > 1:
-        steps.append((steps[-1] + 1) // 2)
-    for k in reversed(steps[:-1]):
+    for k in _lift_exponents(e):
         m = p ** k
         h = _poly_add(h, _poly_mulmod(s, _poly_divmod_mod_p(g, h, m)[1], h, m), m)
         if k < e:  # s is not needed mod p^e
             c = _poly_divmod_mod_p(g, h, m)[0]
             s = _poly_mulmod(s, _poly_sub([2], _poly_mulmod(s, c, h, m), m), h, m)
     return h
+
+
+def _root_lift(g, r, p, e):
+    """The root of g mod p^e that is r mod p, for r a simple root of g mod p.
+
+    Newton's r - g(r)*s along ``_lift_exponents(e)``, with s = 1/g'(r) taken
+    mod p and lifted at each step by s*(2 - g'(r)*s).  x - (the root) is the
+    H that ``_hensel_lift`` gives for h = x - r: g'(r) is the cofactor at r.
+    """
+    dg = [i * c for i, c in enumerate(g)][1:]
+    s = pow(_poly_eval_int(dg, r), -1, p)
+    for k in _lift_exponents(e):
+        m = p ** k
+        r = (r - _poly_eval_int(g, r) * s) % m
+        if k < e:  # s is not needed mod p^e
+            s = s * (2 - _poly_eval_int(dg, r) * s) % m
+    return r
 
 
 def _factor_hnf(ring, modulus, h):
@@ -302,15 +325,17 @@ def _factor_hnf(ring, modulus, h):
     An element of Z[theta], a polynomial of degree below deg, lies in it iff h
     divides it mod modulus.  So row i < f is modulus*theta^i, and row k >= f is
     theta^k minus (theta^k mod h), the remainder negated mod modulus: already
-    reduced, with no lattice to reduce.  h = g gives modulus*O.
+    reduced, with no lattice to reduce.  h = g gives modulus*O.  theta^k mod
+    h is x times theta^(k-1) mod h, less its top coefficient times h.
     """
     d, f = ring.deg, len(h) - 1
     rows = [(0,) * i + (modulus,) + (0,) * (d - i - 1) for i in range(f)]
+    rem = [-c % modulus for c in h[:f]]  # theta^f mod h
     for k in range(f, d):
-        _, rem = _poly_divmod_mod_p([0] * k + [1], h, modulus)
-        rem += [0] * (f - len(rem))
         low = tuple(-c % modulus for c in rem)
         rows.append(low + (0,) * (k - f) + (1,) + (0,) * (d - k - 1))
+        top = rem[-1]
+        rem = [(c - top * b) % modulus for c, b in zip([0] + rem[:-1], h)]
     return IdealHNF(basis=tuple(rows))
 
 
@@ -321,13 +346,19 @@ def prime_power(ring, pf, e):
     Hensel lift of h to a factor of g mod p^e: over the p-adic integers
     g = H*C with H, C coprime, so Z[theta] splits as Z_p[x]/(H) x Z_p[x]/(C),
     where P is (p) x (1) and P^e is (p^e) x (1).  This needs no maximality.
-    A ramified prime, or e < 2, goes to ``ideal_pow``, which returns pf.hnf
-    itself at e = 1.
+    At residue degree 1, h = x - r and H = x - R, R the root of g mod p^e
+    over r, which ``_root_lift`` finds in Z/p^e; at degree 2 or more H comes
+    from the polynomial lift ``_hensel_lift``.  A ramified prime, or e < 2,
+    goes to ``ideal_pow``, which returns pf.hnf itself at e = 1.
     """
     if pf.e_ram > 1 or e < 2:
         return ideal_pow(ring, pf.hnf, e)
-    lift = _hensel_lift(ring.min_poly, pf.h_coeffs, pf.p, e)
-    return _factor_hnf(ring, pf.p ** e, lift)
+    p, modulus = pf.p, pf.p ** e
+    if pf.f_res == 1:
+        lift = [-_root_lift(ring.min_poly, -pf.h_coeffs[0] % p, p, e) % modulus, 1]
+    else:
+        lift = _hensel_lift(ring.min_poly, pf.h_coeffs, p, e)
+    return _factor_hnf(ring, modulus, lift)
 
 
 def factor_poly_mod_p(poly, p):

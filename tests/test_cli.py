@@ -284,6 +284,30 @@ def test_missing_input_exits_one(tmp_path, capsys, command, message):
 
 
 @pytest.mark.parametrize(
+    "modulus",
+    [
+        # N(1 + sqrt(-5)) = 6 is prime to 7, so the two generate O
+        pytest.param({"generators": [7, [1, 1]]}, id="generators"),
+        pytest.param({"primes": [{"p": 3, "h": [1, 1], "exponent": 0}]}, id="primes"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["count"], ["count", "--method", "brute"], ["verify"], ["example25"]],
+    ids=["count", "count-brute", "verify", "example25"],
+)
+def test_unit_ideal_modulus_refused_once(circle_config, capsys, modulus, argv):
+    """Either form of a unit-ideal modulus is refused as the config is read,
+    with one message for every command."""
+    if argv == ["example25"]:
+        argv = argv + ["--a", "2", "--c", "1", "--modulus", json.dumps(modulus)]
+    else:
+        argv = argv + ["--config", circle_config(modulus=modulus)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: modulus must be a proper ideal\n")
+
+
+@pytest.mark.parametrize(
     "excess, message", [(0, "exceed the cap"), (1, "amb"), (10 ** 7, "amb")]
 )
 def test_amb_bounded(circle_config, capsys, excess, message):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from importlib import import_module
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -48,7 +48,8 @@ from exunits import (
     unit_ideal,
 )
 from exunits.errors import BadModulus
-from exunits.ideals import prime_ideals_up_to
+from exunits.counting import AsymptRecord
+from exunits.ideals import ideal_of_factors, prime_ideals_up_to
 from exunits.number_ring import is_zero
 from exunits.residues import residues
 
@@ -505,6 +506,17 @@ class TestTheorem1:
         with pytest.raises(ExunitsError, match="non-integral"):
             theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (3, 0)))
 
+    def test_non_integral_product_raises_in_asympt(
+        self, q5, circle, f_x_minus_2, monkeypatch
+    ):
+        def half(ring, V, f, pf, cap):
+            return LocalData(prime=pf, count_X=1, count_N=0, factor=Fraction(1, 2))
+
+        monkeypatch.setattr(counting, "local_counts", half)
+        family = [factor_ideal(q5, principal_ideal(q5, (3, 0)))]
+        with pytest.raises(ExunitsError, match="non-integral"):
+            asympt_series(q5, circle, f_x_minus_2, family)
+
     def test_one_sweep_per_prime(self, q5, f_x_minus_2, monkeypatch):
         # every sweep enumerates its fibers once, so this counts sweeps; the
         # cross term keeps the hyperbola off the closed form of quadrics
@@ -885,6 +897,58 @@ class TestAsympt:
         event(f"{len(expected)} of {len(family)} moduli kept")
         records = asympt_series(ring, V, f, family)
         assert [(r.description, r.N, r.count) for r in records] == expected
+
+    @pytest.mark.parametrize(
+        "min_poly, equation, max_norm",
+        [
+            ([5, 0, 1], "x1^2 + x2^2 - 1", 60),
+            ([-2, 0, 0, 1], "x1^2 + x2^2 + x3^2 - 1", 40),
+        ],
+        ids=["circle-sqrt-5", "sphere-cbrt-2"],
+    )
+    def test_records_recomputed(self, min_poly, equation, max_norm):
+        """Each record of the primes and their products of two, as asympt
+        --products 2 lists them, against the count of its modulus rebuilt
+        from its factors and the terms recomputed exactly, with the float
+        sums taken in the order of the factors."""
+        ring = make_number_ring(min_poly)
+        amb = equation.count("^")
+        V = VarietySpec(
+            amb=amb,
+            codim=1,
+            equations=(parse_poly(equation, ring, amb),),
+            declared_degree=2,
+        )
+        f = parse_poly("x1 - 2", ring, 1)
+        primes = list(prime_ideals_up_to(ring, max_norm))
+        family = [[pf] for pf in primes] + [list(m) for m in combinations(primes, 2)]
+        expected = []
+        for factors in family:
+            n_ideal = ideal_of_factors(ring, factors)
+            try:
+                report = theorem1_count(ring, V, f, n_ideal)
+            except BadReduction:
+                continue
+            N = ideal_norm(n_ideal)
+            dev = max(abs(ld.factor - 1) for ld in report.locals)
+            inv_sqrt = inv = 0.0
+            for pf in factors:
+                inv_sqrt += pf.norm ** -0.5
+                inv += 1.0 / pf.norm
+            expected.append(
+                AsymptRecord(
+                    description=describe_ideal(ring, n_ideal),
+                    N=N,
+                    count=report.total,
+                    ratio=Fraction(report.total, N ** (amb - 1)),
+                    omega=len(factors),
+                    sum_inv_sqrt=inv_sqrt,
+                    sum_inv=inv,
+                    max_local_dev=float(dev),
+                )
+            )
+        assert len(family) > len(expected) > 30
+        assert asympt_series(ring, V, f, family) == expected
 
     def test_describe_ideal(self, q5, p3):
         assert describe_ideal(q5, ideal_pow(q5, p3.hnf, 2)) == "(3,[1,1])^2"

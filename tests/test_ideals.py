@@ -27,9 +27,11 @@ from exunits import (
 )
 from exunits import ideals
 from exunits.ideals import (
+    _hensel_lift,
     _multiplicity,
     _not_maximal_at,
     _poly_divmod_mod_p,
+    _root_lift,
     ideal_of_factors,
     valuation,
 )
@@ -436,6 +438,45 @@ def test_prime_power_of_exponent_zero_and_below(q5):
         assert prime_power(q5, pf, 0) == unit_ideal(q5)
         with pytest.raises(ValueError):
             prime_power(q5, pf, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.one_of(
+        st.sampled_from(EXPLICIT_RINGS),
+        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=5).map(
+            lambda low: low + [1]
+        ),
+    ),
+    p=st.sampled_from(PRIMES_BELOW_50),
+    e=st.integers(2, 60),
+)
+def test_root_lift_matches_hensel_lift(g, p, e):
+    """At each simple root r of g mod p, x minus the root over r in Z/p^e is
+    the factor that the polynomial lift gives for h = x - r: over the
+    explicit rings, two of them not maximal at 2, and random monic g of
+    degree 2 to 5."""
+    hs = [h for h, mult in factor_poly_mod_p(g, p) if len(h) == 2 and mult == 1]
+    event(f"{len(hs)} simple roots")
+    for h in hs:
+        root = _root_lift(g, -h[0] % p, p, e)
+        assert [-root % p ** e, 1] == _hensel_lift(g, h, p, e), (g, h)
+
+
+def test_prime_power_at_degree_one_lifts_the_root(monkeypatch):
+    """Over Z[2^(1/3)], 11 = (11, x - 7)(11, x^2 + 7x + 5).  The powers of the
+    first take no polynomial division, and those of the second still take
+    the polynomial lift."""
+    ring = make_number_ring([-2, 0, 0, 1])
+    line, plane = prime_ideals_above(ring, 11)
+    assert (line.h_coeffs, plane.h_coeffs) == ((4, 1), (5, 7, 1))
+    divisions = _counted(monkeypatch, "_poly_divmod_mod_p")
+    lifts = _counted(monkeypatch, "_hensel_lift")
+    for e in (2, 3, 50, 800):
+        assert ideal_norm(prime_power(ring, line, e)) == 11 ** e
+    assert divisions == [] and lifts == []
+    assert ideal_norm(prime_power(ring, plane, 2)) == 11 ** 4
+    assert [args[1:] for args in lifts] == [((5, 7, 1), 11, 2)]
 
 
 def _multiplicity_reference(n, p):
