@@ -11,6 +11,7 @@ from exunits import (
     VarietySpec,
     brute_force_count,
     example25_count,
+    factor_ideal,
     make_number_ring,
     parse_poly,
     principal_ideal,
@@ -29,10 +30,12 @@ def main():
     f = parse_poly("x1 - 2", ring, 1)
     n_ideal = principal_ideal(ring, ring.from_int(3))
 
+    factors = factor_ideal(ring, n_ideal)  # the two primes above 3
+
     brute = brute_force_count(ring, circle, f, n_ideal)
-    report = theorem1_count(ring, circle, f, n_ideal)
-    corrected = example25_count(ring, 2, 1, n_ideal, mode="corrected")
-    strict = example25_count(ring, 2, 1, n_ideal, mode="strict_paper")
+    report = theorem1_count(ring, circle, f, factors)
+    corrected = example25_count(ring, 2, 1, factors, mode="corrected")
+    strict = example25_count(ring, 2, 1, factors, mode="strict_paper")
 
     print(f"modulus norm        : {report.modulus_norm}")
     for ld in report.locals:

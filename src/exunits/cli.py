@@ -12,6 +12,11 @@ Exit codes: 0 success, 1 input error (command-line errors included), 2
 mathematical-hypothesis failure (bad reduction, with the witness point in
 the JSON).
 
+A modulus is read as its factorization (parse_modulus): the counts take it
+as given, and only the routes that enumerate O/n (count --method brute and
+both, verify's multiplicativity check, example25's brute-force total) build
+the HNF of n, from the factors.
+
 The enumeration cap (options.cap) is applied by the kernel alone.  Where it
 refuses an enumeration, verify leaves out that prime's lifting census (and
 sweeps the prime alone) or the multiplicativity check, and example25 leaves
@@ -32,9 +37,11 @@ from .ideals import (
     hnf_from_generators,
     ideal_norm,
     ideal_of_factors,
+    norm_of_factors,
     prime_ideals_above,
     prime_ideals_up_to,
     prime_power,
+    refuse_non_maximal,
 )
 from .number_ring import make_number_ring
 from .polys import DEFAULT_CAP, VarietySpec, check_good_reduction, parse_poly
@@ -106,48 +113,73 @@ def _check_norm(powers):
         raise ConfigError(f"modulus norm has more than {MAX_NORM_DIGITS} digits")
 
 
-def parse_modulus(ring, literal):
-    """Ideal literal: {"generators": [...]} or {"primes": [{p, h, exponent}]}.
+def parse_modulus(ring, literal, factor=True):
+    """The factorization of an ideal literal, {"generators": [...]} or
+    {"primes": [{p, h, exponent}]}: a list of PrimeFactor with exponents, by
+    p and then as ``prime_ideals_above`` orders the primes above p, as
+    ``factor_ideal`` returns it.
 
-    Either is refused when its norm has more than MAX_NORM_DIGITS digits,
-    and when it is the unit ideal.
+    The generators form is factored once.  The primes form is used as given:
+    repeated (p, h) add their exponents and exponent 0 is left out, and
+    Dedekind's criterion at each p that remains stands in for the check that
+    the factors multiply back to the ideal.  Either is refused when its norm
+    has more than MAX_NORM_DIGITS digits, and when it is the unit ideal.
+    With factor false the literal is only checked: no factoring and no
+    Dedekind criterion, and None is returned.
     """
     _checked(literal, dict, "modulus")
     if "generators" in literal:
         gens = [_parse_element(ring, g) for g in _field(literal, "generators", list)]
         ideal = hnf_from_generators(ring, gens)
-        _check_norm([(ideal_norm(ideal), 1)])
-    elif "primes" in literal:
-        factors = []
-        for spec in _field(literal, "primes", list):
-            _checked(spec, dict, "each entry of 'primes'")
-            p = _field(spec, "p", int)
-            if _small_prime_factors(p) != [p]:
-                raise ConfigError(f"p={p} is not a prime")
-            h = tuple(c % p for c in _list_of(_field(spec, "h", list), int, "'h'"))
-            exponent = _field(spec, "exponent", int, 1)
-            above = prime_ideals_above(ring, p)
-            matches = [pf for pf in above if pf.h_coeffs == h]
-            if not matches:
-                valid = [list(pf.h_coeffs) for pf in above]
-                raise ConfigError(
-                    f"h={spec['h']} is not an irreducible factor of g mod {p}; "
-                    f"valid factors: {valid}"
-                )
-            factors.append(matches[0]._replace(exponent=exponent))
-        # a negative exponent counts as 0 here; prime_power refuses it below
-        _check_norm([(pf.p, pf.f_res * max(pf.exponent, 0)) for pf in factors])
-        ideal = ideal_of_factors(ring, factors)
-    else:
+        norm = ideal_norm(ideal)
+        _check_norm([(norm, 1)])
+        if norm < 2:
+            raise UnitIdeal("modulus must be a proper ideal")
+        return factor_ideal(ring, ideal) if factor else None
+    if "primes" not in literal:
         raise ConfigError("modulus needs a 'generators' or 'primes' key")
-    if ideal_norm(ideal) < 2:
+    above = {}  # p -> prime_ideals_above(ring, p)
+    exponents = {}  # (p, index in above[p]) -> exponent
+    negative = False
+    for spec in _field(literal, "primes", list):
+        _checked(spec, dict, "each entry of 'primes'")
+        p = _field(spec, "p", int)
+        if _small_prime_factors(p) != [p]:
+            raise ConfigError(f"p={p} is not a prime")
+        h = tuple(c % p for c in _list_of(_field(spec, "h", list), int, "'h'"))
+        exponent = _field(spec, "exponent", int, 1)
+        if p not in above:
+            above[p] = prime_ideals_above(ring, p)
+        matches = [i for i, pf in enumerate(above[p]) if pf.h_coeffs == h]
+        if not matches:
+            valid = [list(pf.h_coeffs) for pf in above[p]]
+            raise ConfigError(
+                f"h={spec['h']} is not an irreducible factor of g mod {p}; "
+                f"valid factors: {valid}"
+            )
+        key = (p, matches[0])
+        exponents[key] = exponents.get(key, 0) + max(exponent, 0)
+        negative = negative or exponent < 0
+    # a negative exponent counts as 0 here, and is refused after the norm
+    _check_norm([(p, above[p][i].f_res * e) for (p, i), e in exponents.items()])
+    if negative:
+        raise ConfigError("negative ideal power")
+    factors = [
+        above[p][i]._replace(exponent=e) for (p, i), e in sorted(exponents.items()) if e
+    ]
+    if not factors:
         raise UnitIdeal("modulus must be a proper ideal")
-    return ideal
+    if not factor:
+        return None
+    refuse_non_maximal(ring, {pf.p: above[pf.p] for pf in factors})
+    return factors
 
 
-def load_config(path):
-    """The parsed config; its options are cap, max_norm and products, each
-    checked and, when absent, set to its default."""
+def load_config(path, factor_modulus=True):
+    """The parsed config; its modulus is factored by ``parse_modulus`` unless
+    factor_modulus is false, when it is only checked and left None.  Its
+    options are cap, max_norm and products, each checked and, when absent,
+    set to its default."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -168,7 +200,9 @@ def load_config(path):
         declared_degree=_field(vspec, "degree", int, degree),
     )
     f = parse_poly(_field(raw, "f", str), ring, 1)
-    modulus = parse_modulus(ring, raw["modulus"]) if "modulus" in raw else None
+    modulus = None
+    if "modulus" in raw:
+        modulus = parse_modulus(ring, raw["modulus"], factor=factor_modulus)
     options = _field(raw, "options", dict, {})
     # the options the commands read, with their defaults; options.workers is
     # accepted and ignored
@@ -205,7 +239,8 @@ def _emit(obj):
 
 
 def _modulus_config(args):
-    """ring, variety, f, modulus and cap of a config that must name a modulus."""
+    """ring, variety, f, the modulus's factorization and cap of a config that
+    must name a modulus."""
     cfg = load_config(args.config)
     if cfg["modulus"] is None:
         raise ConfigError(f"{args.command} requires a modulus")
@@ -213,18 +248,19 @@ def _modulus_config(args):
 
 
 def cmd_count(args):
-    ring, V, f, n_ideal, cap = _modulus_config(args)
+    ring, V, f, factors, cap = _modulus_config(args)
     method = args.method
     report = brute_total = None
     if method in ("formula", "both"):
-        report = counting.theorem1_count(ring, V, f, n_ideal, cap=cap)
+        report = counting.theorem1_count(ring, V, f, factors, cap=cap)
     if method in ("brute", "both"):
+        n_ideal = ideal_of_factors(ring, factors)
         brute_total = counting.brute_force_count(ring, V, f, n_ideal, cap=cap)
     total = report.total if report else brute_total
     if total >= _NORM_BOUND:
         raise ConfigError(f"total has more than {MAX_NORM_DIGITS} digits")
     out = {
-        "modulus_norm": str(ideal_norm(n_ideal)),
+        "modulus_norm": str(norm_of_factors(factors)),
         "exponent": V.amb - V.codim,
         "locals": _locals_json(report.locals) if report else [],
         "total": str(total),
@@ -237,11 +273,10 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
-    ring, V, f, n_ideal, cap = _modulus_config(args)
+    ring, V, f, factors, cap = _modulus_config(args)
     # f is checked here, before any sweep: the multiplicativity check, the
     # only one that counts with f, does not run at every modulus
     counting._check_f(f)
-    factors = factor_ideal(ring, n_ideal)
     checks = []
     bad = False
     for pf in factors:
@@ -273,6 +308,7 @@ def cmd_verify(args):
                 }
             )
     if not bad and len(factors) >= 2:
+        n_ideal = ideal_of_factors(ring, factors)
         try:
             whole = counting.brute_force_count(ring, V, f, n_ideal, cap=cap)
         except CapExceeded:
@@ -303,7 +339,7 @@ def _fmt_float(x):
 
 
 def cmd_asympt(args):
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, factor_modulus=False)  # asympt names no modulus
     max_norm = cfg["options"]["max_norm"] if args.max_norm is None else args.max_norm
     if max_norm is None:
         raise ConfigError("asympt requires --max-norm")
@@ -342,19 +378,20 @@ def cmd_example25(args):
         raise ConfigError(f"bad modulus JSON: {exc}") from exc
     except RecursionError:
         raise ConfigError("the modulus JSON nests too deeply") from None
-    n_ideal = parse_modulus(ring, literal)
+    factors = parse_modulus(ring, literal)
     mode = args.mode.replace("-", "_")
     c = args.c
     circle = parse_poly(f"x1^2 + x2^2 - ({c})", ring, 2)
     V = VarietySpec(amb=2, codim=1, equations=(circle,), declared_degree=2)
     f = parse_poly(f"x1 - ({args.a})", ring, 1)
-    example = counting.example25_count(ring, args.a, c, n_ideal, mode=mode)
-    theorem = counting.theorem1_count(ring, V, f, n_ideal)
+    example = counting.example25_count(ring, args.a, c, factors, mode=mode)
+    theorem = counting.theorem1_count(ring, V, f, factors)
     out = {
         "example_total": str(example.total),
         "theorem1_total": str(theorem.total),
     }
     totals = [example.total, theorem.total]
+    n_ideal = ideal_of_factors(ring, factors)
     try:
         brute = counting.brute_force_count(ring, V, f, n_ideal)
     except CapExceeded:

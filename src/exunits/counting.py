@@ -33,7 +33,7 @@ from .errors import (
     NotQSqrtMinus5,
     UnitIdeal,
 )
-from .ideals import factor_ideal, ideal_norm, prime_ideals_up_to, prime_power
+from .ideals import factor_ideal, norm_of_factors, prime_ideals_up_to, prime_power
 from .number_ring import elem_neg, is_zero
 from .polys import (
     DEFAULT_CAP,
@@ -262,19 +262,19 @@ def _quadric_counts(ctx, V, f, cap):
     return count_x, count_n
 
 
-def theorem1_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
+def theorem1_count(ring, V, f, factors, cap=DEFAULT_CAP):
     """The product formula: norm(n)^(amb-d) times the local factors.
 
-    Only the per-prime enumeration caps apply; the modulus itself may be
-    astronomically large as long as its primes are small.
+    n is given by its factorization: a list of PrimeFactor with exponents,
+    as factor_ideal returns it.  Only the per-prime enumeration caps apply;
+    the modulus itself may be astronomically large as long as its primes are
+    small.
     """
     _check_f(f)
-    n_norm = ideal_norm(n_ideal)
-    if n_norm < 2:
+    if not factors:
         raise UnitIdeal("modulus must be a proper ideal")
-    locals_ = [
-        local_counts(ring, V, f, pf, cap=cap) for pf in factor_ideal(ring, n_ideal)
-    ]
+    n_norm = norm_of_factors(factors)
+    locals_ = [local_counts(ring, V, f, pf, cap=cap) for pf in factors]
     return CountReport(
         modulus_norm=n_norm, locals=locals_, total=_product_formula(V, n_norm, locals_)
     )
@@ -346,7 +346,7 @@ def _m_of_p(p, a, c):
     return 4
 
 
-def example25_count(ring, a, c, n_ideal, mode="corrected"):
+def example25_count(ring, a, c, factors, mode="corrected"):
     """Closed-form circle count over Q(sqrt(-5)).
 
     mode='corrected' weights the intersection by m(p) whenever c - a^2 is a
@@ -356,10 +356,10 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
     point of exposing both modes.  chi = 0 forces m(p) = 2, so the gated
     count is an int in both modes.
 
-    The splitting of p is read off each prime that factor_ideal gives: inert
-    when f = 2, ramified when e = 2, split otherwise.  The counts and the
-    total are ints; only each local factor (count_X - count_N)/q is a
-    Fraction.
+    n is given by its factorization, as factor_ideal returns it.  The
+    splitting of p is read off each prime: inert when f = 2, ramified when
+    e = 2, split otherwise.  The counts and the total are ints; only each
+    local factor (count_X - count_N)/q is a Fraction.
     """
     if ring.min_poly != _QSQRT5_POLY:
         raise NotQSqrtMinus5("the closed form is specific to g = x^2 + 5")
@@ -367,15 +367,15 @@ def example25_count(ring, a, c, n_ideal, mode="corrected"):
         raise ValueError(f"unknown mode {mode!r}")
     if c == 0:
         raise BadModulus("c must be nonzero")
-    n_norm = ideal_norm(n_ideal)
-    if n_norm < 2:
+    if not factors:
         raise UnitIdeal("modulus must be a proper ideal")
+    n_norm = norm_of_factors(factors)
     if gcd(n_norm, 2 * c) != 1:
         raise BadModulus(f"norm {n_norm} must be coprime to 2c = {2 * c}")
     classes = {"split": (1, 3, 7, 9), "inert": (11, 13, 17, 19), "ramified": (5,)}
     locals_ = []
     total = 1
-    for pf in factor_ideal(ring, n_ideal):
+    for pf in factors:
         p = pf.p
         splitting = (
             "inert" if pf.f_res == 2 else "ramified" if pf.e_ram == 2 else "split"
@@ -487,7 +487,7 @@ def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
             primes.append(swept[key])
         if any(isinstance(s, ExunitsError) for s in primes):
             continue
-        n_norm = prod(pf.norm ** pf.exponent for pf in factors)
+        n_norm = norm_of_factors(factors)
         count = _product_formula(V, n_norm, [s.local for s in primes])
         description = []
         for pf in sorted(factors, key=_prime_order):

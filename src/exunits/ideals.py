@@ -18,6 +18,7 @@ Only a ramified prime's powers are products of lattices (``ideal_pow``).
 from collections import Counter, namedtuple
 from functools import partial, reduce
 from itertools import zip_longest
+from math import prod
 
 from .errors import (
     ExunitsError,
@@ -210,6 +211,11 @@ def ideal_of_factors(ring, factors):
     if not powers:
         return unit_ideal(ring)
     return reduce(partial(ideal_mul, ring), powers)
+
+
+def norm_of_factors(factors):
+    """The norm of the product of pf^exponent over factors."""
+    return prod(pf.norm ** pf.exponent for pf in factors)
 
 
 # --- polynomials mod p (coefficient lists, constant first, trimmed) ---
@@ -498,6 +504,12 @@ def valuation(ring, I, pf):
     products.  Where g breaks Dedekind-Kummer at p the test need not be
     monotone and k may be wrong; factor_ideal's reassembly check rejects it.
     """
+    bound = _multiplicity(ideal_norm(I), pf.p)[0] // pf.f_res
+    return _valuation(ring, I, pf, bound)
+
+
+def _valuation(ring, I, pf, bound):
+    """``valuation`` of I at pf, given its bound v_p(N(I)) // f."""
     p = pf.p
     cofactor, _ = _poly_divmod_mod_p(ring.min_poly, pf.h_coeffs, p)
     beta = tuple(cofactor) + (0,) * (ring.deg - len(cofactor))
@@ -515,7 +527,6 @@ def valuation(ring, I, pf):
             for c in elem_mul(ring, row, power)
         )
 
-    bound = _multiplicity(ideal_norm(I), p)[0] // pf.f_res
     if bound == 0 or not contained(1):
         return 0
     if bound == 1 or contained(bound):
@@ -530,29 +541,45 @@ def valuation(ring, I, pf):
     return lo
 
 
+_NOT_REASSEMBLED = "prime factorization does not reassemble the ideal; "
+
+
 def factor_ideal(ring, I):
-    """Prime ideal factorization of a proper ideal, verified by reassembly."""
+    """Prime ideal factorization of a proper ideal, verified by reassembly.
+
+    The norm and each v_p of it are taken once, and bound the valuation at
+    every prime above p.
+    """
     n = ideal_norm(I)
     if n == 1:
         raise UnitIdeal("cannot factor the unit ideal")
     above = {p: prime_ideals_above(ring, p) for p in _small_prime_factors(n)}
     result = []
-    for pfs in above.values():
+    for p, pfs in above.items():
+        v = _multiplicity(n, p)[0]
         for pf in pfs:
-            e = valuation(ring, I, pf)
+            e = _valuation(ring, I, pf, v // pf.f_res)
             if e > 0:
                 result.append(pf._replace(exponent=e))
     if ideal_of_factors(ring, result) != I:
-        bad = [p for p, pfs in above.items() if _not_maximal_at(ring, p, pfs)]
-        reason = (
-            "the order is not maximal at " + ", ".join(f"p = {p}" for p in bad)
-            if bad
-            else "the defining polynomial is likely reducible or the order non-maximal"
-        )
+        refuse_non_maximal(ring, above)
         raise NotFullRank(
-            f"prime factorization does not reassemble the ideal; {reason}"
+            _NOT_REASSEMBLED
+            + "the defining polynomial is likely reducible or the order non-maximal"
         )
     return result
+
+
+def refuse_non_maximal(ring, above):
+    """Raise NotFullRank naming each p of above, a dict from p to the primes
+    above it, at which Dedekind's criterion finds Z[theta] not p-maximal."""
+    bad = [p for p, pfs in above.items() if _not_maximal_at(ring, p, pfs)]
+    if bad:
+        raise NotFullRank(
+            _NOT_REASSEMBLED
+            + "the order is not maximal at "
+            + ", ".join(f"p = {p}" for p in bad)
+        )
 
 
 def _not_maximal_at(ring, p, above):

@@ -114,7 +114,7 @@ def test_1_oracle_equivalence_sweep(capsys):
         f = parse_poly(F_DEFS[f_key], ring, 1)
         n_ideal = _modulus(ring, mod_spec)
         assert ideal_norm(n_ideal) ** V.amb <= 10 ** 6
-        formula = theorem1_count(ring, V, f, n_ideal).total
+        formula = theorem1_count(ring, V, f, factor_ideal(ring, n_ideal)).total
         brute = brute_force_count(ring, V, f, n_ideal)
         if formula != brute:
             mismatches.append((ring_key, var_key, f_key, mod_spec, formula, brute))
@@ -146,9 +146,10 @@ def test_2_worked_example_mod_three(capsys):
     f = parse_poly("x1 - 2", ring, 1)
     n_ideal = principal_ideal(ring, ring.from_int(3))
     brute = brute_force_count(ring, V, f, n_ideal)
-    formula = theorem1_count(ring, V, f, n_ideal).total
-    corrected = example25_count(ring, 2, 1, n_ideal, mode="corrected").total
-    strict = example25_count(ring, 2, 1, n_ideal, mode="strict_paper").total
+    factors = factor_ideal(ring, n_ideal)
+    formula = theorem1_count(ring, V, f, factors).total
+    corrected = example25_count(ring, 2, 1, factors, mode="corrected").total
+    strict = example25_count(ring, 2, 1, factors, mode="strict_paper").total
     elapsed = time.monotonic() - t0
     ok = (
         brute == formula == corrected == 4
@@ -385,7 +386,8 @@ def test_8_huge_prime_power_modulus(capsys):
     f = parse_poly("x1 - 2", ring, 1)
     pf = prime_ideals_above(ring, 3)[0]
     t0 = time.monotonic()
-    report = theorem1_count(ring, circle, f, ideal_pow(ring, pf.hnf, 100))
+    factors = factor_ideal(ring, ideal_pow(ring, pf.hnf, 100))
+    report = theorem1_count(ring, circle, f, factors)
     elapsed = time.monotonic() - t0
     text = str(report.total)
     ok = report.total == 2 * 3 ** 99 and len(text) == 48 and elapsed < 1.0

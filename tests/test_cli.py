@@ -7,7 +7,15 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from exunits import cli, counting, ideals, make_number_ring, polys, prime_ideals_above
+from exunits import (
+    UnitIdeal,
+    cli,
+    counting,
+    ideals,
+    make_number_ring,
+    polys,
+    prime_ideals_above,
+)
 from exunits.cli import main
 
 CIRCLE_CONFIG = {
@@ -148,6 +156,39 @@ class TestCount:
             assert main(argv) == 0
             out = json.loads(capsys.readouterr().out)
             assert (out["method"], out["total"]) == (method, "4")
+
+    @pytest.mark.parametrize(
+        "method, exponent, builds",
+        [("formula", 300, []), ("both", 2, ["ideal_of_factors"])],
+    )
+    def test_primes_form_is_not_factored_again(
+        self, circle_config, capsys, monkeypatch, method, exponent, builds
+    ):
+        """A primes-form modulus is counted from its factors as given: a
+        formula count factors nothing and builds no HNF of n, and --method
+        both builds that HNF once, for the oracle (at an exponent the oracle
+        can enumerate)."""
+        calls = []
+        for name in ("factor_ideal", "valuation", "_valuation", "ideal_of_factors",
+                     "prime_power"):
+            original = getattr(ideals, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in (cli, counting, ideals):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        modulus = {"primes": [{"p": 23, "h": [8, 1], "exponent": exponent}]}
+        path = circle_config(modulus=modulus)
+        assert main(["count", "--config", path, "--method", method]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["modulus_norm"] == str(23 ** exponent)
+        if method == "both":
+            assert out["agreement"] is True
+        assert [name for name in calls if name != "prime_power"] == builds
+        assert calls.count("prime_power") == len(builds)
 
 
 @pytest.mark.parametrize(
@@ -350,6 +391,75 @@ def test_non_maximal_order_named(circle_config, capsys, command):
         "error: prime factorization does not reassemble the ideal; "
         "the order is not maximal at p = 2\n"
     )
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
+@pytest.mark.parametrize(
+    "min_poly, h",
+    [([3, 0, 1], [1, 1]), ([8, 0, -1, 1], [0, 1]), ([8, 0, -1, 1], [1, 1])],
+    ids=["sqrt-3", "cubic-ramified", "cubic-unramified"],
+)
+def test_non_maximal_order_named_primes_form(
+    circle_config, capsys, command, min_poly, h
+):
+    """A primes-form modulus above 2 in Z[sqrt(-3)], or in Z[t] with
+    t^3 - t^2 + 8 = 0, is refused by Dedekind's criterion at 2 with the line
+    the generators form gives, before any count."""
+    modulus = {"primes": [{"p": 2, "h": h}]}
+    path = circle_config(field={"min_poly": min_poly}, modulus=modulus)
+    rc = main([command, "--config", path])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        "error: prime factorization does not reassemble the ideal; "
+        "the order is not maximal at p = 2\n"
+    )
+
+
+_MAXIMAL_RINGS = [[1, 0, 1], [5, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1]]
+_SMALL_PRIMES = [p for p in range(2, 51) if all(p % d for d in range(2, p))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_primes_form_matches_factor_ideal(data):
+    """A primes-form modulus parses to exactly factor_ideal of the ideal it
+    names, over Q(i), Q(sqrt(-5)), Z[2^(1/3)] and x^4 + 1, whatever the order
+    of its entries, with (p, h) repeated and exponents of 0."""
+    ring = make_number_ring(data.draw(st.sampled_from(_MAXIMAL_RINGS)))
+    primes = data.draw(
+        st.lists(st.sampled_from(_SMALL_PRIMES), min_size=1, max_size=3)
+    )
+    pool = [pf for p in primes for pf in prime_ideals_above(ring, p)]
+    # in any order, with repeats and exponents of 0
+    exponents = st.sampled_from([1, 2, 3, 0])
+    entries = data.draw(
+        st.lists(st.tuples(st.sampled_from(pool), exponents), min_size=1, max_size=5)
+    )
+    if len({pf for pf, _ in entries}) < len(entries):
+        event("a repeated (p, h)")
+    literal = {
+        "primes": [
+            {"p": pf.p, "h": list(pf.h_coeffs), "exponent": e} for pf, e in entries
+        ]
+    }
+    specs = [pf._replace(exponent=e) for pf, e in entries]
+    if not any(e for _, e in entries):
+        event("unit ideal")
+        with pytest.raises(UnitIdeal):
+            cli.parse_modulus(ring, literal)
+        return
+    n_ideal = ideals.ideal_of_factors(ring, specs)
+    assert cli.parse_modulus(ring, literal) == ideals.factor_ideal(ring, n_ideal)
+
+
+def test_asympt_does_not_factor_its_modulus(circle_config, capsys):
+    """asympt reads no modulus: one in a config is checked, not factored, so
+    a non-maximal order's modulus does not stop the table."""
+    modulus = {"primes": [{"p": 2, "h": [1, 1]}]}
+    path = circle_config(field={"min_poly": [3, 0, 1]}, modulus=modulus)
+    assert main(["asympt", "--config", path, "--max-norm", "7"]) == 0
+    assert capsys.readouterr().out.startswith("modulus,N,count,")
 
 
 @pytest.mark.parametrize("command", ["count", "verify"])

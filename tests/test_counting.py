@@ -447,7 +447,8 @@ class TestQuadricClosedForm:
 
 def _prime_power_count(ring, V, f, pf, e):
     """The product formula modulo pf^e."""
-    return theorem1_count(ring, V, f, ideal_pow(ring, pf.hnf, e)).total
+    factors = factor_ideal(ring, ideal_pow(ring, pf.hnf, e))
+    return theorem1_count(ring, V, f, factors).total
 
 
 class TestPrimePower:
@@ -481,21 +482,25 @@ class TestPrimePower:
 
 class TestTheorem1:
     def test_three(self, q5, circle, f_x_minus_2):
-        rep = theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (3, 0)))
+        n3 = factor_ideal(q5, principal_ideal(q5, (3, 0)))
+        rep = theorem1_count(q5, circle, f_x_minus_2, n3)
         assert rep.total == 4
         assert [ld.factor for ld in rep.locals] == [Fraction(2, 3), Fraction(2, 3)]
 
     def test_p3_squared(self, q5, circle, f_x_minus_2, p3):
-        rep = theorem1_count(q5, circle, f_x_minus_2, ideal_pow(q5, p3.hnf, 2))
+        factors = factor_ideal(q5, ideal_pow(q5, p3.hnf, 2))
+        rep = theorem1_count(q5, circle, f_x_minus_2, factors)
         assert rep.total == 6
 
     def test_p3_hundredth_power(self, q5, circle, f_x_minus_2, p3):
-        rep = theorem1_count(q5, circle, f_x_minus_2, ideal_pow(q5, p3.hnf, 100))
+        factors = factor_ideal(q5, ideal_pow(q5, p3.hnf, 100))
+        rep = theorem1_count(q5, circle, f_x_minus_2, factors)
         assert rep.total == 2 * 3 ** 99
 
     def test_bad_reduction_raises(self, q5, circle, f_x_minus_2):
+        n2 = factor_ideal(q5, principal_ideal(q5, (2, 0)))
         with pytest.raises(BadReduction) as exc:
-            theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (2, 0)))
+            theorem1_count(q5, circle, f_x_minus_2, n2)
         assert exc.value.witness == ((1, 0), (0, 0))
 
     def test_non_integral_product_raises(self, q5, circle, f_x_minus_2, monkeypatch):
@@ -503,8 +508,9 @@ class TestTheorem1:
             return LocalData(prime=pf, count_X=1, count_N=0, factor=Fraction(1, 2))
 
         monkeypatch.setattr(counting, "local_counts", half)
+        n3 = factor_ideal(q5, principal_ideal(q5, (3, 0)))
         with pytest.raises(ExunitsError, match="non-integral"):
-            theorem1_count(q5, circle, f_x_minus_2, principal_ideal(q5, (3, 0)))
+            theorem1_count(q5, circle, f_x_minus_2, n3)
 
     def test_non_integral_product_raises_in_asympt(
         self, q5, circle, f_x_minus_2, monkeypatch
@@ -535,7 +541,7 @@ class TestTheorem1:
             declared_degree=2,
         )
         n21 = principal_ideal(q5, (21, 0))
-        rep = theorem1_count(q5, hyperbola, f_x_minus_2, n21)
+        rep = theorem1_count(q5, hyperbola, f_x_minus_2, factor_ideal(q5, n21))
         primes = [ld.prime for ld in rep.locals]
         assert len(primes) == 4
         assert calls == primes
@@ -592,24 +598,22 @@ class TestTheorem1:
         )
         f = data.draw(_polys(ring, 1, nonconstant=True))
         assert not f.is_constant()
-        witnesses = [
-            (pf, check_good_reduction(ring, V, pf))
-            for pf in factor_ideal(ring, n_ideal)
-        ]
+        factors = factor_ideal(ring, n_ideal)
+        witnesses = [(pf, check_good_reduction(ring, V, pf)) for pf in factors]
         bad = [(pf, witness) for pf, witness in witnesses if witness is not None]
         event("bad reduction" if bad else "good reduction")
         if bad:
             with pytest.raises(BadReduction) as exc:
-                theorem1_count(ring, V, f, n_ideal)
+                theorem1_count(ring, V, f, factors)
             assert (exc.value.prime, exc.value.witness) == bad[0]
         else:
-            total = theorem1_count(ring, V, f, n_ideal).total
+            total = theorem1_count(ring, V, f, factors).total
             assert total == brute_force_count(ring, V, f, n_ideal)
 
     def test_integrality_and_range(self, q5, circle, f_x_minus_2):
         for n in (3, 7, 9, 21, 49):
             rep = theorem1_count(
-                q5, circle, f_x_minus_2, principal_ideal(q5, (n, 0))
+                q5, circle, f_x_minus_2, factor_ideal(q5, principal_ideal(q5, (n, 0)))
             )
             assert isinstance(rep.total, int)
             assert 0 <= rep.total <= rep.modulus_norm ** 2
@@ -636,17 +640,17 @@ class TestLiftingCensus:
 
 class TestExample25:
     def test_corrected_three(self, q5):
-        rep = example25_count(q5, 2, 1, principal_ideal(q5, (3, 0)))
+        rep = example25_count(q5, 2, 1, factor_ideal(q5, principal_ideal(q5, (3, 0))))
         assert rep.total == 4
 
     def test_strict_three(self, q5):
         rep = example25_count(
-            q5, 2, 1, principal_ideal(q5, (3, 0)), mode="strict_paper"
+            q5, 2, 1, factor_ideal(q5, principal_ideal(q5, (3, 0))), mode="strict_paper"
         )
         assert rep.total == 9
 
     def test_inert_eleven_both_modes(self, q5):
-        n11 = principal_ideal(q5, (11, 0))
+        n11 = factor_ideal(q5, principal_ideal(q5, (11, 0)))
         for mode in ("corrected", "strict_paper"):
             assert example25_count(q5, 0, 1, n11, mode=mode).total == 116
 
@@ -654,11 +658,12 @@ class TestExample25:
         cases = [(2, 1, 3), (0, 1, 11), (1, 3, 7), (0, 1, 21), (2, 1, 9)]
         for a, c, n in cases:
             n_ideal = principal_ideal(q5, (n, 0))
+            factors = factor_ideal(q5, n_ideal)
             eq = parse_poly(f"x1^2 + x2^2 - ({c})", q5, 2)
             V = VarietySpec(amb=2, codim=1, equations=(eq,), declared_degree=2)
             f = parse_poly(f"x1 - ({a})", q5, 1)
-            closed = example25_count(q5, a, c, n_ideal).total
-            formula = theorem1_count(q5, V, f, n_ideal).total
+            closed = example25_count(q5, a, c, factors).total
+            formula = theorem1_count(q5, V, f, factors).total
             brute = brute_force_count(q5, V, f, n_ideal)
             assert closed == formula == brute, (a, c, n)
 
@@ -677,8 +682,8 @@ class TestExample25:
 
         strict_checked = strict_skipped = 0
         for n in (3, 5, 7, 11, 13, 17, 19, 21, 23, 35):
-            n_ideal = principal_ideal(q5, (n, 0))
-            degree_one = [pf.p for pf in factor_ideal(q5, n_ideal) if pf.f_res == 1]
+            factors = factor_ideal(q5, principal_ideal(q5, (n, 0)))
+            degree_one = [pf.p for pf in factors if pf.f_res == 1]
             for c in (1, -1, 7, -7):
                 if gcd(n * n, 2 * c) != 1:
                     continue
@@ -686,15 +691,15 @@ class TestExample25:
                 V = VarietySpec(amb=2, codim=1, equations=(eq,), declared_degree=2)
                 for a in range(-3, 6):
                     f = parse_poly(f"x1 - ({a})", q5, 1)
-                    theorem = theorem1_count(q5, V, f, n_ideal)
+                    theorem = theorem1_count(q5, V, f, factors)
                     formula = theorem.total
-                    closed = example25_count(q5, a, c, n_ideal)
+                    closed = example25_count(q5, a, c, factors)
                     assert closed.total == formula, (n, a, c)
                     assert local_data(closed) == local_data(theorem), (n, a, c)
                     assert all(type(ld.count_N) is int for ld in closed.locals)
                     if all((c - a * a) % p for p in degree_one):
                         strict = example25_count(
-                            q5, a, c, n_ideal, mode="strict_paper"
+                            q5, a, c, factors, mode="strict_paper"
                         ).total
                         assert strict == formula, (n, a, c)
                         strict_checked += 1
@@ -704,13 +709,13 @@ class TestExample25:
 
     def test_wrong_ring(self, rat):
         with pytest.raises(NotQSqrtMinus5):
-            example25_count(rat, 2, 1, principal_ideal(rat, (3,)))
+            example25_count(rat, 2, 1, factor_ideal(rat, principal_ideal(rat, (3,))))
 
     def test_bad_modulus(self, q5):
         with pytest.raises(BadModulus):
-            example25_count(q5, 2, 1, principal_ideal(q5, (2, 0)))
+            example25_count(q5, 2, 1, factor_ideal(q5, principal_ideal(q5, (2, 0))))
         with pytest.raises(BadModulus):
-            example25_count(q5, 2, 3, principal_ideal(q5, (3, 0)))
+            example25_count(q5, 2, 3, factor_ideal(q5, principal_ideal(q5, (3, 0))))
 
 
 class TestLangWeil:
@@ -887,7 +892,7 @@ class TestAsympt:
             for pf in factors:
                 n_ideal = ideal_mul(ring, n_ideal, ideal_pow(ring, pf.hnf, pf.exponent))
             try:
-                total = theorem1_count(ring, V, f, n_ideal).total
+                total = theorem1_count(ring, V, f, factor_ideal(ring, n_ideal)).total
             except BadReduction:
                 continue
             norm = ideal_norm(n_ideal)
@@ -926,7 +931,7 @@ class TestAsympt:
         for factors in family:
             n_ideal = ideal_of_factors(ring, factors)
             try:
-                report = theorem1_count(ring, V, f, n_ideal)
+                report = theorem1_count(ring, V, f, factor_ideal(ring, n_ideal))
             except BadReduction:
                 continue
             N = ideal_norm(n_ideal)

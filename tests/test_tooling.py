@@ -345,6 +345,24 @@ def test_lattice_powers_have_one_caller():
     assert _owners(calls_ideal_pow) == ["ideals.prime_power"]
 
 
+def test_factor_ideal_callers():
+    """Only ``cli.parse_modulus``, for a generators-form modulus, and
+    ``counting.describe_ideal`` call ``factor_ideal``: the counts take a
+    modulus's factorization as given, so each modulus is factored at most
+    once."""
+
+    def calls_factor_ideal(node):
+        return isinstance(node, ast.Call) and "factor_ideal" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert _owners(calls_factor_ideal) == [
+        "cli.parse_modulus",
+        "counting.describe_ideal",
+    ]
+
+
 def test_one_residue_context_per_local_count(monkeypatch):
     """The sweep and f of one local count share one residue context."""
     ring = exunits.make_number_ring([5, 0, 1])
