@@ -13,9 +13,10 @@ mathematical-hypothesis failure (bad reduction, with the witness point in
 the JSON).
 
 A modulus is read as its factorization (parse_modulus): the counts take it
-as given, and only the routes that enumerate O/n (count --method brute and
-both, verify's multiplicativity check, example25's brute-force total) build
-the HNF of n, from the factors.
+as given, and the routes that also enumerate O/n (count --method both,
+verify's multiplicativity check, example25's brute-force total) build the
+HNF of n from the factors.  count --method brute alone reads the modulus as
+its HNF and factors nothing.
 
 The enumeration cap (options.cap) is applied by the kernel alone.  Where it
 refuses an enumeration, verify leaves out that prime's lifting census (and
@@ -124,8 +125,9 @@ def parse_modulus(ring, literal, factor=True):
     Dedekind's criterion at each p that remains stands in for the check that
     the factors multiply back to the ideal.  Either is refused when its norm
     has more than MAX_NORM_DIGITS digits, and when it is the unit ideal.
-    With factor false the literal is only checked: no factoring and no
-    Dedekind criterion, and None is returned.
+    With factor false the HNF of the ideal is returned instead, with no
+    factoring and no Dedekind criterion: the HNF parsed from the generators,
+    or the product of the merged primes.
     """
     _checked(literal, dict, "modulus")
     if "generators" in literal:
@@ -135,7 +137,7 @@ def parse_modulus(ring, literal, factor=True):
         _check_norm([(norm, 1)])
         if norm < 2:
             raise UnitIdeal("modulus must be a proper ideal")
-        return factor_ideal(ring, ideal) if factor else None
+        return factor_ideal(ring, ideal) if factor else ideal
     if "primes" not in literal:
         raise ConfigError("modulus needs a 'generators' or 'primes' key")
     above = {}  # p -> prime_ideals_above(ring, p)
@@ -170,16 +172,16 @@ def parse_modulus(ring, literal, factor=True):
     if not factors:
         raise UnitIdeal("modulus must be a proper ideal")
     if not factor:
-        return None
+        return ideal_of_factors(ring, factors)
     refuse_non_maximal(ring, {pf.p: above[pf.p] for pf in factors})
     return factors
 
 
 def load_config(path, factor_modulus=True):
-    """The parsed config; its modulus is factored by ``parse_modulus`` unless
-    factor_modulus is false, when it is only checked and left None.  Its
-    options are cap, max_norm and products, each checked and, when absent,
-    set to its default."""
+    """The parsed config; its modulus is read by ``parse_modulus``, as its
+    factorization, or as its HNF when factor_modulus is false.  Its options
+    are cap, max_norm and products, each checked and, when absent, set to
+    its default."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -238,29 +240,32 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _modulus_config(args):
-    """ring, variety, f, the modulus's factorization and cap of a config that
-    must name a modulus."""
-    cfg = load_config(args.config)
+def _modulus_config(args, factor=True):
+    """ring, variety, f, the modulus (its factorization, or its HNF when
+    factor is false) and cap of a config that must name a modulus."""
+    cfg = load_config(args.config, factor_modulus=factor)
     if cfg["modulus"] is None:
         raise ConfigError(f"{args.command} requires a modulus")
     return cfg["ring"], cfg["variety"], cfg["f"], cfg["modulus"], cfg["options"]["cap"]
 
 
 def cmd_count(args):
-    ring, V, f, factors, cap = _modulus_config(args)
     method = args.method
+    # brute force alone enumerates O/n from the HNF and needs no factors
+    ring, V, f, modulus, cap = _modulus_config(args, factor=method != "brute")
     report = brute_total = None
-    if method in ("formula", "both"):
-        report = counting.theorem1_count(ring, V, f, factors, cap=cap)
-    if method in ("brute", "both"):
-        n_ideal = ideal_of_factors(ring, factors)
+    n_ideal = modulus
+    if method != "brute":
+        report = counting.theorem1_count(ring, V, f, modulus, cap=cap)
+        n_ideal = ideal_of_factors(ring, modulus) if method == "both" else None
+    if n_ideal is not None:
         brute_total = counting.brute_force_count(ring, V, f, n_ideal, cap=cap)
     total = report.total if report else brute_total
     if total >= _NORM_BOUND:
         raise ConfigError(f"total has more than {MAX_NORM_DIGITS} digits")
+    norm = norm_of_factors(modulus) if report else ideal_norm(modulus)
     out = {
-        "modulus_norm": str(norm_of_factors(factors)),
+        "modulus_norm": str(norm),
         "exponent": V.amb - V.codim,
         "locals": _locals_json(report.locals) if report else [],
         "total": str(total),

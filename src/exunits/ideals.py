@@ -6,8 +6,9 @@ lower-triangular with basis[i][j] = 0 for j > i, basis[i][i] > 0 and
 column i.  This orientation is fixed so golden values are bit-exact.
 
 Prime factorization goes through Dedekind-Kummer: primes above p are read off
-from the factorization of g mod p, which is always valid here because the
-order is Z[theta] (index 1).
+from the factorization of g mod p.  That reading holds where Z[theta] is
+p-maximal; a factorization at a p where Dedekind's criterion finds it is not
+is refused (``refuse_non_maximal``).
 
 A prime (p, h(theta)) and the power (p^e, H(theta)) of an unramified prime,
 with H the Hensel lift of h to a factor of g mod p^e, are written in HNF
@@ -27,7 +28,7 @@ from .errors import (
     UnitIdeal,
     ZeroIdeal,
 )
-from .number_ring import _poly_eval_int, elem_mul, is_zero, square_and_multiply
+from .number_ring import elem_mul, is_zero, square_and_multiply
 
 TRIAL_DIVISION_BOUND = 10 ** 6
 COFACTOR_CAP = 10 ** 12
@@ -162,17 +163,8 @@ def ideal_norm(I):
 
 
 def ideal_contains(I, a):
-    """Membership by back-substitution on the triangular basis."""
-    c = list(a)
-    for i in range(len(c) - 1, -1, -1):
-        piv = I.basis[i][i]
-        if c[i] % piv != 0:
-            return False
-        q = c[i] // piv
-        if q:
-            for j in range(i + 1):
-                c[j] -= q * I.basis[i][j]
-    return True
+    """Whether a lies in I: a reduces to 0 modulo the HNF basis."""
+    return not any(_reduce_by_basis(I.basis, a))
 
 
 def ideal_mul(ring, I, J):
@@ -307,23 +299,6 @@ def _hensel_lift(g, h, p, e):
     return h
 
 
-def _root_lift(g, r, p, e):
-    """The root of g mod p^e that is r mod p, for r a simple root of g mod p.
-
-    Newton's r - g(r)*s along ``_lift_exponents(e)``, with s = 1/g'(r) taken
-    mod p and lifted at each step by s*(2 - g'(r)*s).  x - (the root) is the
-    H that ``_hensel_lift`` gives for h = x - r: g'(r) is the cofactor at r.
-    """
-    dg = [i * c for i, c in enumerate(g)][1:]
-    s = pow(_poly_eval_int(dg, r), -1, p)
-    for k in _lift_exponents(e):
-        m = p ** k
-        r = (r - _poly_eval_int(g, r) * s) % m
-        if k < e:  # s is not needed mod p^e
-            s = s * (2 - _poly_eval_int(dg, r) * s) % m
-    return r
-
-
 def _factor_hnf(ring, modulus, h):
     """HNF of the ideal (modulus, h(theta)), for h monic of degree f dividing g
     mod modulus.
@@ -349,22 +324,16 @@ def prime_power(ring, pf, e):
     """pf^e for e >= 0.
 
     An unramified prime P = (p, h(theta)) has P^e = (p^e, H(theta)), H the
-    Hensel lift of h to a factor of g mod p^e: over the p-adic integers
-    g = H*C with H, C coprime, so Z[theta] splits as Z_p[x]/(H) x Z_p[x]/(C),
-    where P is (p) x (1) and P^e is (p^e) x (1).  This needs no maximality.
-    At residue degree 1, h = x - r and H = x - R, R the root of g mod p^e
-    over r, which ``_root_lift`` finds in Z/p^e; at degree 2 or more H comes
-    from the polynomial lift ``_hensel_lift``.  A ramified prime, or e < 2,
-    goes to ``ideal_pow``, which returns pf.hnf itself at e = 1.
+    Hensel lift of h to a factor of g mod p^e (``_hensel_lift``): over the
+    p-adic integers g = H*C with H, C coprime, so Z[theta] splits as
+    Z_p[x]/(H) x Z_p[x]/(C), where P is (p) x (1) and P^e is (p^e) x (1).
+    This needs no maximality.  A ramified prime, or e < 2, goes to
+    ``ideal_pow``, which returns pf.hnf itself at e = 1.
     """
     if pf.e_ram > 1 or e < 2:
         return ideal_pow(ring, pf.hnf, e)
-    p, modulus = pf.p, pf.p ** e
-    if pf.f_res == 1:
-        lift = [-_root_lift(ring.min_poly, -pf.h_coeffs[0] % p, p, e) % modulus, 1]
-    else:
-        lift = _hensel_lift(ring.min_poly, pf.h_coeffs, p, e)
-    return _factor_hnf(ring, modulus, lift)
+    lift = _hensel_lift(ring.min_poly, pf.h_coeffs, pf.p, e)
+    return _factor_hnf(ring, pf.p ** e, lift)
 
 
 def factor_poly_mod_p(poly, p):

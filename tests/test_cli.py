@@ -379,6 +379,12 @@ def test_factoring_bounded(circle_config, capsys):
     assert "candidates" in lines[0]
 
 
+_NOT_MAXIMAL_AT_2 = (
+    "error: prime factorization does not reassemble the ideal; "
+    "the order is not maximal at p = 2\n"
+)
+
+
 @pytest.mark.parametrize("command", ["count", "verify"])
 def test_non_maximal_order_named(circle_config, capsys, command):
     """Z[sqrt(-3)] is not maximal at 2: a modulus above 2 exits 1 with one
@@ -387,10 +393,7 @@ def test_non_maximal_order_named(circle_config, capsys, command):
     rc = main([command, "--config", path])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err == (
-        "error: prime factorization does not reassemble the ideal; "
-        "the order is not maximal at p = 2\n"
-    )
+    assert captured.err == _NOT_MAXIMAL_AT_2
 
 
 @pytest.mark.parametrize("command", ["count", "verify"])
@@ -410,10 +413,58 @@ def test_non_maximal_order_named_primes_form(
     rc = main([command, "--config", path])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err == (
-        "error: prime factorization does not reassemble the ideal; "
-        "the order is not maximal at p = 2\n"
-    )
+    assert captured.err == _NOT_MAXIMAL_AT_2
+
+
+@pytest.mark.parametrize(
+    "modulus, norm",
+    [
+        pytest.param({"generators": [14]}, "196", id="generators"),
+        pytest.param(
+            {"primes": [{"p": 2, "h": [1, 1], "exponent": 2}, {"p": 7, "h": [2, 1]}]},
+            "56",
+            id="primes",
+        ),
+    ],
+)
+def test_brute_force_counts_the_parsed_modulus(
+    circle_config, capsys, monkeypatch, modulus, norm
+):
+    """count --method brute enumerates O/n from the HNF it parsed, with no
+    factoring and no Dedekind criterion: over Z[sqrt(-3)], not maximal at 2,
+    it counts (14) and P2^2 * P7, which --method both refuses."""
+    path = circle_config(field={"min_poly": [3, 0, 1]}, modulus=modulus)
+    assert main(["count", "--config", path, "--method", "both"]) == 1
+    assert capsys.readouterr() == ("", _NOT_MAXIMAL_AT_2)
+    calls = []
+    for name in ("factor_ideal", "refuse_non_maximal"):
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["count", "--config", path, "--method", "brute"]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert (out["modulus_norm"], out["total"], captured.err) == (norm, "0", "")
+    assert calls == []
+
+
+def test_brute_force_refuses_a_large_prime_by_the_cap(circle_config, capsys):
+    """Over x^4 + 1, brute force on (999999999989) is refused by the
+    enumeration cap, as it factors nothing, where a formula count is refused
+    by the factoring cap."""
+    field = {"min_poly": [1, 0, 0, 0, 1]}
+    path = circle_config(field=field, modulus={"generators": [999999999989]})
+    for method, message in (("brute", "exceed the cap"), ("formula", "factorization cap")):
+        with _within(1):
+            rc = main(["count", "--config", path, "--method", method])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0], captured.err
 
 
 _MAXIMAL_RINGS = [[1, 0, 1], [5, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1]]

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from exunits import (
@@ -27,11 +27,9 @@ from exunits import (
 )
 from exunits import ideals
 from exunits.ideals import (
-    _hensel_lift,
     _multiplicity,
     _not_maximal_at,
     _poly_divmod_mod_p,
-    _root_lift,
     ideal_of_factors,
     valuation,
 )
@@ -85,6 +83,32 @@ class TestNormMulContains:
         assert ideal_contains(p3, (1, 1))
         assert not ideal_contains(p3, (0, 1))
         assert ideal_contains(p3, (0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    min_poly=st.sampled_from([[1, 0, 1], [5, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1]]),
+    data=st.data(),
+)
+def test_contains_matches_hnf_of_the_extended_generators(min_poly, data):
+    """a lies in I exactly when adding a to the generators of I leaves the
+    HNF unchanged, over Q(i), Q(sqrt(-5)), Z[2^(1/3)] and x^4 + 1, for a in
+    I, just outside it, and anywhere."""
+    ring = make_number_ring(min_poly)
+    coords = st.lists(st.integers(-60, 60), min_size=ring.deg, max_size=ring.deg)
+    gens = data.draw(st.lists(coords, min_size=1, max_size=3))
+    assume(any(any(g) for g in gens))
+    I = hnf_from_generators(ring, gens)
+    # an element of I moved by a vector of -1, 0 and 1, or any a
+    member = [0] * ring.deg
+    for row in I.basis:
+        k = data.draw(st.integers(-3, 3))
+        member = [m + k * r for m, r in zip(member, row)]
+    shift = data.draw(st.lists(st.integers(-1, 1), min_size=ring.deg, max_size=ring.deg))
+    a = data.draw(st.one_of(st.just([m + s for m, s in zip(member, shift)]), coords))
+    inside = ideal_contains(I, tuple(a))
+    event("in I" if inside else "not in I")
+    assert inside == (hnf_from_generators(ring, list(I.basis) + [tuple(a)]) == I)
 
 
 @settings(max_examples=200, deadline=None)
@@ -440,43 +464,22 @@ def test_prime_power_of_exponent_zero_and_below(q5):
             prime_power(q5, pf, -1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    g=st.one_of(
-        st.sampled_from(EXPLICIT_RINGS),
-        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=5).map(
-            lambda low: low + [1]
-        ),
-    ),
-    p=st.sampled_from(PRIMES_BELOW_50),
-    e=st.integers(2, 60),
-)
-def test_root_lift_matches_hensel_lift(g, p, e):
-    """At each simple root r of g mod p, x minus the root over r in Z/p^e is
-    the factor that the polynomial lift gives for h = x - r: over the
-    explicit rings, two of them not maximal at 2, and random monic g of
-    degree 2 to 5."""
-    hs = [h for h, mult in factor_poly_mod_p(g, p) if len(h) == 2 and mult == 1]
-    event(f"{len(hs)} simple roots")
-    for h in hs:
-        root = _root_lift(g, -h[0] % p, p, e)
-        assert [-root % p ** e, 1] == _hensel_lift(g, h, p, e), (g, h)
-
-
 def test_prime_power_at_degree_one_lifts_the_root(monkeypatch):
-    """Over Z[2^(1/3)], 11 = (11, x - 7)(11, x^2 + 7x + 5).  The powers of the
-    first take no polynomial division, and those of the second still take
-    the polynomial lift."""
+    """Over Z[2^(1/3)], 11 = (11, x - 7)(11, x^2 + 7x + 5).  Every power of
+    either with e >= 2 takes one polynomial lift, at residue degree 1 as at
+    degree 2, and is the lattice power."""
     ring = make_number_ring([-2, 0, 0, 1])
     line, plane = prime_ideals_above(ring, 11)
     assert (line.h_coeffs, plane.h_coeffs) == ((4, 1), (5, 7, 1))
-    divisions = _counted(monkeypatch, "_poly_divmod_mod_p")
     lifts = _counted(monkeypatch, "_hensel_lift")
-    for e in (2, 3, 50, 800):
-        assert ideal_norm(prime_power(ring, line, e)) == 11 ** e
-    assert divisions == [] and lifts == []
-    assert ideal_norm(prime_power(ring, plane, 2)) == 11 ** 4
-    assert [args[1:] for args in lifts] == [((5, 7, 1), 11, 2)]
+    for pf in (line, plane):
+        for e in (2, 3, 50, 800):
+            lifts.clear()
+            power = prime_power(ring, pf, e)
+            assert [args[1:] for args in lifts] == [(pf.h_coeffs, 11, e)]
+            assert ideal_norm(power) == 11 ** (pf.f_res * e)
+            if e <= 50:
+                assert power == ideal_pow(ring, pf.hnf, e)
 
 
 def _multiplicity_reference(n, p):

@@ -152,19 +152,24 @@ def test_brute_force_builds_no_hnf(monkeypatch):
     assert exunits.brute_force_count(ring, V, f, n) == 100
 
 
-def _owners(matches):
-    """``module.function`` of each top-level definition in ``src/exunits``,
-    once per node in it that ``matches``."""
-    owners = []
+def _definitions():
+    """``(module.function, node)`` of each top-level definition in
+    ``src/exunits``."""
     for path in sorted(Path(exunits.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for top in tree.body:
-            owners += [
-                f"{path.stem}.{getattr(top, 'name', '<module>')}"
-                for node in ast.walk(top)
-                if matches(node)
-            ]
-    return owners
+            yield f"{path.stem}.{getattr(top, 'name', '<module>')}", top
+
+
+def _owners(matches):
+    """``module.function`` of each top-level definition in ``src/exunits``,
+    once per node in it that ``matches``."""
+    return [
+        owner
+        for owner, top in _definitions()
+        for node in ast.walk(top)
+        if matches(node)
+    ]
 
 
 def test_cap_has_one_owner():
@@ -183,22 +188,39 @@ def test_cap_has_one_owner():
 
 def test_back_substitution_has_one_owner():
     """Only ``ideals._reduce_by_basis`` floor-divides by a diagonal entry
-    ``X[i][i]``: reduction modulo an HNF, of a residue or of a lattice row,
-    is written once."""
+    ``X[i][i]``, or by a name that the same function binds to one:
+    reduction modulo an HNF, of a residue or of a lattice row, is written
+    once.  Only ``//`` counts, so ``% p`` with ``p = basis[0][0]`` does not."""
 
-    def divides_by_diagonal(node):
+    def diagonal(node):
+        return (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Subscript)
+            and ast.dump(node.slice) == ast.dump(node.value.slice)
+        )
+
+    def divisors(node):
         if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(
             node.op, ast.FloorDiv
         ):
-            div = node.right if isinstance(node, ast.BinOp) else node.value
-            return (
-                isinstance(div, ast.Subscript)
-                and isinstance(div.value, ast.Subscript)
-                and ast.dump(div.slice) == ast.dump(div.value.slice)
-            )
-        return False
+            yield node.right if isinstance(node, ast.BinOp) else node.value
 
-    assert _owners(divides_by_diagonal) == ["ideals._reduce_by_basis"]
+    owners = []
+    for owner, top in _definitions():
+        pivots = {
+            target.id
+            for node in ast.walk(top)
+            if isinstance(node, ast.Assign) and diagonal(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        owners += [
+            owner
+            for node in ast.walk(top)
+            for div in divisors(node)
+            if diagonal(div) or (isinstance(div, ast.Name) and div.id in pivots)
+        ]
+    assert owners == ["ideals._reduce_by_basis"]
 
 
 def test_form_follows_the_modulus():
