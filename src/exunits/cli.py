@@ -236,8 +236,7 @@ def _locals_json(locals_):
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _modulus_config(args, factor=True):

@@ -22,6 +22,7 @@ error-term behaviour empirically.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import compress
 from math import gcd, prod
 
 from .errors import (
@@ -37,7 +38,8 @@ from .ideals import factor_ideal, norm_of_factors, prime_ideals_up_to, prime_pow
 from .number_ring import elem_neg, is_zero
 from .polys import (
     DEFAULT_CAP,
-    _evaluator,
+    _fiber_form,
+    _sweep,
     check_good_reduction,
     smooth_points,
     variety_indices,
@@ -82,26 +84,34 @@ def _check_f(f):
 
 
 def _exunit_flags(ctx, f):
-    """Lazily, for each residue index i: is f(residue_i) a unit mod the ideal?
+    """For each residue index i, whether f(residue_i) is a unit mod the
+    ideal: bytes in index order, 1 or 0.
 
-    f(residue_i) is looked up in ``unit_flags``, which decides the units of
-    O/n with no factorization.  f and the flags are built on the first
-    value, so that nothing is built before then.
+    f is compiled as a ``_fiber_form`` and taken at every residue in one
+    sweep of lazy maps, each value looked up in ``unit_flags``, which
+    decides the units of O/n with no factorization; only the flags are
+    kept.
     """
-    value = _evaluator(ctx, f.terms)
-    index = arithmetic(ctx).index
-    units = unit_flags(ctx)
-    for i in range(ctx.norm):
-        yield units[index(value((i,)))] == 1
+    ops = arithmetic(ctx)
+    form = _fiber_form(ctx, f)
+    coeffs = [(d(()), e) for e, (d, _) in form.cs]  # f = d0 + sum c_e x^e
+    xs = range(ctx.norm)
+    powers = {e: map(ops.term(ctx.ring.one, e), xs) for _, e in coeffs}
+    values = _sweep(ops, form.c0[0](()), coeffs, powers, ctx.norm)
+    return bytes(map(unit_flags(ctx).__getitem__, map(ops.index, values)))
 
 
 def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
     """Literal count of tuples on X with every f(x_i) a unit mod n."""
     _check_f(f)
     ctx = residue_ctx(ring, n_ideal)
-    # lazy, so that the kernel's cap check runs before f is evaluated
-    units = (i for i, unit in enumerate(_exunit_flags(ctx, f)) if unit)
-    return sum(len(x1s) for _, x1s in variety_indices(ctx, V, cap, units))
+
+    def units():
+        """The indices of the residues at which f is a unit; lazy, so that
+        the kernel's cap check runs before f is evaluated."""
+        yield from compress(range(ctx.norm), _exunit_flags(ctx, f))
+
+    return sum(len(x1s) for _, x1s in variety_indices(ctx, V, cap, units()))
 
 
 def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
@@ -135,7 +145,7 @@ def _swept_counts(ctx, V, f, cap):
     for rest, x1s in smooth_points(ctx, V, cap):  # checks the cap first
         if flags is None:
             # f is evaluated only once X(O_K/p) is known to have a point
-            flags = list(_exunit_flags(ctx, f))
+            flags = _exunit_flags(ctx, f)
         count_x += len(x1s)
         # a point lies in N when some f(x_i) is not a unit, i.e. is zero mod
         # p: every point of the fiber if some f(x_j), j >= 2, is not

@@ -582,20 +582,38 @@ def _powers(ctx, forms, xs):
 def _sweep(ops, const, coeffs, powers, width):
     """const + sum(c * x^k for c, k in coeffs) at each of the width x of a sweep.
 
-    ``powers[k]`` lists the x^k in order.  The result is a lazy map over
-    those lists, so the loop runs in C wherever the arithmetic does.
+    const is canonical, and ``powers[k]`` lists the x^k in order.  The
+    result is lazy: a map over those lists, so the loop runs in C wherever
+    the arithmetic does, or const repeated when there are no coeffs.
     """
     acc = repeat(const, width)
+    if not coeffs:
+        return acc
     for c, k in coeffs:
         acc = map(ops.add, acc, map(ops.mul, repeat(c), powers[k]))
     return map(ops.reduce, acc)
 
 
-def _row(ops, c, tail, powers, width):
-    """c = (d_0, [(d_k, k)]) of a ``_FiberForm`` at every fiber of a row:
-    each d is evaluated once, at the row's tail."""
+def _coefficients(c, tail):
+    """c = (d_0, [(d_k, k)]) of a ``_FiberForm`` as a polynomial in x2 on the
+    row of ``tail``: (d_0(tail), [(d_k(tail), k)]), canonical elements, so
+    two rows give equal coefficients exactly when their residues are."""
     d0, ds = c
-    return _sweep(ops, d0(tail), [(d(tail), k) for d, k in ds], powers, width)
+    return d0(tail), [(d(tail), k) for d, k in ds]
+
+
+def _row(ops, c, tail, powers, width):
+    """c of a ``_FiberForm`` at every fiber of a row: each d is evaluated
+    once, at the row's tail."""
+    return _sweep(ops, *_coefficients(c, tail), powers, width)
+
+
+def _fiber_value(ops, coefficients, functions, x2):
+    """A c of a ``_FiberForm`` at the fiber of x2 on a row, from its
+    ``_coefficients`` there; ``functions[k]`` is x -> x^k on residue
+    indices, as ``_powers`` gives it."""
+    const, coeffs = coefficients
+    return _x1_value(ops, (const, [(d, functions[k]) for d, k in coeffs]), x2)
 
 
 def _fiber_rows(ops, form, tail, powers, width, functions):
@@ -614,7 +632,8 @@ def _at(rows, pos):
 
 
 def _x1_value(ops, fiber, i1):
-    """The value at x1 = residue i1 of a ``_FiberForm`` at a fiber (``_at``)."""
+    """The value at x1 = residue i1 of a ``_FiberForm`` at a fiber (``_at``):
+    any (c_0, [(c_e, x -> x^e)]) taken at the residue i1."""
     add, mul = ops.add, ops.mul
     acc, terms = fiber
     for c, power in terms:
@@ -646,8 +665,11 @@ def variety_indices(ctx, V, cap, digits=None):
     per x2.  For the separable equations a table is built once over
     ``digits`` from their constants c_e: it maps minus the values of their
     x1 parts to the x1 that take them.  Each row takes their c_0 at every x2
-    as a whole list (``_row``), and its hits are one lookup per fiber, all
-    in maps, so a fiber with no point costs one step of a loop in C.  An
+    as a whole list, and its hits are one lookup per fiber, all in maps, so
+    a fiber with no point costs one step of a loop in C.  A row evaluates
+    the coefficients of each c_0 in x2 at its tail (``_coefficients``), and
+    builds the list again only when they differ from the last row's, so an
+    equation free of the tail costs one list per sweep.  An
     equation that mixes x1 with another variable has its c_e taken along
     the row as well, and is checked on the x1 of each hit one by one.  With
     amb = 1 there is one fiber, (), scanned with no table.
@@ -690,9 +712,15 @@ def variety_indices(ctx, V, cap, digits=None):
         table = {}
         for key, i in zip(zip(*minus) if minus else repeat(()), xs):
             table.setdefault(key, []).append(i)
+        # per separable equation, the coefficients of its c_0 in x2 on the
+        # last row, and its c_0 at every fiber of that row
+        keys, rows = [None] * len(separable), [None] * len(separable)
         for t in product(xs, repeat=V.amb - 2):
             tail = t[::-1]
-            rows = [_row(ops, form.c0, tail, powers, width) for form in separable]
+            for s, form in enumerate(separable):
+                key = _coefficients(form.c0, tail)
+                if key != keys[s]:
+                    keys[s], rows[s] = key, list(_sweep(ops, *key, powers, width))
             hits = list(map(table.get, zip(*rows) if rows else repeat((), width)))
             mixed_rows = [
                 _fiber_rows(ops, form, tail, powers, width, functions) for form in mixed
@@ -739,15 +767,17 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     come lazily.
 
     Every Jacobian entry is compiled once per prime as a ``_fiber_form``.
-    The columns free of x1 are taken along each row of fibers with a point,
-    as ``variety_indices`` takes its equations.  Where they already have
-    rank m, the number of equations, the rank is m at every point of the
-    fiber; with m = 1 that is where one of them is nonzero, found for the
-    whole row with maps, and otherwise ``_rank`` tests the fiber.  Only at
-    the other fibers are the entries that depend on x1 taken along the row,
-    and evaluated at each point through ``_x1_value``; the rank is taken
-    with no field inversion.  ``jacobian_rank_at`` is the reference this
-    agrees with.
+    Where the columns free of x1 already have rank m, the number of
+    equations, the rank is m at every point of the fiber.  With m = 1 that
+    is where one of them is nonzero: they are taken along each row of
+    fibers with a point, as ``variety_indices`` takes its equations, and
+    tested for the whole row with maps.  With m >= 2 each such row takes
+    them once as polynomials in x2 (``_coefficients``), each fiber with a
+    point evaluates those at its x2 alone (``_fiber_value``), and ``_rank``
+    tests the fiber.  Only at the other fibers are the entries that depend
+    on x1 taken along the row, and evaluated at each point through
+    ``_x1_value``; the rank is taken with no field inversion.
+    ``jacobian_rank_at`` is the reference this agrees with.
     """
     fibers = variety_indices(ctx, V, cap)
     ops = arithmetic(ctx)
@@ -763,23 +793,32 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
         entries = [entry for row in forms for entry in row]
         functions, powers = _powers(ctx, entries, range(width))
         zero = ops.zero
+        # with m = 1, the x1-free columns at a fiber where rank1 is False
+        zeros = [[zero] * len(free)]
         row_tail = None
         for rest, x1s in fibers:
             pos, tail = (rest[0], rest[1:]) if rest else (0, ())
-            if tail != row_tail:  # a new row: its x1-free columns at every fiber
+            if tail != row_tail:  # a new row
                 row_tail, x1_rows = tail, None
-                values = [
-                    [list(_row(ops, row[j].c0, tail, powers, width)) for j in free]
-                    for row in forms
-                ]
                 if m == 1:  # rank 1 wherever an x1-free column is nonzero
-                    nonzero = [map(ne, column, repeat(zero)) for column in values[0]]
+                    nonzero = [
+                        map(ne, _row(ops, forms[0][j].c0, tail, powers, width),
+                            repeat(zero))
+                        for j in free
+                    ]
                     # the repeat gives the row its width when no column is free
                     rank1 = list(map(any, zip(repeat(False, width), *nonzero)))
+                else:  # the x1-free columns as polynomials in x2 on the row
+                    free_rows = [
+                        [_coefficients(row[j].c0, tail) for j in free] for row in forms
+                    ]
             if m == 1:
-                full = rank1[pos]
-            else:
-                here = [[column[pos] for column in row] for row in values]
+                full, here = rank1[pos], zeros
+            else:  # the x1-free columns at this fiber alone
+                here = [
+                    [_fiber_value(ops, c, functions, pos) for c in row]
+                    for row in free_rows
+                ]
                 full = _rank(ops, here) == m
             if full:
                 if m == V.codim:
@@ -793,7 +832,6 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
                          for j in x1_cols]
                         for row in forms
                     ]
-                here = [[column[pos] for column in row] for row in values]
                 at = [[_at(rows, pos) for rows in row] for row in x1_rows]
                 ranks = (
                     _rank(ops, [v + [_x1_value(ops, a, i) for a in es]

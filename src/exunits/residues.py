@@ -31,8 +31,12 @@ from .errors import (
     ZeroIdeal,
 )
 from .ideals import (
+    _inverse_mod_p,
+    _poly_divmod_mod_p,
+    _poly_mulmod,
     _reduce_by_basis,
     _small_prime_factors,
+    _trim,
     hnf_from_generators,
     ideal_norm,
 )
@@ -227,12 +231,14 @@ def field_tables(ctx):
       logarithm; Lidl and Niederreiter, *Finite Fields*, and K. Huber, IEEE
       Trans. IT 36, 1990).
 
-    Past the search, and the f ring products that give the matrix of g,
-    neither the walk over the powers of g nor the Zech table needs a ring
-    product.  Every HNF row of P with diagonal p is p times a unit vector,
-    so the f digits of an index are its coordinates of radix p, the sum of
-    two residues is their digit-wise sum mod p, adding 1 adds 1 to the
-    lowest digit, and multiplying by g is a matrix over F_p on the digits.
+    The search takes each power as a polynomial mod (p, h) (``_field_poly``),
+    by ``square_and_multiply`` with ``ideals._poly_mulmod``.  Past it, and the
+    f ring products that give the matrix of g, neither the walk over the
+    powers of g nor the Zech table needs a ring product.  Every HNF row of P
+    with diagonal p is p times a unit vector, so the f digits of an index
+    are its coordinates of radix p, the sum of two residues is their
+    digit-wise sum mod p, adding 1 adds 1 to the lowest digit, and
+    multiplying by g is a matrix over F_p on the digits.
     Raises ExunitsError, naming p and q, unless every nonzero index received
     a log.
     """
@@ -242,13 +248,15 @@ def field_tables(ctx):
     m = q - 1
     one = reduce_mod(ctx, ctx.ring.one)
     primes = _small_prime_factors(m)
+    mul_h = partial(_poly_mulmod, h=ctx.prime.h_coeffs, m=p)
+
+    def is_primitive(a):
+        a = _field_poly(ctx, a)
+        return all(square_and_multiply(a, m // r, mul_h) != [1] for r in primes)
+
     # the indices below p are the subfield F_p: none is primitive; if no
     # element is (O/P is no field), g = 1 and the guard below raises
-    candidates = islice(residues(ctx), p, None)
-    primitive = (
-        a for a in candidates if all(pow_mod(ctx, a, m // r) != one for r in primes)
-    )
-    g = next(primitive, one)
+    g = next(filter(is_primitive, islice(residues(ctx), p, None)), one)
     coords = [i for i, row in enumerate(basis) if row[i] > 1]  # of radix p
     vectors = [tuple(int(j == i) for j in range(len(basis))) for i in coords]
     images = [mul_mod(ctx, g, v) for v in vectors]
@@ -428,12 +436,42 @@ def is_unit_mod(ctx, a):
     return ideal_norm(joint) == 1
 
 
+def _field_poly(ctx, r):
+    """The canonical residue r at a prime (p, h) as the int list of
+    r(x) mod (p, h), constant first, with no trailing zeros.
+
+    The HNF of the prime (``ideals._factor_hnf``) has diagonal p in its
+    first f = deg h rows and 1 after them, so r is (c_0, ..., c_{f-1}, 0,
+    ...): its first f coordinates are that remainder."""
+    return _trim(list(r[: ctx.prime.f_res]))
+
+
+def _resultant_mod_p(a, b, p):
+    """Res(a, b) mod p of int coefficient lists, constant first, for a of
+    degree at least 1 mod p, by the Euclidean algorithm mod p (Cohen, GTM
+    138, §3.3): Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+    with r = a mod b, Res(a, 0) = 0 and Res(a, c) = c^(deg a) for a constant
+    c.  For a monic, Res(a, b) is the product of b over the roots of a."""
+    res = 1
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while len(b) > 1:
+        r = _poly_divmod_mod_p(a, b, p)[1]
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p if b else 0
+
+
 def field_inverse(ctx, a):
     """Inverse in the residue field O_K/p.
 
     At a prime of residue degree 1, where O/p is Z/p, it is ``pow(i, -1, p)``
-    on the residue index i; otherwise a^(q-2) by ``pow_mod``, on tuples, so
-    that no field table is built.
+    on the residue index i; otherwise it is the inverse of a(x) mod (p, h)
+    by the extended Euclidean algorithm (``ideals._inverse_mod_p``), so that
+    no field table is built and no power is taken.
     """
     if ctx.prime is None:
         raise NotPrime("field_inverse requires a prime modulus context")
@@ -442,14 +480,18 @@ def field_inverse(ctx, a):
         raise NotAUnit("element lies in the prime ideal")
     if _is_cyclic(ctx):
         return (pow(r[0], -1, ctx.norm),) + r[1:]
-    return pow_mod(ctx, r, ctx.norm - 2)
+    s = _inverse_mod_p(_field_poly(ctx, r), ctx.prime.h_coeffs, ctx.prime.p)
+    return tuple(s) + (0,) * (len(r) - len(s))
 
 
 def square_class(ctx, a):
     """Euler's criterion in the residue field: 0, +1 or -1.
 
-    a^((q-1)/2) is ``pow(i, (p-1)//2, p)`` on the residue index i at a prime
-    of residue degree 1, and ``pow_mod`` on tuples otherwise.
+    a^((q-1)/2) is N(a)^((p-1)/2) in F_p, N(a) = a^((q-1)/(p-1)) the norm to
+    F_p, since F_q* is cyclic (Lidl and Niederreiter, *Finite Fields*).  At
+    a prime of residue degree 1, N(a) is the residue index of a; at a prime
+    (p, h) of degree f >= 2, it is the resultant Res(h, a(x)) mod p
+    (``_resultant_mod_p``).  Either way one ``pow`` in F_p decides the class.
     """
     if ctx.prime is None:
         raise NotPrime("square_class requires a prime modulus context")
@@ -459,14 +501,13 @@ def square_class(ctx, a):
     if is_zero(r):
         return 0
     if _is_cyclic(ctx):
-        val = pow(r[0], (ctx.norm - 1) // 2, ctx.norm)
-        one, minus_one = 1, ctx.norm - 1
+        p, norm = ctx.norm, r[0]
     else:
-        val = pow_mod(ctx, r, (ctx.norm - 1) // 2)
-        one = reduce_mod(ctx, ctx.ring.one)
-        minus_one = reduce_mod(ctx, ctx.ring.from_int(-1))
-    if val == one:
+        p = ctx.prime.p
+        norm = _resultant_mod_p(ctx.prime.h_coeffs, _field_poly(ctx, r), p)
+    val = pow(norm, (p - 1) // 2, p)
+    if val == 1:
         return 1
-    if val != minus_one:
+    if val != p - 1:
         raise ExunitsError("Euler's criterion gave neither 1 nor -1")
     return -1

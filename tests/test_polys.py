@@ -27,6 +27,7 @@ from exunits import (
     parse_poly,
     polys,
     prime_ctx,
+    prime_ideals_above,
     principal_ideal,
     reduce_mod,
     residue_ctx,
@@ -795,3 +796,110 @@ class TestSmoothPoints:
         # a context of its own, so the sweep builds its tables again
         assert len(_points(smooth_points(prime_ctx(rat, prime_factor), V))) == 2
         assert calls - enumeration <= 20
+
+
+# (minimal polynomial, p) of prime contexts, each with q^3 <= 729: degree 1
+# at 2 and 5 over Q and at 3 and 7 over Q(sqrt(-5)), degree 2 at 3 over Q(i)
+# and at 2 over Z[t], t^2 + t + 1 = 0
+_KERNEL_PRIMES = [
+    ([0, 1], 2),
+    ([0, 1], 5),
+    ([5, 0, 1], 3),
+    ([5, 0, 1], 7),
+    ([1, 0, 1], 3),
+    ([1, 1, 1], 2),
+]
+
+
+@st.composite
+def _two_equation_system(draw):
+    """A prime, and V of two random equations in amb = 3, mixed monomials
+    included; on a drawn boolean the first is made free of x3, so that its
+    coefficients in x2 are the same on every row."""
+    min_poly, p = draw(st.sampled_from(_KERNEL_PRIMES))
+    ring = make_number_ring(min_poly)
+    pf = draw(st.sampled_from(prime_ideals_above(ring, p)))
+    first, second = draw(_equation(ring, 3)), draw(_equation(ring, 3))
+    if draw(st.booleans()):
+        event("first equation free of the tail")
+        terms = {exps[:2] + (0,): c for exps, c in first.terms.items()}
+        assume(len(terms) == len(first.terms))  # no two terms merged
+        first = MultiPoly(amb=3, terms=terms)
+    equations = (first, second)
+    if any(exps[0] and any(exps[1:]) for eq in equations for exps in eq.terms):
+        event("x1 in a mixed monomial")
+    codim = draw(st.integers(1, 2))
+    V = VarietySpec(amb=3, codim=codim, equations=equations, declared_degree=2)
+    return ring, pf, V
+
+
+def _fibers_of(points):
+    """Points in enumeration order as the (rest, x1s) pairs of the kernel."""
+    fibers = []
+    for i, *rest in points:
+        if fibers and fibers[-1][0] == tuple(rest):
+            fibers[-1][1].append(i)
+        else:
+            fibers.append((tuple(rest), [i]))
+    return fibers
+
+
+class TestTwoEquationKernel:
+    """Two equations in amb = 3 at degree-1 and degree-2 primes and at
+    p = 2, against the literal loops: rows whose coefficients in x2 repeat
+    and rows whose coefficients change, and the Jacobian checked at single
+    fibers (m = 2)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(system=_two_equation_system())
+    def test_variety_indices_matches_product(self, system):
+        ring, pf, V = system
+        ctx = prime_ctx(ring, pf)
+        expected = _fibers_of(_reference_indices(ctx, V, range(ctx.norm)))
+        fibers = variety_indices(ctx, V, DEFAULT_CAP)
+        assert [(rest, list(x1s)) for rest, x1s in fibers] == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(system=_two_equation_system())
+    def test_smooth_points_matches_jacobian_rank_at(self, system):
+        """Same fibers and the same BadReduction witness as a literal loop
+        over every tuple with ``jacobian_rank_at``."""
+        if self.check_smooth_points(*system) is not None:
+            event("bad reduction")
+
+    def test_x1_free_columns_follow_the_row(self):
+        """The x1-free column 3 x2^2 x3 + 1 changes from row to row: at
+        p = 5 the point (0, 4, 3) is singular, and the rank there must use
+        its value on the row x3 = 3, not on an earlier row."""
+        rat = make_number_ring([0, 1])
+        equations = tuple(
+            parse_poly(src, rat, 3) for src in ("3*x1*x2^2*x3 + x1", "3*x2 + 2*x3^2")
+        )
+        V = VarietySpec(amb=3, codim=2, equations=equations, declared_degree=2)
+        pf = prime_ideals_above(rat, 5)[0]
+        assert self.check_smooth_points(rat, pf, V) == ((0,), (4,), (3,))
+
+    @staticmethod
+    def check_smooth_points(ring, pf, V):
+        """Compare ``smooth_points`` with the literal loop; returns the witness."""
+        ctx = prime_ctx(ring, pf)
+        J = jacobian(ring, V)
+        reps = list(residues(ctx))
+        points, witness = [], None
+        for indices in _reference_indices(ctx, V, range(ctx.norm)):
+            point = tuple(reps[i] for i in indices)
+            if jacobian_rank_at(J, point, ctx) != V.codim:
+                witness = point
+                break
+            points.append(indices)
+        fibers = []
+        try:
+            for rest, x1s in smooth_points(prime_ctx(ring, pf), V):
+                fibers.append((rest, list(x1s)))
+        except BadReduction as exc:
+            assert exc.prime == pf
+            assert exc.witness == witness
+        else:
+            assert witness is None
+        assert fibers == _fibers_of(points)
+        return witness

@@ -38,6 +38,8 @@ from exunits.residues import (
     _CyclicArithmetic,
     _FieldArithmetic,
     _RingArithmetic,
+    _field_poly,
+    _resultant_mod_p,
     add_mod,
     arithmetic,
     field_tables,
@@ -333,6 +335,98 @@ class TestDegreeOneFieldOps:
         )
         with pytest.raises(ExunitsError, match="neither 1 nor -1"):
             square_class(fake, (2,))
+
+
+def _higher_degree_primes(rings, max_norm):
+    """Every prime of residue degree 2 to 4 and norm <= max_norm over the
+    rings given by their minimal polynomials."""
+    out = []
+    for coeffs in rings:
+        ring = make_number_ring(coeffs)
+        for p in range(2, int(max_norm ** 0.5) + 1):
+            if all(p % d for d in range(2, p)):
+                out += [
+                    (ring, pf)
+                    for pf in prime_ideals_above(ring, p)
+                    if 2 <= pf.f_res <= 4 and pf.norm <= max_norm
+                ]
+    return out
+
+
+class TestHigherDegreeFieldOps:
+    """At a prime (p, h) of residue degree 2 or more, a square class is the
+    Legendre symbol of Res(h, a) mod p and an inverse is the extended
+    Euclidean algorithm mod (p, h); they must equal Euler's criterion and
+    a^(q-2) taken with ``pow_mod`` on tuples."""
+
+    RINGS = ([1, 0, 1], [5, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1])
+
+    def test_matches_tuple_path_on_every_residue(self):
+        primes = _higher_degree_primes(self.RINGS, 2000)
+        assert {pf.f_res for _, pf in primes} == {2, 3}
+        for ring, pf in primes:
+            ctx = prime_ctx(ring, pf)
+            q, p = pf.norm, pf.p
+            one = reduce_mod(ctx, ring.one)
+            minus_one = reduce_mod(ctx, ring.from_int(-1))
+            for r in list(residues(ctx))[1:]:
+                euler = pow_mod(ctx, r, (q - 1) // 2)
+                assert euler in (one, minus_one)
+                assert square_class(ctx, r) == (1 if euler == one else -1)
+                assert field_inverse(ctx, r) == pow_mod(ctx, r, q - 2)
+                # Res(h, a) is the norm of a to F_p, a^((q-1)/(p-1))
+                norm = _resultant_mod_p(pf.h_coeffs, _field_poly(ctx, r), p)
+                assert (norm,) + (0,) * (ring.deg - 1) == pow_mod(
+                    ctx, r, (q - 1) // (p - 1)
+                )
+
+    def test_characteristic_two_inverse(self):
+        """At p = 2, where no square class exists, the inverse still holds."""
+        primes = _higher_degree_primes(CHAR2_RINGS, 8)
+        assert [pf.norm for _, pf in primes] == [4, 8]
+        for ring, pf in primes:
+            ctx = prime_ctx(ring, pf)
+            for r in list(residues(ctx))[1:]:
+                assert field_inverse(ctx, r) == pow_mod(ctx, r, pf.norm - 2)
+
+    def test_unreduced_input(self, q5):
+        """a(x) mod (p, h) is read after reduction, not off the raw element."""
+        pf = prime_ideals_above(q5, 13)[0]
+        assert pf.f_res == 2
+        ctx = prime_ctx(q5, pf)
+        for a in ((16, 2), (-9, 6), (40, -2), (-100, 13), (14, 27)):
+            r = reduce_mod(ctx, a)
+            assert r != a and not is_zero(r)
+            assert square_class(ctx, a) == square_class(ctx, r)
+            assert field_inverse(ctx, a) == pow_mod(ctx, r, pf.norm - 2)
+        cubic = make_number_ring([-2, 0, 0, 1])
+        pf = next(pf for pf in prime_ideals_above(cubic, 5) if pf.f_res == 2)
+        ctx = prime_ctx(cubic, pf)
+        for a in ((7, 3, 1), (-4, 11, -6), (0, 0, 9)):
+            r = reduce_mod(ctx, a)
+            assert r != a and not is_zero(r)
+            assert square_class(ctx, a) == square_class(ctx, r)
+            assert field_inverse(ctx, a) == pow_mod(ctx, r, pf.norm - 2)
+
+    def test_zero(self, q5):
+        """Zero, and any element of P, has class 0 and no inverse."""
+        ctx = prime_ctx(q5, prime_ideals_above(q5, 11)[0])
+        for a in (q5.zero, (11, 0), (0, 22), (-33, 11)):
+            assert square_class(ctx, a) == 0
+            with pytest.raises(NotAUnit):
+                field_inverse(ctx, a)
+
+    def test_resultant(self):
+        """Res over F_p on small cases: a constant, a shared root, and the
+        product of b over the roots of a split monic a."""
+        assert _resultant_mod_p([1, 0, 1], [3], 7) == 9 % 7
+        assert _resultant_mod_p([6, 1], [0, 2], 7) == 2  # b(1), as x + 6 = x - 1
+        assert _resultant_mod_p([2, 3, 1], [1, 1], 7) == 0  # both vanish at -1
+        # a = (x - 2)(x - 3): Res(a, b) = b(2) b(3)
+        for b in ([1, 1], [5, 0, 1], [4, 6, 0, 2]):
+            value = [sum(c * x ** i for i, c in enumerate(b)) for x in (2, 3)]
+            assert _resultant_mod_p([6, 2, 1], b, 7) == value[0] * value[1] % 7
+        assert _resultant_mod_p([1, 0, 1], [], 5) == 0
 
 
 def q5_minus_one():

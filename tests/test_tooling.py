@@ -272,8 +272,7 @@ def test_one_square_and_multiply():
 
 def test_one_compile_path():
     """Polynomials are compiled in one place: only ``polys._fiber_form``, for
-    the equations and the Jacobian, and ``counting._exunit_flags``, for f,
-    call ``_evaluator``."""
+    the equations, the Jacobian and f alike, calls ``_evaluator``."""
 
     def calls_evaluator(node):
         return isinstance(node, ast.Call) and "_evaluator" in (
@@ -281,9 +280,22 @@ def test_one_compile_path():
             getattr(node.func, "attr", None),
         )
 
-    assert sorted(set(_owners(calls_evaluator))) == [
-        "counting._exunit_flags",
-        "polys._fiber_form",
+    assert sorted(set(_owners(calls_evaluator))) == ["polys._fiber_form"]
+
+
+def test_pow_mod_owners():
+    """No residue field takes a power on tuples: only ``residues.power_table``
+    and the literal reference ``polys.eval_poly`` call ``pow_mod``."""
+
+    def calls_pow_mod(node):
+        return isinstance(node, ast.Call) and "pow_mod" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert sorted(set(_owners(calls_pow_mod))) == [
+        "polys.eval_poly",
+        "residues.power_table",
     ]
 
 
