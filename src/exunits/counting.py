@@ -4,8 +4,9 @@ Three mutually checking routes are implemented:
 
 * ``brute_force_count``  -- the oracle: it enumerates X(O_K/n) fiber by
   fiber over the unit residues and counts the points; it never assumes
-  smoothness or good reduction, and it decides the units of O_K/n by
-  walking powers (``residues.unit_flags``), not by factoring n.
+  smoothness or good reduction, and it decides the units of O_K/n
+  without factoring n (``residues.unit_flags``: by gcd when O_K/n is Z/N,
+  otherwise by walking powers).
 * ``theorem1_count``     -- the local-global product over primes dividing n,
   valid under good reduction; cost is independent of the exponents in n.
   Its local counts sweep X(O/P), but for a diagonal quadric
@@ -24,6 +25,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import compress
 from math import gcd, prod
+from operator import itemgetter
 
 from .errors import (
     BadModulus,
@@ -111,7 +113,8 @@ def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
         the kernel's cap check runs before f is evaluated."""
         yield from compress(range(ctx.norm), _exunit_flags(ctx, f))
 
-    return sum(len(x1s) for _, x1s in variety_indices(ctx, V, cap, units()))
+    fibers = variety_indices(ctx, V, cap, units())
+    return sum(map(len, map(itemgetter(1), fibers)))
 
 
 def local_counts(ring, V, f, prime_factor, cap=DEFAULT_CAP):
@@ -321,7 +324,9 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     cap raises CapExceeded before it sweeps anything, even at a bad prime.
     Then X mod p is swept as the guard, which raises BadReduction at the
     first singular point.  Nothing mod p^(k+1) is listed before the guard
-    passes, so a bad prime costs that one sweep.
+    passes, so a bad prime costs that one sweep.  At k = 1 the guard's
+    fibers are X mod p^k themselves: the prime's context has the same HNF
+    basis as p^1, so the same residue indices, and X mod p is swept once.
 
     Points are keyed by residue index: ``down[i]`` (``index_map``) is the
     index mod p^k of residue i of O/p^(k+1), so each point mod p^(k+1) is
@@ -329,12 +334,14 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
     """
     ctx_k1 = residue_ctx(ring, prime_power(ring, prime_factor, k + 1))
     upper = variety_indices(ctx_k1, V, cap)  # checks the cap, builds nothing
-    for _ in smooth_points(prime_ctx(ring, prime_factor), V, cap):
-        pass  # raises BadReduction at the first singular point
-    ctx_k = residue_ctx(ring, prime_power(ring, prime_factor, k))
-    lifts = {
-        (i,) + rest: 0 for rest, x1s in variety_indices(ctx_k, V, cap) for i in x1s
-    }
+    ctx_k = prime_ctx(ring, prime_factor)
+    fibers = smooth_points(ctx_k, V, cap)  # raises BadReduction when singular
+    if k > 1:
+        for _ in fibers:
+            pass
+        ctx_k = residue_ctx(ring, prime_power(ring, prime_factor, k))
+        fibers = variety_indices(ctx_k, V, cap)
+    lifts = {(i,) + rest: 0 for rest, x1s in fibers for i in x1s}
     down = index_map(ctx_k1, ctx_k)
     for rest, x1s in upper:
         below = tuple([down[i] for i in rest])

@@ -18,8 +18,9 @@ Only a ramified prime's powers are products of lattices (``ideal_pow``).
 
 from collections import Counter, namedtuple
 from functools import partial, reduce
-from itertools import zip_longest
+from itertools import compress, repeat, zip_longest
 from math import prod
+from operator import add, mul, not_
 
 from .errors import (
     ExunitsError,
@@ -339,15 +340,17 @@ def prime_power(ring, pf, e):
 def factor_poly_mod_p(poly, p):
     """Complete factorization of a monic polynomial mod p.
 
-    One pass of trial division: for d = 1, 2, ... while 2d is at most the
-    degree of what is left, each monic candidate of degree d, in
-    lexicographic order, is divided out for as long as it divides.  Every
+    The linear factors come from one Horner sweep of maps over F_p, which
+    finds the roots of poly mod p; x - r is divided out at each root r for
+    as long as it divides.  Then trial division: for d = 2, 3, ... while 2d
+    is at most the degree of what is left, each monic candidate of degree d,
+    in lexicographic order, is divided out for as long as it divides.  Every
     factor of lower degree is gone by then, so each that divides is
     irreducible, and so is what is left at the end.  Only suitable for
     small p and small degree: when poly has more than MAX_FACTOR_CANDIDATES
-    candidates, FactorCapExceeded is raised before any division.  Factors
-    are returned as (monic lift constant first, multiplicity), sorted
-    lexicographically by coefficient sequence.
+    monic candidates of degree 1 to half its own, FactorCapExceeded is raised
+    before any work.  Factors are returned as (monic lift constant first,
+    multiplicity), sorted lexicographically by coefficient sequence.
     """
     work = [c % p for c in poly]
     _trim(work)
@@ -358,7 +361,16 @@ def factor_poly_mod_p(poly, p):
             f"over the cap {MAX_FACTOR_CANDIDATES}"
         )
     factors = Counter()
-    degree = 1
+    if len(work) > 2:  # degree 2 or more: a linear factor is a root
+        for r in _roots_mod_p(work, p):
+            cand = [-r % p, 1]
+            while True:
+                quot, rem = _poly_divmod_mod_p(work, cand, p)
+                if rem:
+                    break
+                factors[tuple(cand)] += 1
+                work = quot
+    degree = 2
     while 2 * degree <= len(work) - 1:
         cand = [0] * degree + [1]
         while 2 * degree <= len(work) - 1:
@@ -379,6 +391,21 @@ def factor_poly_mod_p(poly, p):
     if len(work) > 1:
         factors[tuple(work)] += 1
     return sorted(factors.items())
+
+
+def _roots_mod_p(poly, p):
+    """The x in [0, p), in order, at which the monic poly, reduced mod p,
+    vanishes mod p: Horner's rule at every x at once, as maps over range(p),
+    so the loop runs in C.  The values are reduced mod p once, at the end."""
+    xs = range(p)
+    values = xs  # poly is monic: its leading coefficient times x
+    for c in reversed(poly[1:-1]):
+        if c:
+            values = map(add, values, repeat(c))
+        values = map(mul, values, xs)
+    if poly[0]:
+        values = map(add, values, repeat(poly[0]))
+    return list(compress(xs, map(not_, map(p.__rmod__, values))))
 
 
 def _multiplicity(n, p):

@@ -11,6 +11,7 @@ and a wrong assertion surfaces later as norm inconsistencies.
 """
 
 from collections import namedtuple
+from operator import add, neg, sub
 
 from .errors import (
     DimensionMismatch,
@@ -114,17 +115,17 @@ def _check_dims(ring, *elems):
 
 def elem_add(ring, a, b):
     _check_dims(ring, a, b)
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def elem_sub(ring, a, b):
     _check_dims(ring, a, b)
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def elem_neg(ring, a):
     _check_dims(ring, a)
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def elem_scale(ring, n, a):
@@ -170,4 +171,4 @@ def square_and_multiply(x, e, mul):
 
 
 def is_zero(a):
-    return all(x == 0 for x in a)
+    return not any(a)

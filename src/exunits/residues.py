@@ -19,7 +19,8 @@ the highest power-basis coordinate varies slowest.
 """
 
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
+from math import gcd
 from operator import add, index, mul, neg
 
 from .errors import (
@@ -153,12 +154,13 @@ def residue_index(ctx, r):
 def unit_flags(ctx):
     """Which residues are units of O/n: a bytearray in index order, 1 or 0.
 
-    At a prime context the units are the nonzero residues.  Otherwise they
-    are decided by walking powers with the products of ``arithmetic(ctx)``
-    alone, so no gcd, factorization, CRT or Hensel lifting is involved.
-    From each residue a with no verdict the walk takes a, a^2, a^3, ...
-    until it reaches a residue that has one, or closes a cycle, and every
-    residue on the walk takes one verdict:
+    At a prime context the units are the nonzero residues.  When O/n is Z/N
+    (``_is_cyclic``), residue i is a unit iff gcd(i, N) = 1, decided in one
+    map.  Otherwise they are decided by walking powers with the products of
+    ``arithmetic(ctx)`` alone, so no gcd, factorization, CRT or Hensel
+    lifting is involved.  From each residue a with no verdict the walk takes
+    a, a^2, a^3, ... until it reaches a residue that has one, or closes a
+    cycle, and every residue on the walk takes one verdict:
 
     * unit, if it reached a unit (1 is seeded as one), since a power of a
       is a unit only when a is;
@@ -171,6 +173,9 @@ def unit_flags(ctx):
     """
     if ctx.prime is not None:
         return bytearray([0]) + bytearray([1]) * (ctx.norm - 1)
+    if _is_cyclic(ctx):
+        n = ctx.norm
+        return bytearray(map((1).__eq__, map(gcd, range(n), repeat(n))))
     unknown, on_walk = 2, 3
     ops = arithmetic(ctx)
     element = ops.term(ctx.ring.one, 1)  # residue index -> its element
@@ -369,7 +374,10 @@ class _CyclicArithmetic:
         c, n = self.encode(c), self.n
         if c == 1 and e == 1:
             return index  # the residue of index i is i itself
-        return [c * pow(i, e, n) % n for i in range(n)].__getitem__
+        powers = map(pow, range(n), repeat(e), repeat(n))
+        if c != 1:
+            powers = map(n.__rmod__, map(c.__mul__, powers))
+        return list(powers).__getitem__
 
 
 class _FieldArithmetic:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from importlib import import_module
 from itertools import combinations, product
@@ -41,6 +42,7 @@ from exunits import (
     polys,
     prime_ctx,
     prime_ideals_above,
+    prime_power,
     principal_ideal,
     reduce_mod,
     residue_ctx,
@@ -619,6 +621,48 @@ class TestTheorem1:
             assert 0 <= rep.total <= rep.modulus_norm ** 2
 
 
+def _literal_census(ring, V, pf, k):
+    """The histogram by definition: every tuple of residues mod P^k and mod
+    P^(k+1) through ``eval_poly``, and each point mod P^(k+1) reduced mod
+    P^k coordinate by coordinate."""
+    ctx_k = residue_ctx(ring, prime_power(ring, pf, k))
+    ctx_k1 = residue_ctx(ring, prime_power(ring, pf, k + 1))
+
+    def points(ctx):
+        return [
+            point
+            for point in product(list(residues(ctx)), repeat=V.amb)
+            if all(eval_poly(eq, point, ctx) == ring.zero for eq in V.equations)
+        ]
+
+    lifts = dict.fromkeys(points(ctx_k), 0)
+    for point in points(ctx_k1):
+        lifts[tuple(reduce_mod(ctx_k, x) for x in point)] += 1
+    return dict(Counter(lifts.values()))
+
+
+# (g, p, index of the prime above p, equation, amb, the k to census at):
+# split, inert and ramified primes of Q(i), Q(sqrt(-5)) and Z[2^(1/3)].  The
+# guard runs on residue indices as ints at a prime of degree 1, and through
+# the field tables at the inert 3 and 11 and at the prime of degree 2 above 5
+# of Z[2^(1/3)].  x1*x2 - 1 and x1^2 - x1 - c are smooth at p = 2.
+CENSUS_CASES = [
+    ([1, 0, 1], 5, 0, "x1^2 + x2^2 - 1", 2, (1, 2)),  # split
+    ([1, 0, 1], 5, 1, "x1*x2 - 1", 2, (1, 2)),
+    ([1, 0, 1], 3, 0, "x1^2 + x2^2 - 1", 2, (1,)),  # inert, q = 9
+    ([1, 0, 1], 3, 0, "x1^2 - x1 - 1", 1, (1, 2)),
+    ([1, 0, 1], 2, 0, "x1*x2 - 1", 2, (1, 2)),  # ramified
+    ([5, 0, 1], 3, 1, "x1^2 + x2^2 - 1", 2, (1, 2)),  # split
+    ([5, 0, 1], 11, 0, "x1^2 - x1 - 1", 1, (1,)),  # inert, q = 121
+    ([5, 0, 1], 5, 0, "x1^2 + x2^2 - 1", 2, (1,)),  # ramified
+    ([5, 0, 1], 2, 0, "x1*x2 - 1", 2, (1, 2)),
+    ([5, 0, 1], 2, 0, "x1^2 - x1 - 2", 1, (1, 2)),
+    ([-2, 0, 0, 1], 5, 0, "x1^2 + x2^2 - 1", 2, (1, 2)),  # degree 1 above 5
+    ([-2, 0, 0, 1], 5, 1, "x1^3 - x1 - 1", 1, (1, 2)),  # degree 2 above 5
+    ([-2, 0, 0, 1], 3, 0, "x1^2 + x2^2 - 1", 2, (1, 2)),  # ramified
+]
+
+
 class TestLiftingCensus:
     def test_circle_p3(self, q5, circle, p3):
         assert lifting_census(q5, circle, p3, 1) == {3: 4}
@@ -636,6 +680,71 @@ class TestLiftingCensus:
         )
         p5 = factor_ideal(rat, principal_ideal(rat, (5,)))[0]
         assert lifting_census(rat, V, p5, 1) == {1: 2}
+
+    @pytest.mark.parametrize("k, calls", [(1, 2), (2, 3)])
+    def test_one_sweep_of_x_mod_p(self, monkeypatch, q5, circle, p3, k, calls):
+        """At k = 1 the guard's sweep of X mod P gives the points below, so
+        the kernel is set up twice: mod P^2 and mod P.  At k = 2 it is also
+        set up mod P^2 for the points below."""
+        seen = []
+        original = polys.variety_indices
+
+        def counted(ctx, *args):
+            seen.append(ctx.norm)
+            return original(ctx, *args)
+
+        monkeypatch.setattr(polys, "variety_indices", counted)
+        monkeypatch.setattr(counting, "variety_indices", counted)
+        assert lifting_census(q5, circle, p3, k) == {3: 4 * 3 ** (k - 1)}
+        assert len(seen) == calls
+        assert seen[:2] == [3 ** (k + 1), 3]
+
+    @pytest.mark.parametrize("min_poly, p, index, src, amb, ks", CENSUS_CASES)
+    def test_matches_literal_census(self, min_poly, p, index, src, amb, ks):
+        ring = make_number_ring(min_poly)
+        pf = prime_ideals_above(ring, p)[index]
+        V = VarietySpec(amb=amb, codim=1, equations=(parse_poly(src, ring, amb),),
+                        declared_degree=3)
+        assert check_good_reduction(ring, V, pf) is None
+        for k in ks:
+            hist = lifting_census(ring, V, pf, k)
+            assert hist == _literal_census(ring, V, pf, k), k
+            assert list(hist) == [pf.norm ** (amb - 1)]
+
+    @pytest.mark.parametrize(
+        "min_poly, p, index, src, witness, ks",
+        [
+            ([5, 0, 1], 2, 0, "x1^2 + x2^2 - 1", ((1, 0), (0, 0)), (1, 2)),
+            ([1, 0, 1], 2, 0, "x1^2 + x2^2 - 1", ((1, 0), (0, 0)), (1, 2)),
+            ([1, 0, 1], 5, 0, "x1^2 - x2^2 - 2*x2 - 1", ((0, 0), (4, 0)), (1, 2)),
+            # q = 25: the census at k = 2 is over the default cap
+            ([-2, 0, 0, 1], 5, 1, "x1^2 - x2^2 - 2*x2 - 1", ((0, 0, 0), (4, 0, 0)),
+             (1,)),
+        ],
+    )
+    def test_bad_prime_witness(self, min_poly, p, index, src, witness, ks):
+        """The census raises BadReduction with the first singular point of its
+        guard's sweep of X mod P, at k = 1 as at k = 2."""
+        ring = make_number_ring(min_poly)
+        pf = prime_ideals_above(ring, p)[index]
+        V = VarietySpec(amb=2, codim=1, equations=(parse_poly(src, ring, 2),),
+                        declared_degree=2)
+        for k in ks:
+            with pytest.raises(BadReduction) as exc:
+                lifting_census(ring, V, pf, k)
+            assert (exc.value.prime, exc.value.witness) == (pf, witness)
+
+    def test_cap_refuses_before_the_guard(self, monkeypatch, q5, circle):
+        """Over the cap mod P^2 the census refuses at a bad prime too, and
+        sweeps nothing mod P."""
+        p2 = prime_ideals_above(q5, 2)[0]
+
+        def no_sweep(*args):
+            raise AssertionError("X mod P was swept")
+
+        monkeypatch.setattr(counting, "smooth_points", no_sweep)
+        with pytest.raises(CapExceeded):
+            lifting_census(q5, circle, p2, 1, cap=4 ** 2 - 1)
 
 
 class TestExample25:

@@ -175,14 +175,18 @@ class TestPolyFactorModP:
         assert acc == g
 
     def test_one_pass(self, monkeypatch):
-        """x^4 + 1 mod 17 has four linear factors.  One pass tries each of
-        the 17 linear candidates at most once, plus one more division per
-        factor found, so it divides at most p + 4 times."""
+        """x^4 + 1 mod 17 has four simple roots, found by one sweep over F_17
+        with no division.  Each root r then costs one division by x - r that
+        leaves no remainder and one that does, so 8 in all; trial division
+        over the 17 linear candidates made 12."""
         calls = _counted(monkeypatch, "_poly_divmod_mod_p")
         assert factor_poly_mod_p((1, 0, 0, 0, 1), 17) == [
             ((2, 1), 1), ((8, 1), 1), ((9, 1), 1), ((15, 1), 1)
         ]
-        assert len(calls) <= 17 + 4
+        assert len(calls) <= 2 * 4
+        assert {tuple(den) for _, den, _ in calls} == {
+            (2, 1), (8, 1), (9, 1), (15, 1)
+        }
 
 
 def _counted(monkeypatch, name):
@@ -212,6 +216,57 @@ def _monic_polys_mod_p(degree, p):
 
 
 PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _trial_division_factors(poly, p):
+    """The reference factorization mod p: one pass of trial division.  For
+    d = 1, 2, ... while 2d is at most the degree of what is left, each monic
+    candidate of degree d, in lexicographic order, is divided out for as
+    long as it divides; what is left at the end is irreducible."""
+    work = [c % p for c in poly]  # poly is monic: nothing to trim
+    factors = {}
+    degree = 1
+    while 2 * degree <= len(work) - 1:
+        for cand in _monic_polys_mod_p(degree, p):
+            while 2 * degree <= len(work) - 1:
+                quot, rem = _poly_divmod_mod_p(work, cand, p)
+                if rem:
+                    break
+                factors[tuple(cand)] = factors.get(tuple(cand), 0) + 1
+                work = quot
+        degree += 1
+    if len(work) > 1:
+        factors[tuple(work)] = factors.get(tuple(work), 0) + 1
+    return sorted(factors.items())
+
+
+@st.composite
+def _monic_with_roots(draw):
+    """(g, p): g monic of degree 1 to 6 with coefficients of any size, p a
+    prime below 50.  A third of them are built as (x - r)^m times a monic
+    cofactor, with m >= 2, so that g has a repeated root mod p."""
+    p = draw(st.sampled_from(PRIMES_BELOW_50))
+    coeffs = st.integers(-10 ** 6, 10 ** 6)
+    if draw(st.integers(0, 2)):
+        return draw(st.lists(coeffs, min_size=1, max_size=6)) + [1], p
+    r, m = draw(st.integers(0, p - 1)), draw(st.integers(2, 4))
+    g = [1]
+    for _ in range(m):
+        g = _poly_product_mod_p(g, [-r % p, 1], p)
+    g = _poly_product_mod_p(g, draw(st.lists(coeffs, max_size=6 - m)) + [1], p)
+    # any lift of g mod p: add multiples of p below the leading coefficient
+    lifts = draw(st.lists(st.integers(-100, 100), min_size=len(g), max_size=len(g)))
+    return [c + p * k for c, k in zip(g[:-1], lifts)] + [1], p
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_monic_with_roots())
+def test_factor_poly_mod_p_matches_trial_division(case):
+    """The root sweep and the trial division past it give the factors, and
+    their multiplicities, that one pass of trial division gives."""
+    g, p = case
+    event(f"p = {p}")
+    assert factor_poly_mod_p(g, p) == _trial_division_factors(g, p)
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,6 +39,7 @@ from exunits.residues import (
     _FieldArithmetic,
     _RingArithmetic,
     _field_poly,
+    _is_cyclic,
     _resultant_mod_p,
     add_mod,
     arithmetic,
@@ -155,9 +156,42 @@ def _moduli(draw):
 UNIT_RINGS = [[5, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [3, 1, 0, 1], [2, 0, 0, 0, 1], [0, 1]]
 
 
+def _q5_primes(*names):
+    """The product of primes of degree 1 of Q(sqrt(-5)), each named (p, i):
+    the i-th above p, sorted by h."""
+    ring = make_number_ring([5, 0, 1])
+    n = unit_ideal(ring)
+    for p, i in names:
+        pf = [pf for pf in prime_ideals_above(ring, p) if pf.f_res == 1][i]
+        n = ideal_mul(ring, n, pf.hnf)
+    return ring, n
+
+
+def _fixed_moduli(name):
+    """A modulus by name: the oracle benchmark's moduli of norm 35 to 805 and
+    a prime power, where O/n is Z/N, and two moduli where it is not."""
+    if name == "(23,[8,1])^3":
+        ring = make_number_ring([5, 0, 1])
+        pf = [pf for pf in prime_ideals_above(ring, 23) if pf.h_coeffs == (8, 1)][0]
+        return ring, ideal_pow(ring, pf.hnf, 3)
+    if name == "(5) over Q(sqrt(-5))":
+        ring = make_number_ring([5, 0, 1])
+        return ring, principal_ideal(ring, ring.from_int(5))
+    if name == "(3) over Q(i)":
+        ring = make_number_ring([1, 0, 1])
+        return ring, principal_ideal(ring, ring.from_int(3))
+    return _q5_primes(*{
+        "N = 35": [(5, 0), (7, 1)],
+        "N = 105": [(3, 0), (5, 0), (7, 0)],
+        "N = 345": [(3, 0), (5, 0), (23, 0)],
+        "N = 805": [(5, 0), (7, 0), (23, 0)],
+    }[name])
+
+
 class TestUnitFlags:
-    """``unit_flags`` decides the units of O/n by walking powers; the HNF of
-    ``is_unit_mod`` is the reference."""
+    """``unit_flags`` decides the units of O/n by gcd when O/n is Z/N, and
+    otherwise by walking powers; the HNF of ``is_unit_mod`` is the
+    reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -167,6 +201,41 @@ class TestUnitFlags:
         flags = unit_flags(ctx)
         assert len(flags) == ctx.norm
         assert list(flags) == [int(is_unit_mod(ctx, a)) for a in residues(ctx)]
+
+    @pytest.mark.parametrize(
+        "name, norm, cyclic",
+        [
+            ("N = 35", 35, True),
+            ("N = 105", 105, True),
+            ("N = 345", 345, True),
+            ("N = 805", 805, True),
+            ("(23,[8,1])^3", 23 ** 3, True),
+            ("(5) over Q(sqrt(-5))", 25, False),
+            ("(3) over Q(i)", 9, False),
+        ],
+    )
+    def test_fixed_moduli_match_is_unit_mod(self, monkeypatch, name, norm, cyclic):
+        """Z/N is decided by gcd with no ring product; the other moduli walk
+        their powers with the products of the tuple form."""
+        ctx = residue_ctx(*_fixed_moduli(name))
+        assert ctx.norm == norm and _is_cyclic(ctx) == cyclic
+        products = []
+        original = _RingArithmetic.__init__
+
+        def counted(self, ctx):
+            original(self, ctx)
+            mul = self.mul
+            self.mul = lambda a, b: products.append(1) or mul(a, b)
+
+        monkeypatch.setattr(_RingArithmetic, "__init__", counted)
+        monkeypatch.setattr(
+            _CyclicArithmetic,
+            "mul",
+            staticmethod(lambda a, b: products.append(1) or a * b),
+        )
+        flags = unit_flags(ctx)
+        assert list(flags) == [int(is_unit_mod(ctx, a)) for a in residues(ctx)]
+        assert bool(products) != cyclic
 
     @pytest.mark.parametrize(
         "min_poly, modulus, units",
