@@ -40,9 +40,8 @@ from .ideals import factor_ideal, norm_of_factors, prime_ideals_up_to, prime_pow
 from .number_ring import elem_neg, is_zero
 from .polys import (
     DEFAULT_CAP,
-    _fiber_form,
-    _sweep,
     check_good_reduction,
+    residue_values,
     smooth_points,
     variety_indices,
 )
@@ -89,18 +88,12 @@ def _exunit_flags(ctx, f):
     """For each residue index i, whether f(residue_i) is a unit mod the
     ideal: bytes in index order, 1 or 0.
 
-    f is compiled as a ``_fiber_form`` and taken at every residue in one
-    sweep of lazy maps, each value looked up in ``unit_flags``, which
-    decides the units of O/n with no factorization; only the flags are
-    kept.
+    f is taken at every residue by ``residue_values``, lazily, each value
+    looked up in ``unit_flags``, which decides the units of O/n with no
+    factorization; only the flags are kept.
     """
-    ops = arithmetic(ctx)
-    form = _fiber_form(ctx, f)
-    coeffs = [(d(()), e) for e, (d, _) in form.cs]  # f = d0 + sum c_e x^e
-    xs = range(ctx.norm)
-    powers = {e: map(ops.term(ctx.ring.one, e), xs) for _, e in coeffs}
-    values = _sweep(ops, form.c0[0](()), coeffs, powers, ctx.norm)
-    return bytes(map(unit_flags(ctx).__getitem__, map(ops.index, values)))
+    values = map(arithmetic(ctx).index, residue_values(ctx, f))
+    return bytes(map(unit_flags(ctx).__getitem__, values))
 
 
 def brute_force_count(ring, V, f, n_ideal, cap=DEFAULT_CAP):
@@ -330,8 +323,11 @@ def lifting_census(ring, V, prime_factor, k, cap=DEFAULT_CAP):
 
     Points are keyed by residue index: ``down[i]`` (``index_map``) is the
     index mod p^k of residue i of O/p^(k+1), so each point mod p^(k+1) is
-    reduced by lookups.
+    reduced by lookups.  k must be at least 1: below it, X mod p^k is not a
+    variety over a residue ring, and ValueError is raised before any set-up.
     """
+    if k < 1:
+        raise ValueError(f"census needs k >= 1, got k = {k}")
     ctx_k1 = residue_ctx(ring, prime_power(ring, prime_factor, k + 1))
     upper = variety_indices(ctx_k1, V, cap)  # checks the cap, builds nothing
     ctx_k = prime_ctx(ring, prime_factor)

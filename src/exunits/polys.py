@@ -535,11 +535,12 @@ class _FiberForm:
     Each c_e is held as d_0 + sum_{k>0} d_k * x2^k, every d a polynomial in
     the tail x3, ..., x_amb compiled with ``_evaluator`` on the tail indices
     (i3, ..., i_amb): the pair (d_0, [(d_k, k), ...]).  A row is the fibers
-    that share a tail, and ``_row`` gives a c_e at all of them at once.
-    ``c0`` is the pair of c_0; ``cs`` pairs each e > 0 with the pair of c_e
-    and is empty when poly is free of x1.  ``separable`` is True when every
-    c_e with e > 0 is a constant, that is when no monomial mixes x1 with
-    another variable.  ``exponents`` is the set of the e and k above.
+    that share a tail, and ``_coefficients`` gives a c_e on a row as a
+    polynomial in x2.  ``c0`` is the pair of c_0; ``cs`` pairs each e > 0
+    with the pair of c_e and is empty when poly is free of x1.
+    ``separable`` is True when every c_e with e > 0 is a constant, that is
+    when no monomial mixes x1 with another variable.  ``exponents`` is the
+    set of the e and k above.
     """
 
     __slots__ = ("c0", "cs", "separable", "exponents")
@@ -579,72 +580,71 @@ def _powers(ctx, forms, xs):
     return functions, {e: list(map(power, xs)) for e, power in functions.items()}
 
 
-def _sweep(ops, const, coeffs, powers, width):
-    """const + sum(c * x^k for c, k in coeffs) at each of the width x of a sweep.
+def _sweep(ops, const, coeffs, width):
+    """const + sum(c * x^k) at each of the width x of a sweep, where coeffs
+    pairs each c with the list of the x^k in order.
 
-    const is canonical, and ``powers[k]`` lists the x^k in order.  The
-    result is lazy: a map over those lists, so the loop runs in C wherever
-    the arithmetic does, or const repeated when there are no coeffs.
+    const is canonical.  The result is lazy: a map over those lists, so the
+    loop runs in C wherever the arithmetic does, or const repeated when
+    there are no coeffs.
     """
     acc = repeat(const, width)
     if not coeffs:
         return acc
-    for c, k in coeffs:
-        acc = map(ops.add, acc, map(ops.mul, repeat(c), powers[k]))
+    for c, powers in coeffs:
+        acc = map(ops.add, acc, map(ops.mul, repeat(c), powers))
     return map(ops.reduce, acc)
 
 
-def _coefficients(c, tail):
+def _coefficients(c, tail, powers):
     """c = (d_0, [(d_k, k)]) of a ``_FiberForm`` as a polynomial in x2 on the
-    row of ``tail``: (d_0(tail), [(d_k(tail), k)]), canonical elements, so
-    two rows give equal coefficients exactly when their residues are."""
+    row of ``tail``: (d_0(tail), [(d_k(tail), powers[k])]), canonical
+    elements, so two rows give equal coefficients exactly when their
+    residues are.  ``powers`` maps k to x2^k: the lists of ``_powers`` give
+    what ``_sweep`` takes, its functions what ``_value`` takes.
+    """
     d0, ds = c
-    return d0(tail), [(d(tail), k) for d, k in ds]
+    return d0(tail), [(d(tail), powers[k]) for d, k in ds]
 
 
-def _row(ops, c, tail, powers, width):
-    """c of a ``_FiberForm`` at every fiber of a row: each d is evaluated
-    once, at the row's tail."""
-    return _sweep(ops, *_coefficients(c, tail), powers, width)
-
-
-def _fiber_value(ops, coefficients, functions, x2):
-    """A c of a ``_FiberForm`` at the fiber of x2 on a row, from its
-    ``_coefficients`` there; ``functions[k]`` is x -> x^k on residue
-    indices, as ``_powers`` gives it."""
-    const, coeffs = coefficients
-    return _x1_value(ops, (const, [(d, functions[k]) for d, k in coeffs]), x2)
-
-
-def _fiber_rows(ops, form, tail, powers, width, functions):
-    """form at every fiber of a row, for ``_at``: the list of its c_0, and the
-    list of each c_e paired with x1 -> x1^e."""
-    return list(_row(ops, form.c0, tail, powers, width)), [
-        (list(_row(ops, c, tail, powers, width)), functions[e]) for e, c in form.cs
+def _on_row(form, tail, functions):
+    """A ``_FiberForm`` on the row of ``tail``: its c_0, and each c_e paired
+    with x1 -> x1^e, every c as a polynomial in x2 (``_coefficients``)."""
+    return _coefficients(form.c0, tail, functions), [
+        (_coefficients(c, tail, functions), functions[e]) for e, c in form.cs
     ]
 
 
-def _at(rows, pos):
-    """The c_0 and the pairs (c_e, x1 -> x1^e) of ``_fiber_rows`` at the fiber
-    in position pos of its row, for ``_x1_value``."""
-    c0, cs = rows
-    return c0[pos], [(c[pos], power) for c, power in cs]
+def _at_fiber(ops, row, x2):
+    """A form ``_on_row`` at the fiber of residue x2: its polynomial in x1."""
+    c0, cs = row
+    return _value(ops, c0, x2), [(_value(ops, c, x2), power) for c, power in cs]
 
 
-def _x1_value(ops, fiber, i1):
-    """The value at x1 = residue i1 of a ``_FiberForm`` at a fiber (``_at``):
-    any (c_0, [(c_e, x -> x^e)]) taken at the residue i1."""
+def _value(ops, poly, i):
+    """The value at residue index i of poly = (c_0, [(c, x -> x^k)]), any
+    polynomial in one variable: a c on a row at its x2, or a fiber's
+    polynomial (``_at_fiber``) at its x1."""
     add, mul = ops.add, ops.mul
-    acc, terms = fiber
+    acc, terms = poly
     for c, power in terms:
-        acc = add(acc, mul(c, power(i1)))
+        acc = add(acc, mul(c, power(i)))
     return ops.reduce(acc)
 
 
 def _roots(ops, fibers, xs):
     """The i1 of xs, in order, at which every one of the fibers vanishes."""
     zero = ops.zero
-    return [i for i in xs if all(_x1_value(ops, f, i) == zero for f in fibers)]
+    return [i for i in xs if all(_value(ops, f, i) == zero for f in fibers)]
+
+
+def residue_values(ctx, f):
+    """f, a polynomial in x1 alone, at every residue index in order, as
+    canonical elements: compiled as a ``_fiber_form`` and swept in lazy maps."""
+    ops, one, xs = arithmetic(ctx), ctx.ring.one, range(ctx.norm)
+    form = _fiber_form(ctx, f)
+    coeffs = [(d(()), map(ops.term(one, e), xs)) for e, (d, _) in form.cs]
+    return _sweep(ops, form.c0[0](()), coeffs, ctx.norm)
 
 
 def variety_indices(ctx, V, cap, digits=None):
@@ -669,10 +669,12 @@ def variety_indices(ctx, V, cap, digits=None):
     a fiber with no point costs one step of a loop in C.  A row evaluates
     the coefficients of each c_0 in x2 at its tail (``_coefficients``), and
     builds the list again only when they differ from the last row's, so an
-    equation free of the tail costs one list per sweep.  An
-    equation that mixes x1 with another variable has its c_e taken along
-    the row as well, and is checked on the x1 of each hit one by one.  With
-    amb = 1 there is one fiber, (), scanned with no table.
+    equation free of the tail costs one list per sweep.  An equation that
+    mixes x1 with another variable is taken once per row as a polynomial in
+    x2 (``_on_row``); each hit evaluates it at its own x2 into a polynomial
+    in x1 (``_at_fiber``) and tests the x1 the table left, one by one
+    (``_roots``).  With amb = 1 there is one fiber, (), scanned with no
+    table.
     """
     if ctx.norm ** V.amb > cap:
         raise CapExceeded(
@@ -685,9 +687,7 @@ def variety_indices(ctx, V, cap, digits=None):
         xs = range(ctx.norm) if digits is None else digits
         if V.amb == 1:
             functions, _ = _powers(ctx, forms, ())
-            fiber = [
-                _at(_fiber_rows(ops, form, (), {}, 1, functions), 0) for form in forms
-            ]
+            fiber = [_at_fiber(ops, _on_row(form, (), functions), 0) for form in forms]
             x1s = _roots(ops, fiber, xs)
             if x1s:
                 yield (), x1s
@@ -703,8 +703,7 @@ def variety_indices(ctx, V, cap, digits=None):
             _sweep(
                 ops,
                 ops.zero,
-                [(ops.neg(d0(origin)), e) for e, (d0, _) in form.cs],
-                powers,
+                [(ops.neg(d0(origin)), powers[e]) for e, (d0, _) in form.cs],
                 width,
             )
             for form in separable
@@ -718,18 +717,17 @@ def variety_indices(ctx, V, cap, digits=None):
         for t in product(xs, repeat=V.amb - 2):
             tail = t[::-1]
             for s, form in enumerate(separable):
-                key = _coefficients(form.c0, tail)
+                key = _coefficients(form.c0, tail, powers)
                 if key != keys[s]:
-                    keys[s], rows[s] = key, list(_sweep(ops, *key, powers, width))
+                    keys[s], rows[s] = key, list(_sweep(ops, *key, width))
             hits = list(map(table.get, zip(*rows) if rows else repeat((), width)))
-            mixed_rows = [
-                _fiber_rows(ops, form, tail, powers, width, functions) for form in mixed
-            ]
+            on_row = [_on_row(form, tail, functions) for form in mixed]
             for pos, x1s in compress(enumerate(hits), hits):
-                if mixed_rows:
-                    x1s = _roots(ops, [_at(rows, pos) for rows in mixed_rows], x1s)
+                x2 = xs[pos]
+                if on_row:
+                    x1s = _roots(ops, [_at_fiber(ops, r, x2) for r in on_row], x1s)
                 if x1s:
-                    yield (xs[pos],) + tail, x1s
+                    yield (x2,) + tail, x1s
 
     return fibers()
 
@@ -770,14 +768,15 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     Where the columns free of x1 already have rank m, the number of
     equations, the rank is m at every point of the fiber.  With m = 1 that
     is where one of them is nonzero: they are taken along each row of
-    fibers with a point, as ``variety_indices`` takes its equations, and
-    tested for the whole row with maps.  With m >= 2 each such row takes
-    them once as polynomials in x2 (``_coefficients``), each fiber with a
-    point evaluates those at its x2 alone (``_fiber_value``), and ``_rank``
-    tests the fiber.  Only at the other fibers are the entries that depend
-    on x1 taken along the row, and evaluated at each point through
-    ``_x1_value``; the rank is taken with no field inversion.
-    ``jacobian_rank_at`` is the reference this agrees with.
+    fibers with a point, as ``variety_indices`` takes its separable
+    equations, and tested for the whole row with maps.  With m >= 2 each
+    such row takes them once as polynomials in x2 (``_coefficients``), each
+    fiber with a point evaluates those at its x2 alone (``_value``), and
+    ``_rank`` tests the fiber.  Only at the other fibers are the entries
+    that depend on x1 taken, once per row as ``_on_row`` and at the fiber as
+    ``_at_fiber``, and evaluated at each point by ``_value``; the rank is
+    taken with no field inversion.  ``jacobian_rank_at`` is the reference
+    this agrees with.
     """
     fibers = variety_indices(ctx, V, cap)
     ops = arithmetic(ctx)
@@ -791,34 +790,32 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
     def checked():
         width = ctx.norm if V.amb > 1 else 1  # the fibers of a row
         entries = [entry for row in forms for entry in row]
-        functions, powers = _powers(ctx, entries, range(width))
+        # only the m = 1 test sweeps whole rows
+        functions, powers = _powers(ctx, entries, range(width) if m == 1 else ())
         zero = ops.zero
         # with m = 1, the x1-free columns at a fiber where rank1 is False
         zeros = [[zero] * len(free)]
         row_tail = None
         for rest, x1s in fibers:
-            pos, tail = (rest[0], rest[1:]) if rest else (0, ())
+            x2, tail = (rest[0], rest[1:]) if rest else (0, ())
             if tail != row_tail:  # a new row
                 row_tail, x1_rows = tail, None
                 if m == 1:  # rank 1 wherever an x1-free column is nonzero
+                    c0s = [_coefficients(forms[0][j].c0, tail, powers) for j in free]
                     nonzero = [
-                        map(ne, _row(ops, forms[0][j].c0, tail, powers, width),
-                            repeat(zero))
-                        for j in free
+                        map(ne, _sweep(ops, *c, width), repeat(zero)) for c in c0s
                     ]
                     # the repeat gives the row its width when no column is free
                     rank1 = list(map(any, zip(repeat(False, width), *nonzero)))
                 else:  # the x1-free columns as polynomials in x2 on the row
                     free_rows = [
-                        [_coefficients(row[j].c0, tail) for j in free] for row in forms
+                        [_coefficients(row[j].c0, tail, functions) for j in free]
+                        for row in forms
                     ]
             if m == 1:
-                full, here = rank1[pos], zeros
+                full, here = rank1[x2], zeros
             else:  # the x1-free columns at this fiber alone
-                here = [
-                    [_fiber_value(ops, c, functions, pos) for c in row]
-                    for row in free_rows
-                ]
+                here = [[_value(ops, c, x2) for c in row] for row in free_rows]
                 full = _rank(ops, here) == m
             if full:
                 if m == V.codim:
@@ -828,13 +825,12 @@ def smooth_points(ctx, V, cap=DEFAULT_CAP):
             else:
                 if x1_rows is None:  # the columns that depend on x1, once a row
                     x1_rows = [
-                        [_fiber_rows(ops, row[j], tail, powers, width, functions)
-                         for j in x1_cols]
+                        [_on_row(row[j], tail, functions) for j in x1_cols]
                         for row in forms
                     ]
-                at = [[_at(rows, pos) for rows in row] for row in x1_rows]
+                at = [[_at_fiber(ops, r, x2) for r in row] for row in x1_rows]
                 ranks = (
-                    _rank(ops, [v + [_x1_value(ops, a, i) for a in es]
+                    _rank(ops, [v + [_value(ops, a, i) for a in es]
                                 for v, es in zip(here, at)])
                     for i in x1s
                 )

@@ -734,6 +734,22 @@ class TestLiftingCensus:
                 lifting_census(ring, V, pf, k)
             assert (exc.value.prime, exc.value.witness) == (pf, witness)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_refused(self, monkeypatch, q5, k):
+        """Mod P^0 the one point would lift to all 8 points of the circle, so
+        {1: 8} would be wrong; the census refuses k < 1, naming k, before it
+        builds any power of P."""
+        V = VarietySpec(amb=2, codim=1, declared_degree=2,
+                        equations=(parse_poly("x1^2 + x2^2 - 67", q5, 2),))
+        p7 = prime_ideals_above(q5, 7)[0]
+
+        def no_power(*args):
+            raise AssertionError("a power of P was built")
+
+        monkeypatch.setattr(counting, "prime_power", no_power)
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            lifting_census(q5, V, p7, k)
+
     def test_cap_refuses_before_the_guard(self, monkeypatch, q5, circle):
         """Over the cap mod P^2 the census refuses at a bad prime too, and
         sweeps nothing mod P."""

@@ -797,6 +797,27 @@ class TestSmoothPoints:
         assert len(_points(smooth_points(prime_ctx(rat, prime_factor), V))) == 2
         assert calls - enumeration <= 20
 
+    @pytest.mark.parametrize("p, ranks", [(11, 1), (13, 3)])
+    def test_one_equation_tests_rows_not_fibers(self, rat, monkeypatch, p, ranks):
+        """With one equation the x1-free partials are tested a row at a time:
+        ``_rank`` runs only at the few fibers where both vanish, not at each
+        of the 122 (p = 11) or 76 (p = 13) fibers with a point."""
+        F = parse_poly("x1^3 + x2^2 + x3^2 - 1", rat, 3)
+        V = VarietySpec(amb=3, codim=1, equations=(F,), declared_degree=3)
+        prime_factor = factor_ideal(rat, principal_ideal(rat, (p,)))[0]
+        expected = _reference_smooth(rat, V, prime_factor)
+        calls = 0
+        original = polys._rank
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(polys, "_rank", counted)
+        assert _swept(rat, V, prime_factor) == expected
+        assert calls == ranks
+
 
 # (minimal polynomial, p) of prime contexts, each with q^3 <= 729: degree 1
 # at 2 and 5 over Q and at 3 and 7 over Q(sqrt(-5)), degree 2 at 3 over Q(i)

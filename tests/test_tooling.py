@@ -283,6 +283,28 @@ def test_one_compile_path():
     assert sorted(set(_owners(calls_evaluator))) == ["polys._fiber_form"]
 
 
+def test_fiber_forms_stay_in_polys():
+    """Only ``polys`` compiles a ``_fiber_form`` and reads its fields: f
+    reaches the counts as values (``polys.residue_values``), not as a form."""
+
+    fields = set(polys._FiberForm.__slots__)
+
+    def uses_fiber_form(node):
+        return (
+            isinstance(node, ast.Call)
+            and "_fiber_form" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            )
+            or isinstance(node, ast.Attribute)
+            and node.attr in fields
+        )
+
+    owners = _owners(uses_fiber_form)
+    assert owners
+    assert {owner.split(".")[0] for owner in owners} == {"polys"}
+
+
 def test_pow_mod_owners():
     """No residue field takes a power on tuples: only ``residues.power_table``
     and the literal reference ``polys.eval_poly`` call ``pow_mod``."""
