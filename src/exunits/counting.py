@@ -23,6 +23,7 @@ error-term behaviour empirically.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from math import gcd, prod
 from operator import itemgetter
@@ -37,7 +38,7 @@ from .errors import (
     UnitIdeal,
 )
 from .ideals import factor_ideal, norm_of_factors, prime_ideals_up_to, prime_power
-from .number_ring import elem_neg, is_zero
+from .number_ring import elem_neg
 from .polys import (
     DEFAULT_CAP,
     check_good_reduction,
@@ -47,6 +48,7 @@ from .polys import (
 )
 from .residues import (
     arithmetic,
+    euler_criterion,
     field_inverse,
     index_map,
     mul_mod,
@@ -152,13 +154,12 @@ def _swept_counts(ctx, V, f, cap):
     return count_x, count_n
 
 
-def _diagonal_quadric(ctx, V):
+def _diagonal_quadric(ring, V):
     """(a, c) when V is one equation sum a_i x_i^2 = c of codim 1, in which
     every x_i has its square and no other monomial but a constant occurs;
-    else None.  c is reduced mod P."""
+    else None.  a and c are ring elements."""
     if len(V.equations) != 1 or V.codim != 1:
         return None
-    ring = ctx.ring
     a, c = [None] * V.amb, ring.zero
     for exps, coeff in V.equations[0].terms.items():
         powers = [(i, e) for i, e in enumerate(exps) if e]
@@ -170,23 +171,61 @@ def _diagonal_quadric(ctx, V):
             return None
     if None in a:
         return None
-    return a, reduce_mod(ctx, c)
+    return a, c
 
 
-def _roots_of_f(ctx, f):
-    """The residues r with f(r) = 0 mod P, or None when every residue is one.
+# the arithmetic of O/P that _quadric_counts reads: encode(a) is the element
+# of a ring element a, eta its quadratic character, residue(i) the element of
+# residue index i; mul, sub and inverse act on elements
+_FieldOps = namedtuple("_FieldOps", "zero encode eta mul sub inverse residue")
+
+
+def _field_ops(ctx):
+    """The _FieldOps of the prime context ctx.
+
+    At a prime of residue degree 1, where O/P is Z/p, an element is an int
+    in [0, p), the residue index, and every operation is int arithmetic mod
+    p: eta is Euler's criterion and the inverse ``pow(x, -1, p)``.  At
+    degree f >= 2 an element is a canonical residue tuple, and the
+    operations are those of ``residues``, which build no field table.
+    """
+    if ctx.prime.f_res == 1:
+        p = ctx.norm
+        return _FieldOps(
+            zero=0,
+            encode=lambda a: reduce_mod(ctx, a)[0],
+            eta=partial(euler_criterion, p=p),
+            mul=lambda x, y: x * y % p,
+            sub=lambda x, y: (x - y) % p,
+            inverse=lambda x: pow(x, -1, p),
+            residue=int,
+        )
+    return _FieldOps(
+        zero=ctx.ring.zero,
+        encode=partial(reduce_mod, ctx),
+        eta=partial(square_class, ctx),
+        mul=partial(mul_mod, ctx),
+        sub=partial(sub_mod, ctx),
+        inverse=partial(field_inverse, ctx),
+        residue=lambda i: power_table(ctx, 1)[i],
+    )
+
+
+def _roots_of_f(ctx, ops, f):
+    """The elements r with f(r) = 0 mod P, or None when every residue is one.
 
     A linear f = b x + d has the one root -d/b, or, when b = 0 mod P, none
     or all; a higher-degree f is scanned through ``_exunit_flags``.
     """
-    ring = ctx.ring
+    zero = ops.zero
     if f.total_degree() == 1:
-        b, d = f.terms[(1,)], f.terms.get((0,), ring.zero)
-        if is_zero(reduce_mod(ctx, b)):
-            return None if is_zero(reduce_mod(ctx, d)) else []
-        return [mul_mod(ctx, elem_neg(ring, d), field_inverse(ctx, b))]
-    reps = power_table(ctx, 1)
-    roots = [r for r, unit in zip(reps, _exunit_flags(ctx, f)) if not unit]
+        b = ops.encode(f.terms[(1,)])
+        d = ops.encode(f.terms.get((0,), ctx.ring.zero))
+        if b == zero:
+            return None if d == zero else []
+        return [ops.mul(ops.sub(zero, d), ops.inverse(b))]
+    flags = _exunit_flags(ctx, f)
+    roots = [ops.residue(i) for i, unit in enumerate(flags) if not unit]
     return None if len(roots) == ctx.norm else roots
 
 
@@ -198,47 +237,52 @@ def _quadric_counts(ctx, V, f, cap):
     odd.  Otherwise it returns None and the caller sweeps.  The cap is
     checked as the sweep checks it, and the inclusion-exclusion below has at
     most (1 + #roots of f)^amb <= q^amb terms, so it stays within the cap.
+    The a_i, c and f's coefficients are encoded once (``_field_ops``), as
+    ints mod p at a prime of residue degree 1, and all that follows is
+    arithmetic on them.
 
-    With eta the quadratic character (``square_class``), n variables and
-    s = eta((-1)^(n//2) a_1 ... a_n), the number of solutions in F_q^n is
-    q^(n-1) + s eta(c) q^((n-1)/2) for n odd, and q^(n-1) + s v(c)
-    q^(n/2-1) for n even, where v(0) = q - 1 and v(c) = -1 otherwise (Lidl
-    and Niederreiter, *Finite Fields*, Thms 6.26 and 6.27).  The gradient
-    (2 a_i x_i) vanishes only at the origin, so X is smooth when c is a
-    unit; when c = 0 mod P BadReduction is raised at the origin, the first
-    point of the sweep.  #X - #N, the points with no f(x_i) = 0 mod P, is
-    the sum over the sets S of coordinates fixed to roots of f of (-1)^|S|
-    times the count of the quadric left in the other coordinates.
+    With eta the quadratic character, n variables and s = eta((-1)^(n//2)
+    a_1 ... a_n), the number of solutions in F_q^n is q^(n-1) + s eta(c)
+    q^((n-1)/2) for n odd, and q^(n-1) + s v(c) q^(n/2-1) for n even, where
+    v(0) = q - 1 and v(c) = -1 otherwise (Lidl and Niederreiter, *Finite
+    Fields*, Thms 6.26 and 6.27).  The gradient (2 a_i x_i) vanishes only at
+    the origin, so X is smooth when c is a unit; when c = 0 mod P
+    BadReduction is raised at the origin, the first point of the sweep.
+    #X - #N, the points with no f(x_i) = 0 mod P, is the sum over the sets S
+    of coordinates fixed to roots of f of (-1)^|S| times the count of the
+    quadric left in the other coordinates.
     """
     if ctx.norm % 2 == 0:
         return None
     q, amb, ring = ctx.norm, V.amb, ctx.ring
-    quadric = _diagonal_quadric(ctx, V)
+    quadric = _diagonal_quadric(ring, V)
     if quadric is None:
         return None
-    a, c = quadric
-    etas = [square_class(ctx, x) for x in a]
+    ops = _field_ops(ctx)
+    a = [ops.encode(x) for x in quadric[0]]
+    etas = [ops.eta(x) for x in a]
     if 0 in etas:  # some a_i lies in P
         return None
     variety_indices(ctx, V, cap)  # the cap check alone: nothing is swept
-    if is_zero(c):
+    zero, c = ops.zero, ops.encode(quadric[1])
+    if c == zero:
         raise BadReduction(ctx.prime, (reduce_mod(ctx, ring.zero),) * amb)
-    minus_one = square_class(ctx, ring.from_int(-1))
+    minus_one = ops.eta(ops.encode(ring.from_int(-1)))
 
     def solutions(n, eta, c):
         """Points of sum a_i x_i^2 = c over n coordinates whose a_i have the
         product class eta."""
         s = eta * minus_one ** (n // 2)
         if n % 2:
-            return q ** (n - 1) + s * square_class(ctx, c) * q ** (n // 2)
-        return (q ** n + s * q ** (n // 2) * (q * is_zero(c) - 1)) // q
+            return q ** (n - 1) + s * ops.eta(c) * q ** (n // 2)
+        return (q ** n + s * q ** (n // 2) * (q * (c == zero) - 1)) // q
 
     count_x = solutions(amb, prod(etas), c)
-    roots = _roots_of_f(ctx, f) if count_x else []
+    roots = _roots_of_f(ctx, ops, f) if count_x else []
     if roots is None:
         count_n = count_x
     else:
-        shifts = [[mul_mod(ctx, x, mul_mod(ctx, r, r)) for r in roots] for x in a]
+        shifts = [[ops.mul(x, ops.mul(r, r)) for r in roots] for x in a]
 
         memo = {}  # different choices of roots often leave the same terms
 
@@ -255,7 +299,7 @@ def _quadric_counts(ctx, V, f, cap):
             else:
                 total = off_roots(i + 1, n + 1, eta * etas[i], c)
                 for shift in shifts[i]:
-                    total -= off_roots(i + 1, n, eta, sub_mod(ctx, c, shift))
+                    total -= off_roots(i + 1, n, eta, ops.sub(c, shift))
             memo[key] = total
             return total
 
@@ -281,22 +325,21 @@ def theorem1_count(ring, V, f, factors, cap=DEFAULT_CAP):
         raise UnitIdeal("modulus must be a proper ideal")
     n_norm = norm_of_factors(factors)
     locals_ = [local_counts(ring, V, f, pf, cap=cap) for pf in factors]
+    num = prod(ld.factor.numerator for ld in locals_)
+    den = prod(ld.factor.denominator for ld in locals_)
     return CountReport(
-        modulus_norm=n_norm, locals=locals_, total=_product_formula(V, n_norm, locals_)
+        modulus_norm=n_norm, locals=locals_, total=_product_formula(V, n_norm, num, den)
     )
 
 
-def _product_formula(V, n_norm, locals_):
-    """norm(n)^(amb-d) times the local factors of the primes dividing n.
+def _product_formula(V, n_norm, num, den):
+    """norm(n)^(amb-d) times the local factors of the primes dividing n,
+    given the products num and den of their numerators and denominators.
 
-    The numerators and the denominators are multiplied as ints and divided
-    once.  Raises unless the result is a count: an integer in
-    [0, norm(n)^amb].
+    The ints are divided once.  Raises unless the result is a count: an
+    integer in [0, norm(n)^amb].
     """
-    num, den = n_norm ** (V.amb - V.codim), 1
-    for ld in locals_:
-        num *= ld.factor.numerator
-        den *= ld.factor.denominator
+    num *= n_norm ** (V.amb - V.codim)
     total, rem = divmod(num, den)
     if rem:
         raise ExunitsError(
@@ -458,18 +501,25 @@ def describe_ideal(ring, n_ideal):
     return _describe(factor_ideal(ring, n_ideal))
 
 
-# one swept prime of asympt_series: its LocalData and its terms of a record
-_Swept = namedtuple("_Swept", "local inv_sqrt inv dev")
+# one swept prime of asympt_series: the numerator and denominator of its
+# local factor, and its terms of a record
+_Swept = namedtuple("_Swept", "num den inv_sqrt inv dev")
 
 
 def _swept_prime(ring, V, f, pf, cap):
     """The _Swept of pf, or the BadReduction or CapExceeded its sweep raised."""
     try:
-        ld = local_counts(ring, V, f, pf, cap=cap)
+        factor = local_counts(ring, V, f, pf, cap=cap).factor
     except (BadReduction, CapExceeded) as exc:
         return exc
     q = pf.norm
-    return _Swept(ld, q ** -0.5, 1.0 / q, float(abs(ld.factor - 1)))
+    return _Swept(
+        factor.numerator,
+        factor.denominator,
+        q ** -0.5,
+        1.0 / q,
+        float(abs(factor - 1)),
+    )
 
 
 def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
@@ -478,46 +528,58 @@ def asympt_series(ring, V, f, family, cap=DEFAULT_CAP):
     Each member of family is a modulus given by its factorization: a list of
     PrimeFactor with exponents, as factor_ideal returns it.  Each distinct
     prime is swept once per call, and a prime whose sweep raised
-    BadReduction or CapExceeded skips every modulus it divides.  Its
-    LocalData is kept with its terms of a record as floats: 1/sqrt(q), 1/q
-    and |factor - 1|.  A modulus sums these in the order of its factors and
-    takes the max of the last, which is the rounded max of the exact
-    deviations, since rounding is monotone.  Each (p,[h])^e text is built
-    once.  Nothing is kept when the call returns.
+    BadReduction or CapExceeded skips every modulus it divides.  Its local
+    factor is kept with its terms of a record as floats: 1/sqrt(q), 1/q and
+    |factor - 1|.  A record is built in one pass over the factors of its
+    modulus, which sums these in the order of the factors and takes the max
+    of the last, which is the rounded max of the exact deviations, since
+    rounding is monotone.  Each (p,[h])^e text is built once.  Nothing is
+    kept when the call returns.
     """
     swept = {}  # (p, h_coeffs) -> _Swept, BadReduction or CapExceeded
-    texts = {}  # (p, h_coeffs, exponent) -> _prime_text
+    texts = {}  # ((p, h_coeffs), exponent) -> _prime_text
     r = V.amb - V.codim
     records = []
     for factors in family:
         if not factors:
             raise UnitIdeal("modulus must be a proper ideal")
-        primes = []
+        skipped = False
+        n_norm = num = den = 1
+        sum_inv_sqrt = sum_inv = 0
+        max_dev = 0.0
+        description = []
         for pf in factors:
             key = (pf.p, pf.h_coeffs)
-            if key not in swept:
-                swept[key] = _swept_prime(ring, V, f, pf, cap)
-            primes.append(swept[key])
-        if any(isinstance(s, ExunitsError) for s in primes):
+            s = swept.get(key)
+            if s is None:
+                s = swept[key] = _swept_prime(ring, V, f, pf, cap)
+            if isinstance(s, ExunitsError):
+                skipped = True
+                continue
+            n_norm *= pf.norm ** pf.exponent
+            num *= s.num
+            den *= s.den
+            sum_inv_sqrt += s.inv_sqrt
+            sum_inv += s.inv
+            max_dev = max(max_dev, s.dev)
+            text = texts.get((key, pf.exponent))
+            if text is None:
+                text = texts[key, pf.exponent] = _prime_text(pf)
+            description.append((key, text))
+        if skipped:
             continue
-        n_norm = norm_of_factors(factors)
-        count = _product_formula(V, n_norm, [s.local for s in primes])
-        description = []
-        for pf in sorted(factors, key=_prime_order):
-            key = (pf.p, pf.h_coeffs, pf.exponent)
-            if key not in texts:
-                texts[key] = _prime_text(pf)
-            description.append(texts[key])
+        count = _product_formula(V, n_norm, num, den)
+        description.sort(key=itemgetter(0))
         records.append(
             AsymptRecord(
-                description="*".join(description),
+                description="*".join(map(itemgetter(1), description)),
                 N=n_norm,
                 count=count,
                 ratio=Fraction(count, n_norm ** r),
                 omega=len(factors),
-                sum_inv_sqrt=sum(s.inv_sqrt for s in primes),
-                sum_inv=sum(s.inv for s in primes),
-                max_local_dev=max(s.dev for s in primes),
+                sum_inv_sqrt=sum_inv_sqrt,
+                sum_inv=sum_inv,
+                max_local_dev=max_dev,
             )
         )
     return records

@@ -19,7 +19,7 @@ Only a ramified prime's powers are products of lattices (``ideal_pow``).
 from collections import Counter, namedtuple
 from functools import partial, reduce
 from itertools import compress, repeat, zip_longest
-from math import prod
+from math import isqrt, prod
 from operator import add, mul, not_
 
 from .errors import (
@@ -337,24 +337,34 @@ def prime_power(ring, pf, e):
     return _factor_hnf(ring, pf.p ** e, lift)
 
 
-def factor_poly_mod_p(poly, p):
-    """Complete factorization of a monic polynomial mod p.
+def factor_poly_mod_p(poly, p, max_degree=None):
+    """The irreducible factors of degree at most max_degree (every factor
+    when it is None) of a monic polynomial mod p.
 
     The linear factors come from one Horner sweep of maps over F_p, which
     finds the roots of poly mod p; x - r is divided out at each root r for
-    as long as it divides.  Then trial division: for d = 2, 3, ... while 2d
-    is at most the degree of what is left, each monic candidate of degree d,
-    in lexicographic order, is divided out for as long as it divides.  Every
-    factor of lower degree is gone by then, so each that divides is
-    irreducible, and so is what is left at the end.  Only suitable for
-    small p and small degree: when poly has more than MAX_FACTOR_CANDIDATES
-    monic candidates of degree 1 to half its own, FactorCapExceeded is raised
-    before any work.  Factors are returned as (monic lift constant first,
-    multiplicity), sorted lexicographically by coefficient sequence.
+    as long as it divides and what is left has a degree above the number
+    of roots still to come, so a simple root costs one division when the
+    roots use up the degree.  Then trial division: for d = 2, 3, ... up to
+    max_degree, while 2d is at most the degree of what is left, each monic
+    candidate of degree d, in lexicographic order, is divided out for as
+    long as it divides.  Every factor of lower degree is gone by then, so
+    each that divides is irreducible.  What is left at the end is
+    irreducible when the loop ran past half its degree; otherwise every
+    factor of it has degree over max_degree.  It is a factor when its
+    degree is at most max_degree.  Only suitable for small p and small
+    degree: when poly has more than MAX_FACTOR_CANDIDATES monic candidates
+    of degree 1 to half its own and at most max_degree, FactorCapExceeded
+    is raised before any work.  Factors are returned as (monic lift
+    constant first, multiplicity), sorted lexicographically by coefficient
+    sequence.
     """
     work = [c % p for c in poly]
     _trim(work)
-    candidates = sum(p ** d for d in range(1, (len(work) - 1) // 2 + 1))
+    top = (len(work) - 1) // 2
+    if max_degree is not None:
+        top = min(top, max_degree)
+    candidates = sum(p ** d for d in range(1, top + 1))
     if candidates > MAX_FACTOR_CANDIDATES:
         raise FactorCapExceeded(
             f"factoring mod {p} may try {candidates} candidates, "
@@ -362,16 +372,19 @@ def factor_poly_mod_p(poly, p):
         )
     factors = Counter()
     if len(work) > 2:  # degree 2 or more: a linear factor is a root
-        for r in _roots_mod_p(work, p):
+        roots = _roots_mod_p(work, p)
+        for left, r in zip(range(len(roots) - 1, -1, -1), roots):
             cand = [-r % p, 1]
-            while True:
+            # divide again only while what is left has room for more than
+            # the left roots still to be divided out, one each
+            while len(work) - 1 > left:
                 quot, rem = _poly_divmod_mod_p(work, cand, p)
                 if rem:
                     break
                 factors[tuple(cand)] += 1
                 work = quot
     degree = 2
-    while 2 * degree <= len(work) - 1:
+    while degree <= top and 2 * degree <= len(work) - 1:
         cand = [0] * degree + [1]
         while 2 * degree <= len(work) - 1:
             quot, rem = _poly_divmod_mod_p(work, cand, p)
@@ -388,7 +401,7 @@ def factor_poly_mod_p(poly, p):
                 break
             cand[i] += 1
         degree += 1
-    if len(work) > 1:
+    if 1 < len(work) and (max_degree is None or len(work) - 1 <= max_degree):
         factors[tuple(work)] += 1
     return sorted(factors.items())
 
@@ -453,10 +466,12 @@ def _small_prime_factors(n):
     return primes
 
 
-def prime_ideals_above(ring, p):
+def prime_ideals_above(ring, p, max_degree=None):
     """Dedekind-Kummer: prime ideals above p, from the factorization of g mod p.
 
-    Each PrimeFactor carries exponent = e_ram, i.e. the valuation of (p).
+    Only the primes of residue degree at most max_degree are listed, when it
+    is given.  Each PrimeFactor carries exponent = e_ram, i.e. the valuation
+    of (p).
     """
     return [
         PrimeFactor(
@@ -467,20 +482,55 @@ def prime_ideals_above(ring, p):
             exponent=mult,
             hnf=_factor_hnf(ring, p, h),
         )
-        for h, mult in factor_poly_mod_p(ring.min_poly, p)
+        for h, mult in factor_poly_mod_p(ring.min_poly, p, max_degree)
     ]
+
+
+def _primes_up_to(n):
+    """The primes p <= n, in order, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for d in range(2, isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, n + 1, d)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _is_squarefree_mod_p(poly, p):
+    """Whether the monic poly has no repeated factor mod p: gcd(poly, poly')
+    mod p, by the Euclidean algorithm, is a constant.  poly' = 0 mod p, as
+    for x^2 + 1 = (x + 1)^2 mod 2, leaves poly itself as the gcd."""
+    a = _trim([c % p for c in poly])
+    b = _trim([i * c % p for i, c in enumerate(poly)][1:])
+    while b:
+        a, b = b, _poly_divmod_mod_p(a, b, p)[1]
+    return len(a) == 1
 
 
 def prime_ideals_up_to(ring, max_norm):
     """Every prime ideal of norm <= max_norm, by p and then as above p.
 
-    Each is yielded as a modulus of its own, with exponent 1.
+    Each p comes from one sieve, and g mod p is factored only as far as the
+    degrees f with p^f <= max_norm, so that at p^2 > max_norm only its roots
+    are taken.  Each prime is yielded as a modulus of its own, with exponent
+    1.  The listing is refused at a p where Z[theta] is not p-maximal and a
+    prime above p is listed, as a count modulo that prime is: Dedekind's
+    criterion (``refuse_non_maximal``) is run on the factors of g mod p when
+    they are all listed, and otherwise, where some are listed and g mod p
+    has a repeated factor, on its complete factorization.  The criterion
+    can fail only at a repeated factor.
     """
-    for p in range(2, max_norm + 1):
-        if _small_prime_factors(p) == [p]:
-            for pf in prime_ideals_above(ring, p):
-                if pf.norm <= max_norm:
-                    yield pf._replace(exponent=1)
+    for p in _primes_up_to(max_norm):
+        max_degree, norm = 1, p * p
+        while norm <= max_norm:
+            max_degree, norm = max_degree + 1, norm * p
+        listed = prime_ideals_above(ring, p, max_degree)
+        if sum(pf.f_res * pf.e_ram for pf in listed) == ring.deg:
+            refuse_non_maximal(ring, {p: listed})  # the whole factorization
+        elif listed and not _is_squarefree_mod_p(ring.min_poly, p):
+            refuse_non_maximal(ring, {p: prime_ideals_above(ring, p)})
+        for pf in listed:
+            yield pf._replace(exponent=1)
 
 
 def valuation(ring, I, pf):
@@ -584,8 +634,11 @@ def _not_maximal_at(ring, p, above):
 
     With g = prod h_i^e_i mod p and F = (prod h_i^e_i - g) / p, it is not
     iff some h_i with e_i >= 2 divides F mod p.  F mod p needs the product
-    mod p^2 only.
+    mod p^2 only.  With every e_i = 1 the verdict is False, and nothing is
+    built.
     """
+    if all(pf.e_ram == 1 for pf in above):
+        return False
     square = p * p
     lifted = [1]
     for pf in above:

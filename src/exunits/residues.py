@@ -492,6 +492,19 @@ def field_inverse(ctx, a):
     return tuple(s) + (0,) * (len(r) - len(s))
 
 
+def euler_criterion(a, p):
+    """The Legendre symbol of the int a mod the odd prime p: 0, +1 or -1, by
+    Euler's criterion a^((p-1)/2) in F_p."""
+    if not a % p:
+        return 0
+    val = pow(a, (p - 1) // 2, p)
+    if val == 1:
+        return 1
+    if val != p - 1:
+        raise ExunitsError("Euler's criterion gave neither 1 nor -1")
+    return -1
+
+
 def square_class(ctx, a):
     """Euler's criterion in the residue field: 0, +1 or -1.
 
@@ -499,7 +512,8 @@ def square_class(ctx, a):
     F_p, since F_q* is cyclic (Lidl and Niederreiter, *Finite Fields*).  At
     a prime of residue degree 1, N(a) is the residue index of a; at a prime
     (p, h) of degree f >= 2, it is the resultant Res(h, a(x)) mod p
-    (``_resultant_mod_p``).  Either way one ``pow`` in F_p decides the class.
+    (``_resultant_mod_p``).  Either way one ``pow`` in F_p decides the class
+    (``euler_criterion``).
     """
     if ctx.prime is None:
         raise NotPrime("square_class requires a prime modulus context")
@@ -509,13 +523,7 @@ def square_class(ctx, a):
     if is_zero(r):
         return 0
     if _is_cyclic(ctx):
-        p, norm = ctx.norm, r[0]
-    else:
-        p = ctx.prime.p
-        norm = _resultant_mod_p(ctx.prime.h_coeffs, _field_poly(ctx, r), p)
-    val = pow(norm, (p - 1) // 2, p)
-    if val == 1:
-        return 1
-    if val != p - 1:
-        raise ExunitsError("Euler's criterion gave neither 1 nor -1")
-    return -1
+        return euler_criterion(r[0], ctx.norm)
+    p = ctx.prime.p
+    norm = _resultant_mod_p(ctx.prime.h_coeffs, _field_poly(ctx, r), p)
+    return euler_criterion(norm, p)

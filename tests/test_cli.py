@@ -506,11 +506,35 @@ def test_primes_form_matches_factor_ideal(data):
 
 def test_asympt_does_not_factor_its_modulus(circle_config, capsys):
     """asympt reads no modulus: one in a config is checked, not factored, so
-    a non-maximal order's modulus does not stop the table."""
-    modulus = {"primes": [{"p": 2, "h": [1, 1]}]}
-    path = circle_config(field={"min_poly": [3, 0, 1]}, modulus=modulus)
+    a modulus that factoring refuses does not stop the table.  The norm of
+    (999999999989) leaves a cofactor over the factorization cap."""
+    path = circle_config(modulus={"generators": [999999999989]})
+    assert main(["count", "--config", path]) == 1
+    assert "factorization cap" in capsys.readouterr().err
     assert main(["asympt", "--config", path, "--max-norm", "7"]) == 0
     assert capsys.readouterr().out.startswith("modulus,N,count,")
+
+
+@pytest.mark.parametrize(
+    "min_poly, equation, max_norm",
+    [([-5, 0, 1], "x1 + x2^2 - 1", 6), ([3, 0, 1], "x1^2 + x2^2 - 1", 7)],
+    ids=["sqrt5", "sqrt-3"],
+)
+def test_asympt_refuses_non_maximal_order(
+    circle_config, capsys, min_poly, equation, max_norm
+):
+    """Z[sqrt(5)] and Z[sqrt(-3)] are not maximal at 2, where 2 is inert in
+    the maximal order, yet g mod 2 = (x + 1)^2 gives a prime of norm 2 in the
+    listing.  asympt exits 1 with the line that count gives for a modulus
+    above 2, and prints nothing to stdout."""
+    variety = {"amb": 2, "codim": 1, "degree": 2, "equations": [equation]}
+    modulus = {"primes": [{"p": 2, "h": [1, 1]}]}
+    path = circle_config(field={"min_poly": min_poly}, variety=variety, modulus=modulus)
+    for argv in (["count"], ["asympt", "--max-norm", str(max_norm)]):
+        rc = main(argv + ["--config", path])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == _NOT_MAXIMAL_AT_2
 
 
 @pytest.mark.parametrize("command", ["count", "verify"])

@@ -346,6 +346,10 @@ def _maybe_in_p(draw, ring, p):
     return tuple(p * c for c in x) if draw(st.integers(0, 3)) == 0 else x
 
 
+def _no_elem_mul(*args):
+    raise AssertionError("a ring product in the closed form at degree 1")
+
+
 class TestQuadricClosedForm:
     """``counting._quadric_counts`` against the oracle at the prime P."""
 
@@ -429,6 +433,56 @@ class TestQuadricClosedForm:
         assert count_x - count_n == brute_force_count(ring, V, f, pf.hnf)
         ld = local_counts(ring, V, f, pf, cap=cap)
         assert (ld.count_X, ld.count_N) == counts
+
+    def test_degree_one_in_ints_mod_p(self, monkeypatch):
+        """At every prime of residue degree 1 above 3 to 13 of Q(i),
+        Q(sqrt(-5)) and Z[2^(1/3)], the closed form counts a diagonal quadric
+        with a linear f in ints mod p: with ``elem_mul`` made to raise in
+        every module that holds it, ``local_counts`` still counts, and #X -
+        #N is the oracle's count mod P.  Coefficients with theta in them are
+        encoded at the prime as their value at the root of h."""
+        sources = [
+            (2, "x1^2 + x2^2 - 1", "x1 - 2"),
+            (2, "(t + 3)*x1^2 + 2*x2^2 - t", "(t + 1)*x1 + 3*t"),
+            (3, "x1^2 + (t + 2)*x2^2 + 5*x3^2 - 7", "3*x1 + t^2 + 1"),
+        ]
+        modules = [
+            import_module(f"exunits.{name}")
+            for name in ("number_ring", "ideals", "polys", "residues", "counting")
+        ]
+        closed = 0
+        for min_poly in ([1, 0, 1], [5, 0, 1], [-2, 0, 0, 1]):
+            ring = make_number_ring(min_poly)
+            primes = [
+                pf
+                for p in (3, 5, 7, 11, 13)
+                for pf in prime_ideals_above(ring, p)
+                if pf.f_res == 1
+            ]
+            for pf in primes:
+                for amb, equation, f_src in sources:
+                    V = VarietySpec(
+                        amb=amb,
+                        codim=1,
+                        equations=(parse_poly(equation, ring, amb),),
+                        declared_degree=2,
+                    )
+                    f = parse_poly(f_src, ring, 1)
+                    ctx = prime_ctx(ring, pf)
+                    coeffs = V.equations[0].terms.values()
+                    if any(is_zero(reduce_mod(ctx, c)) for c in coeffs):
+                        continue  # an a_i or c in P: the sweep counts
+                    oracle = brute_force_count(ring, V, f, pf.hnf)
+                    with monkeypatch.context() as patch:
+                        for module in modules:
+                            if hasattr(module, "elem_mul"):
+                                patch.setattr(module, "elem_mul", _no_elem_mul)
+                        ld = local_counts(ring, V, f, pf)
+                        counts = counting._quadric_counts(ctx, V, f, polys.DEFAULT_CAP)
+                    assert counts == (ld.count_X, ld.count_N)
+                    assert ld.count_X - ld.count_N == oracle, (min_poly, pf.p, equation)
+                    closed += 1
+        assert closed >= 20
 
     @pytest.mark.parametrize("constant, count_n", [("0", 8), ("1", 0)])
     def test_linear_f_with_lead_in_p(self, rat, constant, count_n):

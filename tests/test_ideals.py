@@ -31,6 +31,7 @@ from exunits.ideals import (
     _not_maximal_at,
     _poly_divmod_mod_p,
     ideal_of_factors,
+    prime_ideals_up_to,
     valuation,
 )
 
@@ -176,17 +177,31 @@ class TestPolyFactorModP:
 
     def test_one_pass(self, monkeypatch):
         """x^4 + 1 mod 17 has four simple roots, found by one sweep over F_17
-        with no division.  Each root r then costs one division by x - r that
-        leaves no remainder and one that does, so 8 in all; trial division
-        over the 17 linear candidates made 12."""
+        with no division.  They use up the degree, so each root r costs one
+        division by x - r, which leaves no remainder: 4 in all, where a
+        second division at each root, to find that it does not divide again,
+        made 8, and trial division over the 17 linear candidates made 12."""
         calls = _counted(monkeypatch, "_poly_divmod_mod_p")
         assert factor_poly_mod_p((1, 0, 0, 0, 1), 17) == [
             ((2, 1), 1), ((8, 1), 1), ((9, 1), 1), ((15, 1), 1)
         ]
-        assert len(calls) <= 2 * 4
+        assert len(calls) == 4
         assert {tuple(den) for _, den, _ in calls} == {
             (2, 1), (8, 1), (9, 1), (15, 1)
         }
+
+    def test_listing_takes_roots_alone_past_the_square_root(self, monkeypatch):
+        """Listing the primes of x^4 + 1 up to norm 400 needs no factor of
+        degree 2 at p > 20, where p^2 > 400: no quadratic candidate is tried
+        there.  At p = 19, which is 3 mod 8, the two quadratic factors, of
+        norm 361, are found by trial division and listed."""
+        ring = make_number_ring([1, 0, 0, 0, 1])
+        calls = _counted(monkeypatch, "_poly_divmod_mod_p")
+        listed = list(prime_ideals_up_to(ring, 400))
+        quadratic = {p for _, den, p in calls if len(den) == 3}
+        assert 19 in quadratic and max(quadratic) < 20
+        assert all(pf.norm <= 400 for pf in listed)
+        assert max(pf.p for pf in listed if pf.f_res == 2) == 19
 
 
 def _counted(monkeypatch, name):
@@ -267,6 +282,31 @@ def test_factor_poly_mod_p_matches_trial_division(case):
     g, p = case
     event(f"p = {p}")
     assert factor_poly_mod_p(g, p) == _trial_division_factors(g, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_monic_with_roots(), max_degree=st.integers(1, 6))
+def test_bounded_factoring_matches_trial_division(case, max_degree):
+    """With a degree bound d, the factors are those of one pass of trial
+    division of degree at most d, and the candidate cap counts only the
+    monic candidates of degree 1 to min(d, half the degree of g): a cap of
+    exactly that many admits g, and one less refuses it."""
+    g, p = case
+    event(f"d = {max_degree}")
+    expected = [
+        (h, mult) for h, mult in _trial_division_factors(g, p) if len(h) - 1 <= max_degree
+    ]
+    candidates = sum(p ** k for k in range(1, min(max_degree, (len(g) - 1) // 2) + 1))
+    cap = ideals.MAX_FACTOR_CANDIDATES
+    try:
+        ideals.MAX_FACTOR_CANDIDATES = candidates
+        assert factor_poly_mod_p(g, p, max_degree) == expected
+        ideals.MAX_FACTOR_CANDIDATES = candidates - 1
+        if candidates:
+            with pytest.raises(FactorCapExceeded, match=f" {candidates} candidates"):
+                factor_poly_mod_p(g, p, max_degree)
+    finally:
+        ideals.MAX_FACTOR_CANDIDATES = cap
 
 
 @settings(max_examples=100, deadline=None)
@@ -663,6 +703,85 @@ def _counted_ideal_mul(monkeypatch):
 
     monkeypatch.setattr(ideals, "ideal_mul", counted)
     return calls
+
+
+def _prime_power_bounds(limit):
+    """Every B in {q - 1, q} for the prime powers q = p^f <= limit with f >= 2,
+    where the degree bound of a listing moves, and with f = 1 for p < 100,
+    where p enters it; and the largest prime below 2000, 1999, either side."""
+    bounds = {1998, 1999, 2000}
+    for p in range(2, limit + 1):
+        if all(p % d for d in range(2, p)):
+            q = p if p < 100 else p * p
+            while q <= limit:
+                bounds.update((q - 1, q))
+                q *= p
+    return sorted(b for b in bounds if b <= limit)
+
+
+def _simple_factor_keys(ring, p):
+    """(p, h, e_ram, f_res) of the primes above p of residue degree 1, from
+    the roots of g mod p, found by testing every residue, and their
+    multiplicities, by dividing for as long as x - r divides."""
+    keys = []
+    for r in range(p):
+        value = 0
+        for c in reversed(ring.min_poly):
+            value = (value * r + c) % p
+        if value:
+            continue
+        work, mult = list(ring.min_poly), 0
+        while True:
+            quot, rem = _poly_divmod_mod_p(work, [-r % p, 1], p)
+            if rem:
+                break
+            work, mult = quot, mult + 1
+        keys.append((p, (-r % p, 1), mult, 1))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("min_poly", [g for g in EXPLICIT_RINGS if g[0] not in (3, 8)])
+def test_prime_ideals_up_to_matches_filtered_factorization(min_poly):
+    """The listing to B is every prime above every p <= B, from the complete
+    factorization of g mod p, filtered to norm <= B, each with exponent 1: at
+    every bound of ``_prime_power_bounds(2000)``.  Past p = 44, p^2 > 2000,
+    so only the primes of degree 1 can have norm <= B, and those are taken
+    from a literal search for the roots of g mod p rather than from
+    factoring g completely, which for x^4 + 1 would try up to p^2 quadratic
+    candidates.  The rings include the ramified 2 over x^4 + 1 and the
+    ramified 2 and 5 over Q(sqrt(-5))."""
+    ring = make_number_ring(min_poly)
+    primes = [p for p in range(2, 2001) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    reference = {}  # p -> (norm, key) of the primes above p
+    for p in primes:
+        if p * p <= 2000:
+            reference[p] = [
+                (pf.norm, (pf.p, pf.h_coeffs, pf.e_ram, pf.f_res, 1, pf.hnf))
+                for pf in prime_ideals_above(ring, p)
+            ]
+        else:
+            reference[p] = [
+                (p, key + (1, ideals._factor_hnf(ring, p, list(key[1]))))
+                for key in _simple_factor_keys(ring, p)
+            ]
+    for bound in _prime_power_bounds(2000):
+        expected = [
+            key for p in primes if p <= bound for norm, key in reference[p] if norm <= bound
+        ]
+        listed = [tuple(pf) for pf in prime_ideals_up_to(ring, bound)]
+        assert listed == expected, bound
+
+
+@pytest.mark.parametrize("min_poly", [[3, 0, 1], [8, 0, -1, 1]])
+def test_prime_ideals_up_to_refuses_non_maximal(min_poly):
+    """Z[sqrt(-3)] and Z[t] with t^3 - t^2 + 8 = 0 are not maximal at 2, which
+    has a prime of norm 2 in each: every listing to B >= 2 is refused with
+    the line of ``refuse_non_maximal``, and the listing to 1 is empty."""
+    ring = make_number_ring(min_poly)
+    assert list(prime_ideals_up_to(ring, 1)) == []
+    for bound in (2, 3, 100):
+        with pytest.raises(NotFullRank, match="not maximal at p = 2$"):
+            list(prime_ideals_up_to(ring, bound))
 
 
 class TestIdealPow:

@@ -376,6 +376,19 @@ def test_quadric_route_has_one_caller():
     assert [n for n in independent if _reaches(graph, n, "_quadric_counts")] == []
 
 
+def test_closed_form_written_once():
+    """The point count of a diagonal quadric (``solutions``) and the
+    inclusion-exclusion over the roots of f (``off_roots``) are defined once,
+    in ``counting._quadric_counts``, for both element forms of O/P: ints mod
+    p at residue degree 1 and residue tuples above it."""
+    for name in ("solutions", "off_roots"):
+
+        def defines(node):
+            return isinstance(node, ast.FunctionDef) and node.name == name
+
+        assert _owners(defines) == ["counting._quadric_counts"], name
+
+
 def test_splitting_of_p_has_one_owner():
     """Only ``ideals.prime_ideals_above`` factors g mod p."""
 
