@@ -23,7 +23,6 @@ error-term behaviour empirically.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import partial
 from itertools import compress
 from math import gcd, prod
 from operator import itemgetter
@@ -48,16 +47,10 @@ from .polys import (
 )
 from .residues import (
     arithmetic,
-    euler_criterion,
-    field_inverse,
     index_map,
-    mul_mod,
-    power_table,
     prime_ctx,
-    reduce_mod,
+    prime_field,
     residue_ctx,
-    square_class,
-    sub_mod,
     unit_flags,
 )
 
@@ -174,58 +167,22 @@ def _diagonal_quadric(ring, V):
     return a, c
 
 
-# the arithmetic of O/P that _quadric_counts reads: encode(a) is the element
-# of a ring element a, eta its quadratic character, residue(i) the element of
-# residue index i; mul, sub and inverse act on elements
-_FieldOps = namedtuple("_FieldOps", "zero encode eta mul sub inverse residue")
-
-
-def _field_ops(ctx):
-    """The _FieldOps of the prime context ctx.
-
-    At a prime of residue degree 1, where O/P is Z/p, an element is an int
-    in [0, p), the residue index, and every operation is int arithmetic mod
-    p: eta is Euler's criterion and the inverse ``pow(x, -1, p)``.  At
-    degree f >= 2 an element is a canonical residue tuple, and the
-    operations are those of ``residues``, which build no field table.
-    """
-    if ctx.prime.f_res == 1:
-        p = ctx.norm
-        return _FieldOps(
-            zero=0,
-            encode=lambda a: reduce_mod(ctx, a)[0],
-            eta=partial(euler_criterion, p=p),
-            mul=lambda x, y: x * y % p,
-            sub=lambda x, y: (x - y) % p,
-            inverse=lambda x: pow(x, -1, p),
-            residue=int,
-        )
-    return _FieldOps(
-        zero=ctx.ring.zero,
-        encode=partial(reduce_mod, ctx),
-        eta=partial(square_class, ctx),
-        mul=partial(mul_mod, ctx),
-        sub=partial(sub_mod, ctx),
-        inverse=partial(field_inverse, ctx),
-        residue=lambda i: power_table(ctx, 1)[i],
-    )
-
-
-def _roots_of_f(ctx, ops, f):
-    """The elements r with f(r) = 0 mod P, or None when every residue is one.
+def _roots_of_f(ctx, field, f):
+    """The elements r of ``field``, ``prime_field(ctx)``, with f(r) = 0 mod P,
+    or None when every residue is one.
 
     A linear f = b x + d has the one root -d/b, or, when b = 0 mod P, none
     or all; a higher-degree f is scanned through ``_exunit_flags``.
     """
-    zero = ops.zero
+    zero = field.zero
     if f.total_degree() == 1:
-        b = ops.encode(f.terms[(1,)])
-        d = ops.encode(f.terms.get((0,), ctx.ring.zero))
+        b = field.encode(f.terms[(1,)])
+        d = field.encode(f.terms.get((0,), ctx.ring.zero))
         if b == zero:
             return None if d == zero else []
-        return [ops.mul(ops.sub(zero, d), ops.inverse(b))]
+        return [field.mul(field.sub(zero, d), field.inverse(b))]
     flags = _exunit_flags(ctx, f)
-    roots = [ops.residue(i) for i, unit in enumerate(flags) if not unit]
+    roots = [field.residue(i) for i, unit in enumerate(flags) if not unit]
     return None if len(roots) == ctx.norm else roots
 
 
@@ -237,8 +194,9 @@ def _quadric_counts(ctx, V, f, cap):
     odd.  Otherwise it returns None and the caller sweeps.  The cap is
     checked as the sweep checks it, and the inclusion-exclusion below has at
     most (1 + #roots of f)^amb <= q^amb terms, so it stays within the cap.
-    The a_i, c and f's coefficients are encoded once (``_field_ops``), as
-    ints mod p at a prime of residue degree 1, and all that follows is
+    The a_i, c and f's coefficients are encoded once in
+    ``residues.prime_field``, as ints mod p at a prime of residue degree 1
+    and as polynomials mod (p, h) above it, and all that follows is
     arithmetic on them.
 
     With eta the quadratic character, n variables and s = eta((-1)^(n//2)
@@ -258,31 +216,31 @@ def _quadric_counts(ctx, V, f, cap):
     quadric = _diagonal_quadric(ring, V)
     if quadric is None:
         return None
-    ops = _field_ops(ctx)
-    a = [ops.encode(x) for x in quadric[0]]
-    etas = [ops.eta(x) for x in a]
+    field = prime_field(ctx)
+    a = [field.encode(x) for x in quadric[0]]
+    etas = [field.eta(x) for x in a]
     if 0 in etas:  # some a_i lies in P
         return None
     variety_indices(ctx, V, cap)  # the cap check alone: nothing is swept
-    zero, c = ops.zero, ops.encode(quadric[1])
+    zero, c = field.zero, field.encode(quadric[1])
     if c == zero:
-        raise BadReduction(ctx.prime, (reduce_mod(ctx, ring.zero),) * amb)
-    minus_one = ops.eta(ops.encode(ring.from_int(-1)))
+        raise BadReduction(ctx.prime, (field.decode(zero),) * amb)
+    minus_one = field.eta(field.encode(ring.from_int(-1)))
 
     def solutions(n, eta, c):
         """Points of sum a_i x_i^2 = c over n coordinates whose a_i have the
         product class eta."""
         s = eta * minus_one ** (n // 2)
         if n % 2:
-            return q ** (n - 1) + s * ops.eta(c) * q ** (n // 2)
+            return q ** (n - 1) + s * field.eta(c) * q ** (n // 2)
         return (q ** n + s * q ** (n // 2) * (q * (c == zero) - 1)) // q
 
     count_x = solutions(amb, prod(etas), c)
-    roots = _roots_of_f(ctx, ops, f) if count_x else []
+    roots = _roots_of_f(ctx, field, f) if count_x else []
     if roots is None:
         count_n = count_x
     else:
-        shifts = [[ops.mul(x, ops.mul(r, r)) for r in roots] for x in a]
+        shifts = [[field.mul(x, field.mul(r, r)) for r in roots] for x in a]
 
         memo = {}  # different choices of roots often leave the same terms
 
@@ -299,7 +257,7 @@ def _quadric_counts(ctx, V, f, cap):
             else:
                 total = off_roots(i + 1, n + 1, eta * etas[i], c)
                 for shift in shifts[i]:
-                    total -= off_roots(i + 1, n, eta, ops.sub(c, shift))
+                    total -= off_roots(i + 1, n, eta, field.sub(c, shift))
             memo[key] = total
             return total
 
@@ -445,9 +403,9 @@ def example25_count(ring, a, c, factors, mode="corrected"):
             # -1 and c - a^2 are always squares in F_{p^2}
             count_x, count_n = q - 1, m
         else:
-            ctx = prime_ctx(ring, pf)
-            count_x = q - square_class(ctx, ring.from_int(-1))
-            chi = square_class(ctx, ring.from_int(c - a * a))
+            field = prime_field(prime_ctx(ring, pf))
+            count_x = q - field.eta(field.encode(ring.from_int(-1)))
+            chi = field.eta(field.encode(ring.from_int(c - a * a)))
             count_n = m * (chi >= 0) if mode == "corrected" else m * (chi + 1) // 2
         factor = Fraction(count_x - count_n, q)
         locals_.append(

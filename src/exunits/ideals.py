@@ -18,17 +18,11 @@ Only a ramified prime's powers are products of lattices (``ideal_pow``).
 
 from collections import Counter, namedtuple
 from functools import partial, reduce
-from itertools import compress, repeat, zip_longest
+from itertools import compress
 from math import isqrt, prod
-from operator import add, mul, not_
 
-from .errors import (
-    ExunitsError,
-    FactorCapExceeded,
-    NotFullRank,
-    UnitIdeal,
-    ZeroIdeal,
-)
+from . import fpoly
+from .errors import FactorCapExceeded, NotFullRank, UnitIdeal, ZeroIdeal
 from .number_ring import elem_mul, is_zero, square_and_multiply
 
 TRIAL_DIVISION_BOUND = 10 ** 6
@@ -211,65 +205,6 @@ def norm_of_factors(factors):
     return prod(pf.norm ** pf.exponent for pf in factors)
 
 
-# --- polynomials mod p (coefficient lists, constant first, trimmed) ---
-
-
-def _trim(poly):
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod_mod_p(num, den, p):
-    num = _trim([c % p for c in num])
-    den = _trim([c % p for c in den])
-    inv_lead = pow(den[-1], -1, p)
-    low = len(den) - 1
-    quot = [0] * max(len(num) - low, 0)
-    for shift in range(len(num) - len(den), -1, -1):
-        coef = num.pop() * inv_lead % p
-        quot[shift] = coef
-        if coef:
-            for i in range(low):
-                num[shift + i] = (num[shift + i] - coef * den[i]) % p
-    return quot, _trim(num)
-
-
-def _poly_mul(a, b, m):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim([c % m for c in out])
-
-
-def _poly_add(a, b, m):
-    return _trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _poly_sub(a, b, m):
-    return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _poly_mulmod(a, b, h, m):
-    """a*b mod (h, m), for h monic."""
-    return _poly_divmod_mod_p(_poly_mul(a, b, m), h, m)[1]
-
-
-def _inverse_mod_p(a, h, p):
-    """s with s*a = 1 mod (h, p), for a coprime to h mod p: the s of a Bezout
-    pair s*a + t*h = 1, by the extended Euclidean algorithm mod p."""
-    r0, r1 = list(a), list(h)
-    s0, s1 = [1], []
-    while r1:
-        q, r = _poly_divmod_mod_p(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-    if len(r0) != 1:
-        raise ExunitsError(f"{list(a)} is not coprime to {list(h)} mod {p}")
-    return _poly_mulmod(s0, [pow(r0[0], -1, p)], h, p)
-
-
 def _lift_exponents(e):
     """The exponents ..., ceil(e/4), ceil(e/2), e past 1 that a quadratic
     lift from p to p^e steps through, each step from k to 2k or 2k - 1."""
@@ -289,14 +224,14 @@ def _hensel_lift(g, h, p, e):
     comes from the extended Euclidean algorithm mod p, and each step lifts
     it by Newton's s*(2 - s*c) mod h.
     """
-    s = _inverse_mod_p(_poly_divmod_mod_p(g, h, p)[0], h, p)
+    s = fpoly.inverse(fpoly.divmod_(g, h, p)[0], h, p)
     h = list(h)
     for k in _lift_exponents(e):
         m = p ** k
-        h = _poly_add(h, _poly_mulmod(s, _poly_divmod_mod_p(g, h, m)[1], h, m), m)
+        h = fpoly.add(h, fpoly.mulmod(s, fpoly.divmod_(g, h, m)[1], h, m), m)
         if k < e:  # s is not needed mod p^e
-            c = _poly_divmod_mod_p(g, h, m)[0]
-            s = _poly_mulmod(s, _poly_sub([2], _poly_mulmod(s, c, h, m), m), h, m)
+            c = fpoly.divmod_(g, h, m)[0]
+            s = fpoly.mulmod(s, fpoly.sub([2], fpoly.mulmod(s, c, h, m), m), h, m)
     return h
 
 
@@ -359,8 +294,7 @@ def factor_poly_mod_p(poly, p, max_degree=None):
     constant first, multiplicity), sorted lexicographically by coefficient
     sequence.
     """
-    work = [c % p for c in poly]
-    _trim(work)
+    work = fpoly.trim([c % p for c in poly])
     top = (len(work) - 1) // 2
     if max_degree is not None:
         top = min(top, max_degree)
@@ -372,13 +306,13 @@ def factor_poly_mod_p(poly, p, max_degree=None):
         )
     factors = Counter()
     if len(work) > 2:  # degree 2 or more: a linear factor is a root
-        roots = _roots_mod_p(work, p)
+        roots = fpoly.roots(work, p)
         for left, r in zip(range(len(roots) - 1, -1, -1), roots):
             cand = [-r % p, 1]
             # divide again only while what is left has room for more than
             # the left roots still to be divided out, one each
             while len(work) - 1 > left:
-                quot, rem = _poly_divmod_mod_p(work, cand, p)
+                quot, rem = fpoly.divmod_(work, cand, p)
                 if rem:
                     break
                 factors[tuple(cand)] += 1
@@ -387,7 +321,7 @@ def factor_poly_mod_p(poly, p, max_degree=None):
     while degree <= top and 2 * degree <= len(work) - 1:
         cand = [0] * degree + [1]
         while 2 * degree <= len(work) - 1:
-            quot, rem = _poly_divmod_mod_p(work, cand, p)
+            quot, rem = fpoly.divmod_(work, cand, p)
             if not rem:
                 factors[tuple(cand)] += 1
                 work = quot
@@ -404,21 +338,6 @@ def factor_poly_mod_p(poly, p, max_degree=None):
     if 1 < len(work) and (max_degree is None or len(work) - 1 <= max_degree):
         factors[tuple(work)] += 1
     return sorted(factors.items())
-
-
-def _roots_mod_p(poly, p):
-    """The x in [0, p), in order, at which the monic poly, reduced mod p,
-    vanishes mod p: Horner's rule at every x at once, as maps over range(p),
-    so the loop runs in C.  The values are reduced mod p once, at the end."""
-    xs = range(p)
-    values = xs  # poly is monic: its leading coefficient times x
-    for c in reversed(poly[1:-1]):
-        if c:
-            values = map(add, values, repeat(c))
-        values = map(mul, values, xs)
-    if poly[0]:
-        values = map(add, values, repeat(poly[0]))
-    return list(compress(xs, map(not_, map(p.__rmod__, values))))
 
 
 def _multiplicity(n, p):
@@ -498,13 +417,10 @@ def _primes_up_to(n):
 
 def _is_squarefree_mod_p(poly, p):
     """Whether the monic poly has no repeated factor mod p: gcd(poly, poly')
-    mod p, by the Euclidean algorithm, is a constant.  poly' = 0 mod p, as
-    for x^2 + 1 = (x + 1)^2 mod 2, leaves poly itself as the gcd."""
-    a = _trim([c % p for c in poly])
-    b = _trim([i * c % p for i, c in enumerate(poly)][1:])
-    while b:
-        a, b = b, _poly_divmod_mod_p(a, b, p)[1]
-    return len(a) == 1
+    mod p is a constant.  poly' = 0 mod p, as for x^2 + 1 = (x + 1)^2 mod 2,
+    leaves poly itself as the gcd."""
+    derivative = [i * c for i, c in enumerate(poly)][1:]
+    return len(fpoly.gcd(poly, derivative, p)) == 1
 
 
 def prime_ideals_up_to(ring, max_norm):
@@ -557,7 +473,7 @@ def valuation(ring, I, pf):
 def _valuation(ring, I, pf, bound):
     """``valuation`` of I at pf, given its bound v_p(N(I)) // f."""
     p = pf.p
-    cofactor, _ = _poly_divmod_mod_p(ring.min_poly, pf.h_coeffs, p)
+    cofactor, _ = fpoly.divmod_(ring.min_poly, pf.h_coeffs, p)
     beta = tuple(cofactor) + (0,) * (ring.deg - len(cofactor))
 
     def contained(k):
@@ -643,8 +559,8 @@ def _not_maximal_at(ring, p, above):
     lifted = [1]
     for pf in above:
         for _ in range(pf.e_ram):
-            lifted = _poly_mul(lifted, pf.h_coeffs, square)
-    F = [c // p for c in _poly_sub(lifted, ring.min_poly, square)]
+            lifted = fpoly.mul(lifted, pf.h_coeffs, square)
+    F = [c // p for c in fpoly.sub(lifted, ring.min_poly, square)]
     return any(
-        pf.e_ram > 1 and not _poly_divmod_mod_p(F, pf.h_coeffs, p)[1] for pf in above
+        pf.e_ram > 1 and not fpoly.divmod_(F, pf.h_coeffs, p)[1] for pf in above
     )

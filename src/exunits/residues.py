@@ -12,17 +12,21 @@ f >= 2, the log, antilog and Zech tables of the residue field
 shape of the modulus: when every HNF diagonal entry after the first is 1,
 so that O/n is Z/N (as at every prime of degree 1), residue indices as ints
 mod N; at a prime of degree f >= 2, residue indices through the field
-tables; otherwise coordinate tuples.
+tables; otherwise coordinate tuples.  ``prime_field`` gives the residue
+field O/P, with no table, to its inverse, its square classes and the closed
+form of diagonal quadrics.
 
 Enumeration is fixed in lexicographic order of (c_{d-1}, ..., c_0), i.e.
 the highest power-basis coordinate varies slowest.
 """
 
+from collections import namedtuple
 from functools import partial
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd
 from operator import add, index, mul, neg
 
+from . import fpoly
 from .errors import (
     EvenCharacteristic,
     ExunitsError,
@@ -32,16 +36,13 @@ from .errors import (
     ZeroIdeal,
 )
 from .ideals import (
-    _inverse_mod_p,
-    _poly_divmod_mod_p,
-    _poly_mulmod,
     _reduce_by_basis,
     _small_prime_factors,
-    _trim,
     hnf_from_generators,
     ideal_norm,
 )
 from .number_ring import (
+    _check_dims,
     elem_add,
     elem_mul,
     elem_neg,
@@ -57,7 +58,7 @@ class ResidueCtx:
     ``prime`` is set when the context was built from a PrimeFactor, which
     unlocks the residue-field operations (inversion, square classes) and
     the field tables.  ``tables`` holds what is built on first use: the
-    tables of ``power_table`` by exponent, and the ``arithmetic`` object.
+    tables of ``power_table`` by exponent, ``arithmetic`` and ``prime_field``.
     """
 
     __slots__ = ("ring", "modulus", "norm", "prime", "tables")
@@ -87,7 +88,10 @@ def prime_ctx(ring, prime_factor):
 
 
 def reduce_mod(ctx, a):
-    """Canonical representative of a modulo the context ideal."""
+    """Canonical representative of a modulo the context ideal; an a with
+    other than one coordinate per power of theta raises DimensionMismatch."""
+    if len(a) != ctx.ring.deg:
+        _check_dims(ctx.ring, a)  # raises DimensionMismatch
     return _reduce_by_basis(ctx.modulus.basis, a)
 
 
@@ -203,15 +207,15 @@ def unit_flags(ctx):
 
 
 def add_mod(ctx, a, b):
-    return reduce_mod(ctx, elem_add(ctx.ring, a, b))
+    return _reduce_by_basis(ctx.modulus.basis, elem_add(ctx.ring, a, b))
 
 
 def sub_mod(ctx, a, b):
-    return reduce_mod(ctx, elem_sub(ctx.ring, a, b))
+    return _reduce_by_basis(ctx.modulus.basis, elem_sub(ctx.ring, a, b))
 
 
 def mul_mod(ctx, a, b):
-    return reduce_mod(ctx, elem_mul(ctx.ring, a, b))
+    return _reduce_by_basis(ctx.modulus.basis, elem_mul(ctx.ring, a, b))
 
 
 def pow_mod(ctx, a, e):
@@ -236,8 +240,8 @@ def field_tables(ctx):
       logarithm; Lidl and Niederreiter, *Finite Fields*, and K. Huber, IEEE
       Trans. IT 36, 1990).
 
-    The search takes each power as a polynomial mod (p, h) (``_field_poly``),
-    by ``square_and_multiply`` with ``ideals._poly_mulmod``.  Past it, and the
+    The search takes each power in ``prime_field(ctx)``, by
+    ``square_and_multiply`` with its ``mul``.  Past it, and the
     f ring products that give the matrix of g, neither the walk over the
     powers of g nor the Zech table needs a ring product.  Every HNF row of P
     with diagonal p is p times a unit vector, so the f digits of an index
@@ -251,17 +255,16 @@ def field_tables(ctx):
     p = basis[0][0]
     q = ctx.norm
     m = q - 1
-    one = reduce_mod(ctx, ctx.ring.one)
+    field = prime_field(ctx)
+    one = field.residue(1)
     primes = _small_prime_factors(m)
-    mul_h = partial(_poly_mulmod, h=ctx.prime.h_coeffs, m=p)
 
     def is_primitive(a):
-        a = _field_poly(ctx, a)
-        return all(square_and_multiply(a, m // r, mul_h) != [1] for r in primes)
+        return all(square_and_multiply(a, m // r, field.mul) != one for r in primes)
 
     # the indices below p are the subfield F_p: none is primitive; if no
     # element is (O/P is no field), g = 1 and the guard below raises
-    g = next(filter(is_primitive, islice(residues(ctx), p, None)), one)
+    g = field.decode(next(filter(is_primitive, map(field.residue, range(p, q))), one))
     coords = [i for i, row in enumerate(basis) if row[i] > 1]  # of radix p
     vectors = [tuple(int(j == i) for j in range(len(basis))) for i in coords]
     images = [mul_mod(ctx, g, v) for v in vectors]
@@ -340,7 +343,7 @@ class _RingArithmetic:
         ring = ctx.ring
         self.ctx = ctx
         self.zero = ring.zero
-        self.encode = self.reduce = partial(reduce_mod, ctx)
+        self.encode = self.reduce = partial(_reduce_by_basis, ctx.modulus.basis)
         self.index = partial(residue_index, ctx)
         self.add = partial(elem_add, ring)
         self.neg = partial(elem_neg, ring)
@@ -444,52 +447,77 @@ def is_unit_mod(ctx, a):
     return ideal_norm(joint) == 1
 
 
-def _field_poly(ctx, r):
-    """The canonical residue r at a prime (p, h) as the int list of
-    r(x) mod (p, h), constant first, with no trailing zeros.
-
-    The HNF of the prime (``ideals._factor_hnf``) has diagonal p in its
-    first f = deg h rows and 1 after them, so r is (c_0, ..., c_{f-1}, 0,
-    ...): its first f coordinates are that remainder."""
-    return _trim(list(r[: ctx.prime.f_res]))
+_PrimeField = namedtuple(
+    "_PrimeField", "zero encode decode eta mul sub inverse residue"
+)
 
 
-def _resultant_mod_p(a, b, p):
-    """Res(a, b) mod p of int coefficient lists, constant first, for a of
-    degree at least 1 mod p, by the Euclidean algorithm mod p (Cohen, GTM
-    138, §3.3): Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
-    with r = a mod b, Res(a, 0) = 0 and Res(a, c) = c^(deg a) for a constant
-    c.  For a monic, Res(a, b) is the product of b over the roots of a."""
-    res = 1
-    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
-    while len(b) > 1:
-        r = _poly_divmod_mod_p(a, b, p)[1]
-        if not r:
-            return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = -res
-        res = res * pow(b[-1], len(a) - len(r), p) % p
-        a, b = b, r
-    return res * pow(b[0], len(a) - 1, p) % p if b else 0
+def prime_field(ctx):
+    """The residue field O/P of the prime context ctx, with no table; built
+    on first use and kept with ctx.
+
+    At residue degree 1 an element is an int mod ``ctx.norm``, the index i
+    of the residue (i, 0, ..., 0), and every operation is int arithmetic.
+    At a prime (p, h) of degree f >= 2 it is the tuple of the first f
+    coordinates of the canonical residue r: the HNF of P
+    (``ideals._factor_hnf``) has diagonal p in its first f rows and 1 after
+    them, so these are the coefficients of r(x) mod (p, h), and the
+    operations are those of ``fpoly`` mod (p, h).
+
+    ``encode(a)`` is the element of a ring element a, ``decode(x)`` the
+    canonical residue of x, ``residue(i)`` the element of residue index i;
+    ``mul``, ``sub`` and ``inverse`` act on elements.  ``eta`` is Euler's
+    criterion on the norm N(x) = x^((q-1)/(p-1)) to F_p, as x^((q-1)/2) is
+    N(x)^((p-1)/2) (Lidl and Niederreiter, *Finite Fields*): N(x) is x at
+    degree 1 and Res(h, x) mod p above it.  Elements are hashable, and two
+    are equal iff their residues are.
+    """
+    field = ctx.tables.get("prime_field")
+    if field is not None:
+        return field
+    d, f = ctx.ring.deg, ctx.prime.f_res
+    if f == 1:
+        n = ctx.norm
+        field = _PrimeField(
+            zero=0,
+            encode=lambda a: reduce_mod(ctx, a)[0],
+            decode=lambda x: (x,) + (0,) * (d - 1),
+            eta=partial(euler_criterion, p=n),
+            mul=lambda x, y: x * y % n,
+            sub=lambda x, y: (x - y) % n,
+            inverse=lambda x: pow(x, -1, n),
+            residue=int,
+        )
+    else:
+        p, h = ctx.prime.p, ctx.prime.h_coeffs
+
+        def pad(r):
+            return tuple(r) + (0,) * (f - len(r))
+
+        field = _PrimeField(
+            zero=(0,) * f,
+            encode=lambda a: reduce_mod(ctx, a)[:f],
+            decode=lambda x: x + (0,) * (d - f),
+            eta=lambda x: euler_criterion(fpoly.resultant(h, x, p), p),
+            mul=lambda x, y: pad(fpoly.mulmod(x, y, h, p)),
+            sub=lambda x, y: tuple((s - t) % p for s, t in zip(x, y)),
+            inverse=lambda x: pad(fpoly.inverse(x, h, p)),
+            residue=lambda i: tuple(i // p ** k % p for k in range(f)),
+        )
+    ctx.tables["prime_field"] = field
+    return field
 
 
 def field_inverse(ctx, a):
-    """Inverse in the residue field O_K/p.
-
-    At a prime of residue degree 1, where O/p is Z/p, it is ``pow(i, -1, p)``
-    on the residue index i; otherwise it is the inverse of a(x) mod (p, h)
-    by the extended Euclidean algorithm (``ideals._inverse_mod_p``), so that
-    no field table is built and no power is taken.
-    """
+    """Inverse in the residue field O_K/p, by ``prime_field``: ``pow(i, -1,
+    p)`` at residue degree 1, Euclid mod (p, h) above it."""
     if ctx.prime is None:
         raise NotPrime("field_inverse requires a prime modulus context")
-    r = reduce_mod(ctx, a)
-    if is_zero(r):
+    field = prime_field(ctx)
+    x = field.encode(a)
+    if x == field.zero:
         raise NotAUnit("element lies in the prime ideal")
-    if _is_cyclic(ctx):
-        return (pow(r[0], -1, ctx.norm),) + r[1:]
-    s = _inverse_mod_p(_field_poly(ctx, r), ctx.prime.h_coeffs, ctx.prime.p)
-    return tuple(s) + (0,) * (len(r) - len(s))
+    return field.decode(field.inverse(x))
 
 
 def euler_criterion(a, p):
@@ -506,24 +534,11 @@ def euler_criterion(a, p):
 
 
 def square_class(ctx, a):
-    """Euler's criterion in the residue field: 0, +1 or -1.
-
-    a^((q-1)/2) is N(a)^((p-1)/2) in F_p, N(a) = a^((q-1)/(p-1)) the norm to
-    F_p, since F_q* is cyclic (Lidl and Niederreiter, *Finite Fields*).  At
-    a prime of residue degree 1, N(a) is the residue index of a; at a prime
-    (p, h) of degree f >= 2, it is the resultant Res(h, a(x)) mod p
-    (``_resultant_mod_p``).  Either way one ``pow`` in F_p decides the class
-    (``euler_criterion``).
-    """
+    """Euler's criterion in the residue field: 0, +1 or -1, the quadratic
+    character ``eta`` of ``prime_field``."""
     if ctx.prime is None:
         raise NotPrime("square_class requires a prime modulus context")
     if ctx.norm % 2 == 0:
         raise EvenCharacteristic("square classes need odd residue field order")
-    r = reduce_mod(ctx, a)
-    if is_zero(r):
-        return 0
-    if _is_cyclic(ctx):
-        return euler_criterion(r[0], ctx.norm)
-    p = ctx.prime.p
-    norm = _resultant_mod_p(ctx.prime.h_coeffs, _field_poly(ctx, r), p)
-    return euler_criterion(norm, p)
+    field = prime_field(ctx)
+    return field.eta(field.encode(a))

@@ -25,11 +25,10 @@ from exunits import (
     principal_ideal,
     unit_ideal,
 )
-from exunits import ideals
+from exunits import fpoly, ideals
 from exunits.ideals import (
     _multiplicity,
     _not_maximal_at,
-    _poly_divmod_mod_p,
     ideal_of_factors,
     prime_ideals_up_to,
     valuation,
@@ -126,7 +125,7 @@ def test_poly_divmod_is_division_with_remainder(num, den, lead, modulus):
     if math.gcd(lead, modulus) != 1:
         lead = 1
     divisor = den + [lead]
-    quot, rem = _poly_divmod_mod_p(num, divisor, modulus)
+    quot, rem = fpoly.divmod_(num, divisor, modulus)
     diff = [0] * (len(num) + len(quot) + len(divisor))
     for i, a in enumerate(quot):
         for j, b in enumerate(divisor):
@@ -181,7 +180,7 @@ class TestPolyFactorModP:
         division by x - r, which leaves no remainder: 4 in all, where a
         second division at each root, to find that it does not divide again,
         made 8, and trial division over the 17 linear candidates made 12."""
-        calls = _counted(monkeypatch, "_poly_divmod_mod_p")
+        calls = _counted(monkeypatch, "divmod_", fpoly)
         assert factor_poly_mod_p((1, 0, 0, 0, 1), 17) == [
             ((2, 1), 1), ((8, 1), 1), ((9, 1), 1), ((15, 1), 1)
         ]
@@ -196,7 +195,7 @@ class TestPolyFactorModP:
         there.  At p = 19, which is 3 mod 8, the two quadratic factors, of
         norm 361, are found by trial division and listed."""
         ring = make_number_ring([1, 0, 0, 0, 1])
-        calls = _counted(monkeypatch, "_poly_divmod_mod_p")
+        calls = _counted(monkeypatch, "divmod_", fpoly)
         listed = list(prime_ideals_up_to(ring, 400))
         quadratic = {p for _, den, p in calls if len(den) == 3}
         assert 19 in quadratic and max(quadratic) < 20
@@ -204,16 +203,16 @@ class TestPolyFactorModP:
         assert max(pf.p for pf in listed if pf.f_res == 2) == 19
 
 
-def _counted(monkeypatch, name):
-    """Record the arguments of every call to ``ideals.<name>``."""
+def _counted(monkeypatch, name, module=ideals):
+    """Record the arguments of every call to ``<module>.<name>``."""
     calls = []
-    original = getattr(ideals, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(ideals, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -244,7 +243,7 @@ def _trial_division_factors(poly, p):
     while 2 * degree <= len(work) - 1:
         for cand in _monic_polys_mod_p(degree, p):
             while 2 * degree <= len(work) - 1:
-                quot, rem = _poly_divmod_mod_p(work, cand, p)
+                quot, rem = fpoly.divmod_(work, cand, p)
                 if rem:
                     break
                 factors[tuple(cand)] = factors.get(tuple(cand), 0) + 1
@@ -327,7 +326,7 @@ def test_factor_poly_mod_p_matches_reference(p, low):
         degree = len(h) - 1
         for d in range(1, degree // 2 + 1):
             for cand in _monic_polys_mod_p(d, p):
-                assert _poly_divmod_mod_p(h, cand, p)[1], (h, cand)
+                assert fpoly.divmod_(h, cand, p)[1], (h, cand)
         for _ in range(mult):
             product = _poly_product_mod_p(product, h, p)
     assert product == [c % p for c in g]
@@ -546,7 +545,7 @@ def test_prime_power_matches_ideal_pow(min_poly, p, e, data):
 def test_prime_power_of_exponent_one_is_the_prime(q5, monkeypatch):
     """P^1 is the prime's own HNF, with no Hensel lift and no HNF rebuilt."""
     primes = [pf for p in (2, 3, 7, 11, 29) for pf in prime_ideals_above(q5, p)]
-    calls = _counted(monkeypatch, "_poly_divmod_mod_p")
+    calls = _counted(monkeypatch, "divmod_", fpoly)
     for pf in primes:
         assert prime_power(q5, pf, 1) is pf.hnf
     assert calls == []
@@ -732,7 +731,7 @@ def _simple_factor_keys(ring, p):
             continue
         work, mult = list(ring.min_poly), 0
         while True:
-            quot, rem = _poly_divmod_mod_p(work, [-r % p, 1], p)
+            quot, rem = fpoly.divmod_(work, [-r % p, 1], p)
             if rem:
                 break
             work, mult = quot, mult + 1

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exunits import (
+    DimensionMismatch,
     EvenCharacteristic,
     VarietySpec,
     brute_force_count,
@@ -31,6 +32,7 @@ from exunits import (
     square_class,
     unit_ideal,
 )
+from exunits import fpoly
 from exunits.ideals import prime_ideals_above
 from exunits.number_ring import elem_mul, elem_sub, is_zero
 from exunits.residues import (
@@ -38,9 +40,7 @@ from exunits.residues import (
     _CyclicArithmetic,
     _FieldArithmetic,
     _RingArithmetic,
-    _field_poly,
     _is_cyclic,
-    _resultant_mod_p,
     add_mod,
     arithmetic,
     field_tables,
@@ -48,6 +48,7 @@ from exunits.residues import (
     mul_mod,
     pow_mod,
     power_table,
+    prime_field,
     residue_index,
     residues,
     sub_mod,
@@ -87,6 +88,21 @@ class TestReduce:
             r = reduce_mod(ctx3, a)
             assert reduce_mod(ctx3, r) == r
             assert ideal_contains(p3.hnf, elem_sub(q5, a, r))
+
+    @pytest.mark.parametrize("min_poly, p", [([5, 0, 1], 13), ([-2, 0, 0, 1], 7)])
+    def test_wrong_length_is_refused(self, min_poly, p):
+        """An element with one coordinate too few or too many is refused with
+        DimensionMismatch, as ``elem_add`` refuses it: by ``reduce_mod``, and
+        by the residue-field operations and ``is_unit_mod`` that read it at
+        the inert prime p, of residue degree 2 and 3."""
+        ring = make_number_ring(min_poly)
+        (pf,) = prime_ideals_above(ring, p)
+        assert pf.f_res == ring.deg
+        ctx = prime_ctx(ring, pf)
+        for a in (tuple(range(1, ring.deg)), tuple(range(1, ring.deg + 2))):
+            for operation in (reduce_mod, field_inverse, square_class, is_unit_mod):
+                with pytest.raises(DimensionMismatch):
+                    operation(ctx, a)
 
 
 class TestEnumeration:
@@ -444,7 +460,7 @@ class TestHigherDegreeFieldOps:
                 assert square_class(ctx, r) == (1 if euler == one else -1)
                 assert field_inverse(ctx, r) == pow_mod(ctx, r, q - 2)
                 # Res(h, a) is the norm of a to F_p, a^((q-1)/(p-1))
-                norm = _resultant_mod_p(pf.h_coeffs, _field_poly(ctx, r), p)
+                norm = fpoly.resultant(pf.h_coeffs, prime_field(ctx).encode(r), p)
                 assert (norm,) + (0,) * (ring.deg - 1) == pow_mod(
                     ctx, r, (q - 1) // (p - 1)
                 )
@@ -488,14 +504,14 @@ class TestHigherDegreeFieldOps:
     def test_resultant(self):
         """Res over F_p on small cases: a constant, a shared root, and the
         product of b over the roots of a split monic a."""
-        assert _resultant_mod_p([1, 0, 1], [3], 7) == 9 % 7
-        assert _resultant_mod_p([6, 1], [0, 2], 7) == 2  # b(1), as x + 6 = x - 1
-        assert _resultant_mod_p([2, 3, 1], [1, 1], 7) == 0  # both vanish at -1
+        assert fpoly.resultant([1, 0, 1], [3], 7) == 9 % 7
+        assert fpoly.resultant([6, 1], [0, 2], 7) == 2  # b(1), as x + 6 = x - 1
+        assert fpoly.resultant([2, 3, 1], [1, 1], 7) == 0  # both vanish at -1
         # a = (x - 2)(x - 3): Res(a, b) = b(2) b(3)
         for b in ([1, 1], [5, 0, 1], [4, 6, 0, 2]):
             value = [sum(c * x ** i for i, c in enumerate(b)) for x in (2, 3)]
-            assert _resultant_mod_p([6, 2, 1], b, 7) == value[0] * value[1] % 7
-        assert _resultant_mod_p([1, 0, 1], [], 5) == 0
+            assert fpoly.resultant([6, 2, 1], b, 7) == value[0] * value[1] % 7
+        assert fpoly.resultant([1, 0, 1], [], 5) == 0
 
 
 def q5_minus_one():

@@ -224,9 +224,10 @@ def test_back_substitution_has_one_owner():
 
 
 def test_form_follows_the_modulus():
-    """Only functions of ``residues`` compare a ``.prime`` with ``None``: the
-    form of O/n and its units are decided there, from the modulus, and
-    nothing else branches on whether a context came from a prime."""
+    """Only functions of ``residues`` compare a ``.prime`` with ``None``, or
+    read ``ctx.prime.f_res``: the form of O/n, of O/P and of its units are
+    decided there, from the modulus, and nothing else branches on whether a
+    context came from a prime or on its residue degree."""
 
     def compares_prime_with_none(node):
         if not isinstance(node, ast.Compare):
@@ -236,9 +237,48 @@ def test_form_follows_the_modulus():
             isinstance(sub, ast.Constant) and sub.value is None for sub in sides
         )
 
-    owners = _owners(compares_prime_with_none)
-    assert owners
-    assert {owner.split(".")[0] for owner in owners} == {"residues"}
+    def reads_residue_degree(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "f_res"
+            and getattr(node.value, "attr", None) == "prime"
+            and getattr(node.value.value, "id", None) == "ctx"
+        )
+
+    for predicate in (compares_prime_with_none, reads_residue_degree):
+        owners = _owners(predicate)
+        assert owners, predicate.__name__
+        assert {owner.split(".")[0] for owner in owners} == {"residues"}, owners
+
+
+def _package_imports(module):
+    """For a module of ``src/exunits``, the names it imports from each module
+    of the package: ``from .m import a`` gives m -> {a}, ``from . import m``
+    gives m -> {}."""
+    path = Path(exunits.__file__).parent / f"{module}.py"
+    imports = {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                for alias in node.names:
+                    imports.setdefault(alias.name, set())
+            else:
+                names = {alias.name for alias in node.names}
+                imports.setdefault(node.module, set()).update(names)
+    return imports
+
+
+def test_polynomials_mod_p_have_one_home():
+    """``fpoly`` holds the polynomials mod p and imports only ``errors`` from
+    the package; ``residues`` takes from ``ideals`` only its HNF layer, and
+    no helper on polynomials mod p."""
+    assert set(_package_imports("fpoly")) == {"errors"}
+    assert _package_imports("residues")["ideals"] == {
+        "_reduce_by_basis",
+        "_small_prime_factors",
+        "hnf_from_generators",
+        "ideal_norm",
+    }
 
 
 def test_option_defaults_have_one_owner():
@@ -380,7 +420,7 @@ def test_closed_form_written_once():
     """The point count of a diagonal quadric (``solutions``) and the
     inclusion-exclusion over the roots of f (``off_roots``) are defined once,
     in ``counting._quadric_counts``, for both element forms of O/P: ints mod
-    p at residue degree 1 and residue tuples above it."""
+    p at residue degree 1 and polynomials mod (p, h) above it."""
     for name in ("solutions", "off_roots"):
 
         def defines(node):
